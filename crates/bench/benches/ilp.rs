@@ -1,18 +1,16 @@
 //! The CI-enforced performance harness for the numeric hot paths: the
-//! warm-started ILP engine behind `ablation_ilp_vs_greedy` (PR 3), the
-//! memoized evaluator cache, the `parallel_map` worker pool, the
-//! `josim_*` transient-circuit kernels (PR 4: the adaptive sparse MNA
-//! engine against the seed fixed-step dense engine on identical JTL and
-//! PTL netlists), the `timing_*` cycle-level replay kernels (PR 5:
-//! one-layer replay and cold full-model compile + replay), and the
-//! incremental-sweep paths (PR 6: delta replay and the batched
-//! struct-of-arrays kernel against per-point simulation, plus the
-//! process-level cold-vs-warm `--cache-dir` comparison), and the
-//! design-space search engine (PR 7: the staged warm-started search
-//! against naive per-config cold solves over the 1000-point grid, plus
-//! the pure pruning kernel), and the multi-tenant serving dispatch
-//! kernel (PR 8: the full saturation sweep grid over prebuilt tenant
-//! profiles).
+//! warm-started ILP engine behind `ablation_ilp_vs_greedy`, the memoized
+//! evaluator cache, the `parallel_map` worker pool, the `josim_*`
+//! transient-circuit kernels (the adaptive sparse MNA engine against the
+//! seed fixed-step dense engine on identical JTL and PTL netlists), the
+//! `timing_*` cycle-level replay kernels (one-layer replay and cold
+//! full-model compile + replay), the incremental-sweep paths (delta
+//! replay against per-point simulation, plus the process-level
+//! cold-vs-warm `--cache-dir` comparison), the design-space search engine
+//! (the staged warm-started search against naive per-config cold solves
+//! over the 1000-point grid, plus the pure pruning kernel), and the
+//! multi-tenant serving dispatch kernel (the full saturation sweep grid
+//! over prebuilt tenant profiles).
 //!
 //! Run it and refresh the committed baseline with:
 //!
@@ -254,20 +252,16 @@ fn bench_timing_replay_traced_off(c: &mut Criterion) {
     });
 }
 
-/// A 16-point RANDOM-bandwidth sweep of AlexNet on SMART, three ways:
+/// A 16-point RANDOM-bandwidth sweep of AlexNet on SMART, two ways:
 ///
 /// * `per_point_16pt` — one full `simulate_scheme` (ILP compile + replay)
 ///   per point, the pre-PR-6 cost of a sweep;
 /// * `delta_16pt` — one `prepare_model` then 16 cheap finish passes
-///   (delta replay);
-/// * `batched_16pt` — one `prepare_model` then one pass of the
-///   struct-of-arrays kernel over all 16 lanes;
-/// * `batched_warm_16pt` — the kernel alone, prepass prebuilt (the cost a
-///   warm-process sweep actually pays per uncached config batch).
+///   (delta replay, what `TimingCache::sweep` does for its misses).
 ///
-/// The PR-6 acceptance target is `delta`/`batched` >= 5x over `per_point`.
+/// The acceptance target of the delta path is >= 5x over `per_point`.
 fn bench_timing_sweep(c: &mut Criterion) {
-    use smart_timing::{prepare_model, replay_sweep, simulate_scheme, TimingConfig};
+    use smart_timing::{prepare_model, simulate_scheme, TimingConfig};
 
     let model = ModelId::AlexNet.build();
     let scheme = Scheme::smart();
@@ -291,16 +285,6 @@ fn bench_timing_sweep(c: &mut Criterion) {
                 black_box(prepass.replay(cfg));
             }
         })
-    });
-    g.bench_function("batched_16pt", |b| {
-        b.iter(|| {
-            let prepass = prepare_model(&scheme, &model, nominal.max_iterations).expect("prepares");
-            black_box(replay_sweep(&prepass, &cfgs))
-        })
-    });
-    let prepass = prepare_model(&scheme, &model, nominal.max_iterations).expect("prepares");
-    g.bench_function("batched_warm_16pt", |b| {
-        b.iter(|| black_box(replay_sweep(black_box(&prepass), &cfgs)))
     });
     g.finish();
 }

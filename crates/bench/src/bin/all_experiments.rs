@@ -60,11 +60,12 @@ fn main() -> ExitCode {
         ctx.save_caches_or_warn(dir);
     }
 
+    // Every stdout write goes through `cli`, which ends the run quietly
+    // when the reader closes the pipe.
     match args.format {
         Format::Text => {
             for table in &tables {
-                println!("==== {} ====", table.name);
-                println!("{table}");
+                cli::write_stdout(&format!("==== {} ====\n{table}\n", table.name));
             }
         }
         Format::Json => {
@@ -72,13 +73,11 @@ fn main() -> ExitCode {
                 .iter()
                 .map(smart_report::ResultTable::to_json)
                 .collect();
-            println!("[{}]", bodies.join(","));
+            cli::write_stdout(&format!("[{}]\n", bodies.join(",")));
         }
         Format::Csv => {
             for table in &tables {
-                println!("# {}: {}", table.name, table.title);
-                print!("{}", table.to_csv());
-                println!();
+                cli::print_table(table, Format::Csv);
             }
         }
     }

@@ -78,7 +78,7 @@ fn main() -> ExitCode {
             .any(|f| "pareto_search".contains(f.as_str()) || f == "search");
     if args.list {
         if selected {
-            println!("pareto_search");
+            cli::write_stdout("pareto_search\n");
         }
         return ExitCode::SUCCESS;
     }
@@ -147,13 +147,13 @@ fn main() -> ExitCode {
             // The table's own JSON plus the run counters (satellite stats
             // the fixed-width text has no room for). Deterministic fields
             // only — elapsed time stays on stderr.
-            println!(
+            cli::write_stdout(&format!(
                 "{{\"table\":{},\"stats\":{{\
                  \"space\":{},\"pruned\":{},\"survivors\":{},\"frontier\":{},\
                  \"ilp_compiles\":{},\
                  \"eval_hits\":{},\"eval_misses\":{},\
                  \"timing_hits\":{},\"timing_misses\":{},\
-                 \"warm_attempts\":{},\"warm_hits\":{},\"cold_solves\":{},\"solution_hits\":{}}}}}",
+                 \"warm_attempts\":{},\"warm_hits\":{},\"cold_solves\":{},\"solution_hits\":{}}}}}\n",
                 table.to_json(),
                 s.space,
                 s.pruned,
@@ -168,16 +168,9 @@ fn main() -> ExitCode {
                 s.warm_hits,
                 s.cold_solves,
                 s.solution_hits,
-            );
+            ));
         }
-        Format::Csv => {
-            println!("# {}: {}", table.name, table.title);
-            print!("{}", table.to_csv());
-            println!();
-        }
-        Format::Text => {
-            print!("{table}");
-        }
+        Format::Csv | Format::Text => cli::print_table(&table, args.format),
     }
 
     if !cli::emit_observability(&args, &ctx) {

@@ -131,7 +131,7 @@ fn main() -> ExitCode {
             .any(|f| "serving_sim".contains(f.as_str()) || f == "serving");
     if args.list {
         if selected {
-            println!("serving_sim");
+            cli::write_stdout("serving_sim\n");
         }
         return ExitCode::SUCCESS;
     }

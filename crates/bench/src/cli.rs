@@ -21,6 +21,7 @@
 use crate::registry::{self, ExperimentDescriptor};
 use crate::ExperimentContext;
 use smart_report::ResultTable;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -343,7 +344,7 @@ impl CliSpec {
         match self.parse(std::env::args().skip(1)) {
             Ok(Parsed::Run(args)) => args,
             Ok(Parsed::Help(text)) => {
-                println!("{text}");
+                write_stdout(&format!("{text}\n"));
                 std::process::exit(0);
             }
             Err(msg) => {
@@ -364,28 +365,44 @@ pub enum Parsed {
     Help(String),
 }
 
-/// Prints the `--list` line of one experiment (shared between
+/// Writes `text` to stdout: the one writer behind the binaries' tables,
+/// listings and help. A closed pipe (`all_experiments | head -1`) ends
+/// the process quietly with status 0 instead of panicking like `print!`;
+/// any other write failure is reported on stderr and exits 1.
+pub fn write_stdout(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("writing stdout failed: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Prints the `--list` line of each experiment (shared between
 /// `all_experiments` and the per-figure binaries so the format cannot
 /// drift): `name  group  figure`.
 pub fn print_listing(descriptors: &[&ExperimentDescriptor]) {
-    for d in descriptors {
-        println!("{:<24} {:<9} {}", d.name, d.group.tag(), d.figure);
-    }
+    let listing: String = descriptors
+        .iter()
+        .map(|d| format!("{:<24} {:<9} {}\n", d.name, d.group.tag(), d.figure))
+        .collect();
+    write_stdout(&listing);
 }
 
 /// Renders one table in the selected format. Text is the bare
 /// fixed-width table (the per-figure binaries' historical output);
 /// `all_experiments` adds its own `==== name ====` headers.
 pub fn print_table(table: &ResultTable, format: Format) {
-    match format {
-        Format::Text => print!("{table}"),
-        Format::Json => println!("{}", table.to_json()),
-        Format::Csv => {
-            println!("# {}: {}", table.name, table.title);
-            print!("{}", table.to_csv());
-            println!();
-        }
-    }
+    write_stdout(&match format {
+        Format::Text => table.to_string(),
+        Format::Json => format!("{}\n", table.to_json()),
+        Format::Csv => format!("# {}: {}\n{}\n", table.name, table.title, table.to_csv()),
+    });
 }
 
 /// Emits the observability outputs of a finished run, shared by every

@@ -1157,9 +1157,8 @@ pub fn timing_buffer_depth(ctx: &ExperimentContext) -> ResultTable {
     let depths = [1u32, 2, 3, 4, 5];
     let cfgs: Vec<smart_timing::TimingConfig> =
         depths.iter().map(|&d| base.with_depth(d)).collect();
-    // One batched sweep per model: each pays a single ILP compile and one
-    // pass of the struct-of-arrays replay kernel for all its uncached
-    // depths (bit-identical to per-point replays).
+    // One sweep per model: each pays a single ILP compile for all its
+    // uncached depths (bit-identical to per-point replays).
     let alex = ctx
         .timing
         .sweep(&Scheme::smart(), ModelId::AlexNet, &cfgs)
@@ -1236,7 +1235,7 @@ pub fn timing_random_bandwidth(ctx: &ExperimentContext) -> ResultTable {
     let pcts = [10u32, 25, 50, 100, 400];
     let cfgs: Vec<smart_timing::TimingConfig> =
         pcts.iter().map(|&p| base.with_bandwidth_pct(p)).collect();
-    // One ILP compile + one batched kernel pass for all uncached points.
+    // One ILP compile shared by all uncached points.
     let reports = ctx
         .timing
         .sweep(&Scheme::smart(), ModelId::AlexNet, &cfgs)

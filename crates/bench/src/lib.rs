@@ -48,11 +48,8 @@ pub use experiments::{
 };
 
 use smart_core::cache::EvalCache;
-use smart_core::eval::{evaluate, InferenceReport};
-use smart_core::scheme::Scheme;
 use smart_josim::cache::CircuitCache;
 use smart_report::{parallel_map, ResultTable};
-use smart_systolic::models::ModelId;
 use smart_timing::TimingCache;
 use smart_trace::metrics::{MetricsRegistry, MetricsSnapshot};
 use smart_trace::wall::WallProfile;
@@ -184,21 +181,16 @@ impl ExperimentContext {
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let reg = MetricsRegistry::new();
-        let eval = self.cache.stats();
-        reg.add("eval_cache.hits", eval.hits);
-        reg.add("eval_cache.misses", eval.misses);
-        reg.add("eval_cache.coalesced", eval.coalesced);
-        reg.set_gauge("eval_cache.entries", eval.entries as u64);
-        let circ = self.circuits.stats();
-        reg.add("circuit_cache.hits", circ.hits);
-        reg.add("circuit_cache.misses", circ.misses);
-        reg.add("circuit_cache.coalesced", circ.coalesced);
-        reg.set_gauge("circuit_cache.entries", circ.entries as u64);
-        let timing = self.timing.stats();
-        reg.add("timing_cache.hits", timing.hits);
-        reg.add("timing_cache.misses", timing.misses);
-        reg.add("timing_cache.coalesced", timing.coalesced);
-        reg.set_gauge("timing_cache.entries", timing.entries as u64);
+        for (name, stats) in [
+            ("eval_cache", self.cache.stats()),
+            ("circuit_cache", self.circuits.stats()),
+            ("timing_cache", self.timing.stats()),
+        ] {
+            reg.add(&format!("{name}.hits"), stats.hits);
+            reg.add(&format!("{name}.misses"), stats.misses);
+            reg.add(&format!("{name}.coalesced"), stats.coalesced);
+            reg.set_gauge(&format!("{name}.entries"), stats.entries as u64);
+        }
         let solver = self.timing.solver().stats();
         reg.add("ilp.warm_attempts", solver.warm_attempts);
         reg.add("ilp.warm_hits", solver.warm_hits);
@@ -356,12 +348,6 @@ pub fn run_experiments(names: &[&str], ctx: &ExperimentContext) -> Vec<ResultTab
     parallel_map(outer, &selected, |d| {
         ctx.wall.time(d.name, || (d.run)(&inner))
     })
-}
-
-/// Convenience wrapper for evaluating one scheme on one model.
-#[must_use]
-pub fn quick_eval(scheme: &Scheme, id: ModelId, batch: u32) -> InferenceReport {
-    evaluate(scheme, &id.build(), batch)
 }
 
 #[cfg(test)]

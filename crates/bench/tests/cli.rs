@@ -138,6 +138,38 @@ cli_round_trip![
     timing_stall_breakdown,
 ];
 
+/// A reader that closes the pipe after one line (`all_experiments |
+/// head -1`) ends the run quietly with status 0, for the listing and the
+/// table output alike. Each run repeats a cheap experiment until its
+/// output overflows the pipe buffer, so the writer is still writing when
+/// the pipe closes.
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let exe = env!("CARGO_BIN_EXE_all_experiments");
+    for (mode, repeats) in [(Some("--list"), 4000), (None, 1000)] {
+        let mut child = Command::new(exe)
+            .args(["--jobs", "1"])
+            .args(mode)
+            .args(std::iter::repeat_n("table2", repeats))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap_or_else(|e| panic!("cannot spawn {exe}: {e}"));
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().expect("stdout is piped"))
+            .read_line(&mut first)
+            .expect("reads the first line");
+        let out = child.wait_with_output().expect("waits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(first.contains("table2"), "{mode:?}: {first}");
+        assert_eq!(out.status.code(), Some(0), "{mode:?}: {err}");
+        assert!(!err.contains("panicked"), "{mode:?}: {err}");
+    }
+}
+
 // `bench_check` has no `--list` mode (it gates two files, it does not
 // run experiments), so it is exercised on the parse paths only.
 mod bench_check {

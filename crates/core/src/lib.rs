@@ -12,7 +12,7 @@ pub mod scheme;
 pub mod sensitivity;
 
 pub use area::{matrix_unit_area, ChipArea};
-pub use cache::{CacheStats, EvalCache};
+pub use cache::EvalCache;
 pub use config::{AcceleratorConfig, COOLING_FACTOR, DRAM_BANDWIDTH};
 pub use eval::{evaluate, EnergyReport, InferenceReport, LayerReport};
 pub use geometry::{GeometryParams, ShiftGeometry, SpmGeometry};

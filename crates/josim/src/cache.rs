@@ -1,70 +1,33 @@
 //! [`CircuitCache`]: a thread-safe, single-flight memoization layer over
-//! [`crate::cells::characterize`], keyed exactly like the evaluator's
-//! `EvalCache`.
+//! [`crate::cells::characterize`], with a persistable warm tier.
 //!
 //! Characterization sweeps revisit cells: the JTL experiment's stage and
 //! bias sweeps share their `(8 stages, 0.75 Ic)` center point, and any
 //! process that runs the suite more than once (tests exercising several
 //! experiments, a long-lived service re-rendering figures) re-hits whole
 //! grids. Keying on the full integer-encoded [`CellSpec`] value makes
-//! those transient re-simulations a hash lookup, and the `Mutex`-guarded
-//! map makes one cache shareable across `parallel_map` worker threads.
-//! Failed simulations are *not* cached: errors propagate to the caller and
-//! the next lookup retries.
+//! those transient re-simulations a lookup shared across `parallel_map`
+//! worker threads. Failed simulations are *not* cached: errors propagate
+//! to the caller and the next lookup retries.
 //!
-//! Concurrent misses on one cell are **single-flight** (an [`OnceLock`]
-//! per spec: one thread simulates, the rest block and share), and a
-//! content-hash-keyed **warm store** persisted by a previous process
-//! ([`save`]/[`load`] through the [`smart_units::codec`] container) is
-//! consulted before any transient simulation runs. A missing, corrupted,
-//! or version-mismatched store loads zero entries — cold, never wrong.
+//! The memo machinery — single-flight cells, the content-hash warm tier,
+//! the counters, and [`save`]/[`load`] persistence — is
+//! [`smart_units::memo::Memo`]; this module supplies the key, the
+//! simulation call, and the measurement's record codec.
 
 use crate::cells::{characterize, CellMeasurement, CellSpec};
-use smart_units::codec::{content_hash, ByteReader, ByteWriter, Store};
-use smart_units::sync::lock;
-use smart_units::Result;
-use std::collections::{BTreeMap, HashMap};
+use smart_units::codec::{ByteReader, ByteWriter};
+use smart_units::memo::{Memo, MemoStats, Persist};
+use smart_units::{Result, SmartError};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-type Slot = Arc<OnceLock<Result<Arc<CellMeasurement>>>>;
-
-/// Hit/miss/size counters of a [`CircuitCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CircuitCacheStats {
-    /// Lookups served from a ready entry (an exact-map or warm-store
-    /// measurement already stored when the lookup arrived).
-    pub hits: u64,
-    /// Lookups that ran a transient simulation.
-    pub misses: u64,
-    /// Lookups that blocked on another thread's in-flight simulation of
-    /// the same spec and shared its result. The hit/coalesced split
-    /// depends on thread timing; `hits + coalesced` is the deterministic
-    /// count of lookups served without simulating.
-    pub coalesced: u64,
-    /// Distinct cells stored.
-    pub entries: usize,
-}
+use std::sync::Arc;
 
 /// A memoized, thread-safe, single-flight front end to [`characterize`].
 ///
 /// Measurements are returned as [`Arc`]s so concurrent experiments share
-/// one allocation per measured cell. The lock is never held while
-/// simulating; concurrent misses of one spec block on the cell's
-/// [`OnceLock`] instead of simulating twice.
+/// one allocation per measured cell.
 #[derive(Debug, Default)]
-pub struct CircuitCache {
-    // lint:allow(determinism, exact-key memo map is lookup-only during a run; serialization iterates the ordered warm tier instead)
-    map: Mutex<HashMap<CellSpec, Slot>>,
-    /// Content-hash-keyed measurements reloaded from a previous process;
-    /// consulted on a miss, never written during a run. Ordered, so
-    /// serialization is deterministic without a separate sort.
-    warm: Mutex<BTreeMap<u128, Arc<CellMeasurement>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-}
+pub struct CircuitCache(Memo<CellSpec, CellMeasurement, SmartError>);
 
 impl CircuitCache {
     /// An empty cache.
@@ -77,157 +40,59 @@ impl CircuitCache {
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures (which are never cached). A
-    /// panicking simulation on another thread costs at most its own memo
-    /// entry — the poison-proof locks keep every other lookup alive.
+    /// Propagates simulation failures (which are never cached).
     pub fn measure(&self, spec: &CellSpec) -> Result<Arc<CellMeasurement>> {
-        let cell = {
-            let mut map = lock(&self.map);
-            Arc::clone(map.entry(*spec).or_default())
-        };
-        // Probe before entering the single-flight cell: a ready result is
-        // a plain hit; reaching `get_or_init` without running the closure
-        // means this lookup waited on another thread's in-flight
-        // simulation and is counted separately as coalesced.
-        if let Some(result) = cell.get() {
-            if result.is_ok() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return result.clone();
-        }
-        let mut ran = false;
-        let result = cell
-            .get_or_init(|| {
-                ran = true;
-                if let Some(found) = lock(&self.warm).get(&content_hash(spec)) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(found));
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                characterize(spec).map(Arc::new)
-            })
-            .clone();
-        if ran && result.is_err() {
-            // Errors are not cached: drop the cell so the next lookup
-            // retries (only if it is still ours).
-            let mut map = lock(&self.map);
-            if map.get(spec).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
-                map.remove(spec);
-            }
-        }
-        if !ran && result.is_ok() {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
-    /// Installs `entries` (content-hash keyed, from a persisted store) as
-    /// the warm tier; returns how many are now loaded.
-    fn load_warm_entries(&self, entries: BTreeMap<u128, Arc<CellMeasurement>>) -> usize {
-        let mut warm = lock(&self.warm);
-        *warm = entries;
-        warm.len()
-    }
-
-    /// Every persistable entry: the warm tier plus all ready `Ok` cells,
-    /// ordered by content hash (deterministic store bytes).
-    fn snapshot_entries(&self) -> BTreeMap<u128, Arc<CellMeasurement>> {
-        let mut out = lock(&self.warm).clone();
-        let map = lock(&self.map);
-        for (spec, cell) in map.iter() {
-            if let Some(Ok(m)) = cell.get() {
-                out.insert(content_hash(spec), Arc::clone(m));
-            }
-        }
-        out
+        self.0.get_or_try_init(spec, || characterize(spec))
     }
 
     /// Current counters.
     #[must_use]
-    pub fn stats(&self) -> CircuitCacheStats {
-        CircuitCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries: lock(&self.map).len(),
-        }
+    pub fn stats(&self) -> MemoStats {
+        self.0.stats()
     }
 }
 
-// --- Persistence ------------------------------------------------------
+impl Persist for CellMeasurement {
+    const TAG: &'static str = "smart-circuit-cache";
+    const VERSION: u32 = 1;
+    const FILE_NAME: &'static str = "circuit-cache.bin";
 
-/// Store tag of the circuit-cache file.
-const TAG: &str = "smart-circuit-cache";
-
-/// Bump when the serialized measurement layout changes.
-const VERSION: u32 = 1;
-
-/// File name of the circuit store inside a `--cache-dir`.
-pub const FILE_NAME: &str = "circuit-cache.bin";
-
-/// Serializes every persistable entry of `cache` into a store payload.
-#[must_use]
-pub fn to_bytes(cache: &CircuitCache) -> Vec<u8> {
-    let entries = cache.snapshot_entries();
-    let mut w = ByteWriter::new();
-    w.u64(entries.len() as u64);
-    // BTreeMap iteration is key-ordered: deterministic file bytes.
-    for (key, m) in &entries {
-        w.u128(*key);
-        w.f64(m.delay);
-        w.f64(m.delay_per_hop);
-        w.u32(m.min_output_pulses);
-        w.u32(m.max_output_pulses);
-        w.f64(m.dissipated_energy);
-        w.u64(m.steps as u64);
+    fn write(&self, w: &mut ByteWriter) {
+        w.f64(self.delay);
+        w.f64(self.delay_per_hop);
+        w.u32(self.min_output_pulses);
+        w.u32(self.max_output_pulses);
+        w.f64(self.dissipated_energy);
+        w.u64(self.steps as u64);
     }
-    w.into_bytes()
-}
 
-fn from_bytes(payload: &[u8]) -> Option<BTreeMap<u128, Arc<CellMeasurement>>> {
-    let mut r = ByteReader::new(payload);
-    let n = usize::try_from(r.u64()?).ok()?;
-    let mut entries = BTreeMap::new();
-    for _ in 0..n {
-        let key = r.u128()?;
-        let m = CellMeasurement {
+    fn read(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(Self {
             delay: r.f64()?,
             delay_per_hop: r.f64()?,
             min_output_pulses: r.u32()?,
             max_output_pulses: r.u32()?,
             dissipated_energy: r.f64()?,
             steps: usize::try_from(r.u64()?).ok()?,
-        };
-        entries.insert(key, Arc::new(m));
+        })
     }
-    if !r.is_empty() {
-        return None;
-    }
-    Some(entries)
 }
 
-/// Saves `cache` to `dir/`[`FILE_NAME`] (atomically).
+/// Saves `cache` to `dir/circuit-cache.bin` (atomically).
 ///
 /// # Errors
 ///
 /// [`smart_units::SmartError::Store`] on any underlying filesystem
 /// failure.
 pub fn save(cache: &CircuitCache, dir: &Path) -> Result<()> {
-    Store::write_file(&dir.join(FILE_NAME), TAG, VERSION, to_bytes(cache))?;
-    Ok(())
+    cache.0.save(dir)
 }
 
-/// Loads `dir/`[`FILE_NAME`] into `cache`'s warm tier; returns how many
-/// entries are now warm. A missing, corrupted, truncated, or
+/// Loads `dir/circuit-cache.bin` into `cache`'s warm tier; returns how
+/// many entries are now warm. A missing, corrupted, truncated, or
 /// version-mismatched file loads zero entries — the run starts cold.
 pub fn load(cache: &CircuitCache, dir: &Path) -> usize {
-    let Some(payload) = Store::read_file(&dir.join(FILE_NAME), TAG, VERSION) else {
-        return 0;
-    };
-    let Some(entries) = from_bytes(&payload) else {
-        return 0;
-    };
-    cache.load_warm_entries(entries)
+    cache.0.load(dir)
 }
 
 #[cfg(test)]
@@ -245,17 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn second_lookup_hits() {
-        let cache = CircuitCache::new();
-        let spec = CellSpec::Jtl(JtlChainSpec::standard(4));
-        let a = cache.measure(&spec).expect("simulates");
-        let b = cache.measure(&spec).expect("simulates");
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must share the Arc");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-    }
-
-    #[test]
     fn distinct_specs_do_not_collide() {
         let cache = CircuitCache::new();
         let a = cache
@@ -266,36 +120,6 @@ mod tests {
             .expect("simulates");
         assert_ne!(a.delay, b.delay);
         assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn concurrent_misses_simulate_once() {
-        // Single-flight: four threads racing on one cold spec run the
-        // transient engine exactly once and share the stored Arc.
-        let cache = CircuitCache::new();
-        let spec = CellSpec::Ptl(PtlLinkSpec::from_mm(0.15));
-        let all: Vec<Arc<CellMeasurement>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| cache.measure(&spec).expect("simulates")))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("joins"))
-                .collect()
-        });
-        for m in &all {
-            assert!(m.delay > 0.0);
-            assert!(Arc::ptr_eq(&all[0], m));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "exactly one simulation ran: {stats:?}");
-        assert_eq!(
-            stats.hits + stats.coalesced,
-            3,
-            "the other three lookups shared the ready or in-flight \
-             result: {stats:?}"
-        );
-        assert_eq!(stats.entries, 1);
     }
 
     #[test]
@@ -312,50 +136,6 @@ mod tests {
         let reloaded = warm.measure(&spec).expect("warm");
         assert_eq!(*reloaded, *direct, "warm result identical to cold");
         assert_eq!(warm.stats().misses, 0, "served without simulating");
-
-        // Truncation falls back to cold.
-        let path = dir.join(FILE_NAME);
-        let good = std::fs::read(&path).expect("reads");
-        std::fs::write(&path, &good[..good.len() - 3]).expect("writes");
-        assert_eq!(load(&CircuitCache::new(), &dir), 0);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupted_store_never_panics_and_loads_cold() {
-        // Truncations at every prefix and a bit flip at every eighth
-        // offset load zero entries — no panic, no partial state.
-        let dir = std::env::temp_dir().join(format!("smart-josim-corrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let cold = CircuitCache::new();
-        cold.measure(&CellSpec::Jtl(JtlChainSpec::standard(4)))
-            .expect("simulates");
-        save(&cold, &dir).expect("saves");
-        let path = dir.join(FILE_NAME);
-        let good = std::fs::read(&path).expect("reads");
-        for cut in [0, 1, good.len() / 3, good.len() - 1] {
-            std::fs::write(&path, &good[..cut]).expect("writes");
-            assert_eq!(load(&CircuitCache::new(), &dir), 0, "truncated at {cut}");
-        }
-        for i in (0..good.len()).step_by(8) {
-            let mut bad = good.clone();
-            bad[i] ^= 0x20;
-            std::fs::write(&path, &bad).expect("writes");
-            assert_eq!(load(&CircuitCache::new(), &dir), 0, "corrupted at {i}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn save_to_unwritable_dir_is_a_typed_error() {
-        let err = save(
-            &CircuitCache::new(),
-            Path::new("/proc/definitely/not/writable"),
-        )
-        .expect_err("must fail");
-        assert!(
-            matches!(err, smart_units::SmartError::Store { .. }),
-            "{err:?}"
-        );
     }
 }

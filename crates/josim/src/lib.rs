@@ -46,7 +46,7 @@ pub mod sparse;
 pub mod waveform;
 
 pub use adaptive::{AdaptiveSpec, Workspace};
-pub use cache::{CircuitCache, CircuitCacheStats};
+pub use cache::CircuitCache;
 pub use cells::{characterize, CellMeasurement, CellSpec};
 pub use circuit::{Circuit, Element, NodeId};
 pub use engine::{Engine, SimulationError, Transient, TransientSpec};

@@ -32,13 +32,7 @@ use crate::rules::Finding;
 
 /// Identifiers marking a module as snapshot-feeding: serialization
 /// writers and result-table builders.
-pub const FEEDING_MARKERS: &[&str] = &[
-    "ByteWriter",
-    "ResultTable",
-    "push_row",
-    "snapshot_entries",
-    "to_bytes",
-];
+pub const FEEDING_MARKERS: &[&str] = &["ByteWriter", "ResultTable", "push_row", "to_bytes"];
 
 /// Whether `lx` is a snapshot-feeding module (sees [`FEEDING_MARKERS`]).
 #[must_use]

@@ -1,6 +1,6 @@
 //! [`TimingCache`]: a thread-safe, single-flight memoization layer over
-//! [`crate::validate::simulate_scheme`], mirroring
-//! `smart_core::cache::EvalCache`.
+//! the replay simulator ([`crate::validate::simulate_scheme`]), with a
+//! persistable warm tier.
 //!
 //! The timing experiments replay the same `(scheme, model, config)` points
 //! repeatedly — the nominal SMART replay is the baseline row of both the
@@ -9,77 +9,36 @@
 //! experiment runner's worker threads. Errors (non-heterogeneous schemes)
 //! are not cached.
 //!
-//! Concurrent misses on one key are **single-flight**: the map stores an
-//! [`OnceLock`] cell per key, so the first thread to claim a cell runs the
-//! replay while every other thread blocks on the same cell and shares the
-//! result — the old drop-the-lock-then-insert window that let two threads
-//! replay the same model twice is gone (`concurrent_misses_replay_once`
-//! pins this).
-//!
-//! Two more tiers sit behind the exact-key map:
-//!
-//! * a **warm store** of content-hash-keyed reports loaded from a previous
-//!   process via [`crate::persist`] — consulted on a miss before the
-//!   replay runs, so a `--cache-dir` run starts warm;
-//! * the **sweep path** ([`TimingCache::sweep`]): uncached points of a
-//!   config sweep are compiled once per `(scheme, model)` through
-//!   [`crate::validate::prepare_model`] and replayed by the batched
-//!   struct-of-arrays kernel, instead of paying one full
-//!   `simulate_scheme` per point.
-
-// lint:allow-file(index, sweep slots are allocated one per requested config before being indexed)
+//! The memo machinery — single-flight cells, the content-hash warm tier,
+//! the counters, and persistence (record codec in [`crate::persist`]) — is
+//! [`smart_units::memo::Memo`]. On top of it the cache threads one ILP
+//! [`SolverContext`] through every replay compile, and
+//! [`TimingCache::sweep`] compiles a model once for all the misses of a
+//! config sweep: each miss is finished from one shared
+//! [`ModelPrepass`] by [`ModelPrepass::replay`] instead of paying a full
+//! `simulate_scheme`.
 
 use crate::config::TimingConfig;
 use crate::report::ModelTimingReport;
-use crate::validate::prepare_model_ctx;
+use crate::validate::{prepare_model_ctx, ModelPrepass};
 use smart_compiler::SolverContext;
 use smart_core::scheme::Scheme;
 use smart_systolic::models::ModelId;
-use smart_units::codec::content_hash;
-use smart_units::sync::lock;
-use smart_units::Result;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-type Key = (Scheme, ModelId, TimingConfig);
-type Slot = Arc<OnceLock<Result<Arc<ModelTimingReport>>>>;
-
-/// Hit/miss/size counters of a [`TimingCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimingCacheStats {
-    /// Lookups served from a ready entry (an exact-map or warm-store
-    /// result already stored when the lookup arrived).
-    pub hits: u64,
-    /// Lookups that ran the replay simulator.
-    pub misses: u64,
-    /// Lookups that blocked on another thread's in-flight replay of the
-    /// same key and shared its result. The hit/coalesced split depends
-    /// on thread timing; `hits + coalesced` is the deterministic count
-    /// of lookups served without running the replay.
-    pub coalesced: u64,
-    /// Distinct `(Scheme, ModelId, TimingConfig)` points stored.
-    pub entries: usize,
-}
+use smart_units::memo::{Memo, MemoStats};
+use smart_units::{Result, SmartError};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
 /// A memoized, thread-safe, single-flight front end to the replay
 /// simulator.
 #[derive(Debug, Default)]
 pub struct TimingCache {
-    // lint:allow(determinism, exact-key memo map: lookup-only during a run; serialization iterates the content-hash-ordered warm tier instead)
-    map: Mutex<HashMap<Key, Slot>>,
-    /// Content-hash-keyed reports reloaded from a previous process (see
-    /// [`crate::persist`]); consulted on a miss, never written during a
-    /// run. Key-ordered so persisted store bytes are deterministic.
-    warm: Mutex<BTreeMap<u128, Arc<ModelTimingReport>>>,
+    pub(crate) memo: Memo<(Scheme, ModelId, TimingConfig), ModelTimingReport, SmartError>,
     /// ILP warm-start state threaded through every replay compile this
     /// cache runs, so bases reuse across models — and, via
     /// [`SolverContext::save_to`]/[`SolverContext::load_from`], across
     /// processes.
     solver: SolverContext,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
 }
 
 impl TimingCache {
@@ -96,34 +55,6 @@ impl TimingCache {
         &self.solver
     }
 
-    /// The cell for `key`, plus whether this call created it (and
-    /// therefore owns its initialization).
-    fn slot(&self, key: &Key) -> (Slot, bool) {
-        let mut map = lock(&self.map);
-        if let Some(cell) = map.get(key) {
-            (Arc::clone(cell), false)
-        } else {
-            let cell: Slot = Arc::new(OnceLock::new());
-            map.insert(key.clone(), Arc::clone(&cell));
-            (Arc::clone(&cell), true)
-        }
-    }
-
-    /// Drops `key` from the map if it still holds exactly `cell` (the
-    /// errors-are-not-cached path: the next lookup retries).
-    fn evict(&self, key: &Key, cell: &Slot) {
-        let mut map = lock(&self.map);
-        if map.get(key).is_some_and(|c| Arc::ptr_eq(c, cell)) {
-            map.remove(key);
-        }
-    }
-
-    /// The warm-store entry for `key`, if a previous process persisted
-    /// one.
-    fn warm_lookup(&self, key: &Key) -> Option<Arc<ModelTimingReport>> {
-        lock(&self.warm).get(&content_hash(key)).cloned()
-    }
-
     /// The memoized equivalent of
     /// `simulate_scheme(scheme, &model.build(), cfg)`.
     ///
@@ -137,48 +68,14 @@ impl TimingCache {
         model: ModelId,
         cfg: &TimingConfig,
     ) -> Result<Arc<ModelTimingReport>> {
-        let key = (scheme.clone(), model, *cfg);
-        let (cell, _) = self.slot(&key);
-        // Probe before entering the single-flight cell: a ready result is
-        // a plain hit; reaching `get_or_init` without running the closure
-        // means this lookup waited on another thread's in-flight replay
-        // and is counted separately as coalesced.
-        if let Some(result) = cell.get() {
-            if result.is_ok() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return result.clone();
-        }
-        let mut ran = false;
-        let result = cell
-            .get_or_init(|| {
-                ran = true;
-                if let Some(found) = self.warm_lookup(&key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(found);
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                prepare_model_ctx(scheme, &model.build(), cfg.max_iterations, &self.solver)
-                    .map(|prepass| Arc::new(prepass.replay(cfg)))
-            })
-            .clone();
-        if ran && result.is_err() {
-            self.evict(&key, &cell);
-        }
-        if !ran && result.is_ok() {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        result
+        self.lookup(scheme, model, cfg, &mut BTreeMap::new())
     }
 
-    /// Replays a whole config sweep over `(scheme, model)`: cached points
-    /// are served from the map or warm store, and the *uncached* points
-    /// share one ILP compile ([`prepare_model_ctx`]) and one pass of the
-    /// batched struct-of-arrays kernel instead of a full `simulate_scheme`
-    /// each. Point results are bit-identical to [`TimingCache::report`]
-    /// (same prepass, same finish pass) and are stored in the map like any
-    /// other lookup. Configs may mix `max_iterations`; points are grouped
-    /// per value.
+    /// [`TimingCache::report`] for every config of a sweep over
+    /// `(scheme, model)`. The misses share one ILP compile
+    /// ([`prepare_model_ctx`]) per distinct `max_iterations`, and each is
+    /// finished by [`ModelPrepass::replay`] — bit-identical to a pointwise
+    /// [`TimingCache::report`].
     ///
     /// # Errors
     ///
@@ -190,164 +87,47 @@ impl TimingCache {
         model: ModelId,
         cfgs: &[TimingConfig],
     ) -> Result<Vec<Arc<ModelTimingReport>>> {
-        let mut results: Vec<Option<Arc<ModelTimingReport>>> = vec![None; cfgs.len()];
-        let mut cells: Vec<(Slot, bool)> = Vec::with_capacity(cfgs.len());
-        let mut ours: Vec<usize> = Vec::new();
-        for (i, cfg) in cfgs.iter().enumerate() {
-            let key = (scheme.clone(), model, *cfg);
-            let (cell, created) = self.slot(&key);
-            if created {
-                if let Some(found) = self.warm_lookup(&key) {
-                    // Warm entries publish immediately (another thread may
-                    // already be waiting on the cell).
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    let _ = cell.set(Ok(Arc::clone(&found)));
-                    results[i] = Some(found);
-                } else {
-                    ours.push(i);
-                }
-            }
-            cells.push((cell, created));
-        }
-
-        // Batch-compute the points this call owns, one prepass per
-        // distinct max_iterations.
-        let mut pending = ours;
-        while let Some(&first) = pending.first() {
-            let max_iterations = cfgs[first].max_iterations;
-            let (group, rest): (Vec<usize>, Vec<usize>) = pending
-                .into_iter()
-                .partition(|&i| cfgs[i].max_iterations == max_iterations);
-            pending = rest;
-            let prepass =
-                match prepare_model_ctx(scheme, &model.build(), max_iterations, &self.solver) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        // Errors are not cached: withdraw every cell this call
-                        // created (including warm-published ones would be
-                        // wrong — those are valid results — so only the
-                        // uninitialized ones go).
-                        for &i in group.iter().chain(&pending) {
-                            let key = (scheme.clone(), model, cfgs[i]);
-                            self.evict(&key, &cells[i].0);
-                        }
-                        return Err(e);
-                    }
-                };
-            let group_cfgs: Vec<TimingConfig> = group.iter().map(|&i| cfgs[i]).collect();
-            let reports = prepass.sweep(&group_cfgs);
-            for (&i, report) in group.iter().zip(reports) {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let report = Arc::new(report);
-                // If a racing `report()` call initialized our cell first,
-                // its (identical, deterministic) value wins.
-                let stored = cells[i]
-                    .0
-                    .get_or_init(|| Ok(report))
-                    .clone()
-                    // lint:allow(panic_freedom, cell holds our own Ok or a racing report()'s Ok; Err cells are evicted before publication)
-                    .expect("batched replay is infallible");
-                results[i] = Some(stored);
-            }
-        }
-
-        // Points owned by other in-flight calls (or already ready): wait
-        // on their cells; the fallback closure only runs if that owner
-        // errored out and evicted the cell before we read it.
-        for (i, cfg) in cfgs.iter().enumerate() {
-            if results[i].is_some() {
-                continue;
-            }
-            let (cell, created) = &cells[i];
-            // Same probe-then-wait split as `report`: ready cells are
-            // plain hits, waiting on another call's in-flight point is
-            // coalesced.
-            if !*created {
-                if let Some(result) = cell.get() {
-                    if result.is_ok() {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    results[i] = Some(result.clone()?);
-                    continue;
-                }
-            }
-            let mut ran = false;
-            let result = cell
-                .get_or_init(|| {
-                    ran = true;
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    prepare_model_ctx(scheme, &model.build(), cfg.max_iterations, &self.solver)
-                        .map(|prepass| Arc::new(prepass.replay(cfg)))
-                })
-                .clone();
-            if ran && result.is_err() {
-                let key = (scheme.clone(), model, *cfg);
-                self.evict(&key, cell);
-            }
-            if !ran && !*created && result.is_ok() {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-            results[i] = Some(result?);
-        }
-
-        // lint:allow(panic_freedom, every index is filled by one of the three loops above or the fn returned Err)
-        Ok(results.into_iter().map(|r| r.expect("filled")).collect())
+        let mut prepasses = BTreeMap::new();
+        cfgs.iter()
+            .map(|cfg| self.lookup(scheme, model, cfg, &mut prepasses))
+            .collect()
     }
 
-    /// Installs `entries` (content-hash keyed, from a persisted store) as
-    /// the warm tier; returns how many are now loaded. Existing warm
-    /// entries are replaced wholesale.
-    pub(crate) fn load_warm_entries(
+    /// One memo lookup; a miss is finished from the prepass in
+    /// `prepasses` compiled with `cfg.max_iterations`, compiling it first
+    /// if this is the first miss that needs it.
+    fn lookup(
         &self,
-        entries: BTreeMap<u128, Arc<ModelTimingReport>>,
-    ) -> usize {
-        let mut warm = lock(&self.warm);
-        *warm = entries;
-        warm.len()
-    }
-
-    /// Every persistable entry: the warm tier plus all ready `Ok` cells
-    /// (which shadow warm entries of the same key, though by construction
-    /// they are identical). Key-ordered, so serializing it in iteration
-    /// order yields deterministic store bytes.
-    pub(crate) fn snapshot_entries(&self) -> BTreeMap<u128, Arc<ModelTimingReport>> {
-        let mut out = lock(&self.warm).clone();
-        let map = lock(&self.map);
-        for (key, cell) in map.iter() {
-            if let Some(Ok(report)) = cell.get() {
-                out.insert(content_hash(key), Arc::clone(report));
-            }
-        }
-        out
+        scheme: &Scheme,
+        model: ModelId,
+        cfg: &TimingConfig,
+        prepasses: &mut BTreeMap<u32, ModelPrepass>,
+    ) -> Result<Arc<ModelTimingReport>> {
+        self.memo
+            .get_or_try_init(&(scheme.clone(), model, *cfg), || {
+                let prepass = match prepasses.entry(cfg.max_iterations) {
+                    Entry::Occupied(compiled) => compiled.into_mut(),
+                    Entry::Vacant(slot) => slot.insert(prepare_model_ctx(
+                        scheme,
+                        &model.build(),
+                        cfg.max_iterations,
+                        &self.solver,
+                    )?),
+                };
+                Ok(prepass.replay(cfg))
+            })
     }
 
     /// Current counters.
     #[must_use]
-    pub fn stats(&self) -> TimingCacheStats {
-        TimingCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries: lock(&self.map).len(),
-        }
+    pub fn stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn second_lookup_hits_and_shares() {
-        let cache = TimingCache::new();
-        let scheme = Scheme::smart();
-        let cfg = TimingConfig::nominal();
-        let a = cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
-        let b = cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
-        assert!(Arc::ptr_eq(&a, &b));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-    }
 
     #[test]
     fn config_is_part_of_the_key() {
@@ -379,47 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_equals_uncached() {
-        let cache = TimingCache::new();
-        let scheme = Scheme::pipe();
-        let cfg = TimingConfig::nominal();
-        let direct =
-            crate::validate::simulate_scheme(&scheme, &ModelId::AlexNet.build(), &cfg).expect("ok");
-        let cached = cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
-        assert_eq!(*cached, direct);
-    }
-
-    #[test]
-    fn concurrent_misses_replay_once() {
-        // The single-flight cell: N threads racing on one cold key run
-        // the replay exactly once and all share its Arc.
-        let cache = TimingCache::new();
-        let scheme = Scheme::smart();
-        let cfg = TimingConfig::nominal();
-        let reports: Vec<Arc<ModelTimingReport>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok")))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("joins"))
-                .collect()
-        });
-        for r in &reports[1..] {
-            assert!(Arc::ptr_eq(&reports[0], r));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "exactly one replay ran: {stats:?}");
-        assert_eq!(
-            stats.hits + stats.coalesced,
-            3,
-            "the other three lookups shared the ready or in-flight \
-             result: {stats:?}"
-        );
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
     fn sweep_matches_pointwise_reports() {
         let swept = TimingCache::new();
         let pointwise = TimingCache::new();
@@ -447,6 +186,31 @@ mod tests {
         let after = swept.stats();
         assert_eq!(after.misses, before.misses, "no recompute");
         assert_eq!(after.hits, before.hits + cfgs.len() as u64);
+    }
+
+    #[test]
+    fn sweep_compiles_each_layer_once() {
+        // A sweep over N uncached configs pays the ILP work of exactly one
+        // prepass: a per-point compile would show up as extra solves (or
+        // solution-memo hits) in the solver counters.
+        let scheme = Scheme::smart();
+        let nominal = TimingConfig::nominal();
+        let one = SolverContext::new();
+        prepare_model_ctx(
+            &scheme,
+            &ModelId::AlexNet.build(),
+            nominal.max_iterations,
+            &one,
+        )
+        .expect("heterogeneous");
+        let cache = TimingCache::new();
+        let cfgs: Vec<TimingConfig> = [10u32, 25, 50, 100, 400]
+            .iter()
+            .map(|&pct| nominal.with_bandwidth_pct(pct))
+            .collect();
+        cache.sweep(&scheme, ModelId::AlexNet, &cfgs).expect("ok");
+        assert_eq!(cache.stats().misses, cfgs.len() as u64);
+        assert_eq!(cache.solver().stats(), one.stats());
     }
 
     #[test]

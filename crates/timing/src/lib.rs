@@ -24,7 +24,9 @@
 //!   ([`validate::stall_free_variant`], [`validate::max_layer_deviation`])
 //!   on which replay and analytic evaluator must agree within 1%;
 //! * [`cache::TimingCache`] — the memoized front end the experiment
-//!   engine's `ExperimentContext` shares across worker threads;
+//!   engine's `ExperimentContext` shares across worker threads (its
+//!   sweeps compile a model once and finish every miss with the same
+//!   [`validate::ModelPrepass::replay`]);
 //! * [`trace::trace_model_replay`] — derives a deterministic span-tree
 //!   timeline (layer spans tiled by the accounting identity) from a
 //!   finished report for `smart-trace` Chrome export;
@@ -51,7 +53,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod batch;
 pub mod cache;
 pub mod config;
 pub mod persist;
@@ -60,14 +61,13 @@ pub mod report;
 pub mod trace;
 pub mod validate;
 
-pub use batch::{replay_sweep, replay_sweep_layer};
-pub use cache::{TimingCache, TimingCacheStats};
+pub use cache::TimingCache;
 pub use config::TimingConfig;
 pub use replay::{replay_layer, LayerInstance, LayerPrepass, RandomCosts};
 pub use report::{ModelTimingReport, TimingReport};
 pub use trace::trace_model_replay;
 pub use validate::{
     compile_scheme_layer, hetero_spm, max_layer_deviation, params_for, prefetch_window,
-    prepare_model, prepare_model_ctx, simulate_model, simulate_scheme, stall_free_variant,
-    LayerCompilation, ModelPrepass,
+    prepare_model, prepare_model_ctx, simulate_scheme, stall_free_variant, LayerCompilation,
+    ModelPrepass,
 };

@@ -1,178 +1,100 @@
-//! Persistence of the [`TimingCache`] across processes: save/load of the
-//! content-hash-keyed report store through the
-//! [`smart_units::codec`] container.
+//! Persistence of the [`TimingCache`] across processes: the record codec
+//! of a [`ModelTimingReport`] and the save/load entry points of the
+//! `timing-cache.bin` store.
 //!
 //! A sweep process that ran once has already paid the ILP compiles and
 //! replays for every point it touched; persisting the cache lets the next
 //! process (a re-render, a CI warm pass, an interactive iteration on one
-//! experiment) start from those results. The guarantees are exactly the
-//! codec's:
+//! experiment) start from those results. The guarantees are
+//! [`smart_units::memo::Memo`]'s:
 //!
 //! * **fall back to cold, never fail** — a missing, truncated, corrupted,
 //!   or version-mismatched file loads as zero entries;
 //! * **exact values** — every `f64` travels as its IEEE bit pattern, and
 //!   cycle counts as `u64`s, so a warm run's output is byte-identical to
 //!   the cold run that produced the store (pinned by the
-//!   `warm_reload_is_byte_identical` property test and the golden-snapshot
-//!   CI job's warm pass);
-//! * **keys are content hashes** — a [`crate::cache::TimingCache`] key is
-//!   a full `(Scheme, ModelId, TimingConfig)` value; the store keys its
-//!   entries by [`smart_units::codec::content_hash`] of that value, and
-//!   the in-memory exact-key map stays authoritative (a hash collision
-//!   could at worst serve a wrong warm entry for a key pair that collides
-//!   on both independent 64-bit halves — negligible at cache scale).
-//!
-//! Scheme names inside reports are `&'static str`; on load each distinct
-//! name is interned once per process (a bounded [`Box::leak`]).
+//!   `timing_warm_reload_is_byte_identical` property test and the
+//!   golden-snapshot CI job's warm pass);
+//! * **keys are content hashes** — a [`TimingCache`] key is a full
+//!   `(Scheme, ModelId, TimingConfig)` value; the store keys its entries
+//!   by [`smart_units::codec::content_hash`] of that value, and the
+//!   in-memory exact-key map stays authoritative.
 
 use crate::cache::TimingCache;
 use crate::report::{ModelTimingReport, TimingReport};
-use smart_units::codec::{ByteReader, ByteWriter, Store};
-use smart_units::sync::lock;
+use smart_units::codec::{ByteReader, ByteWriter};
+use smart_units::memo::Persist;
 use smart_units::Frequency;
-use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
 
-/// Store tag of the timing-cache file.
-const TAG: &str = "smart-timing-cache";
+impl Persist for ModelTimingReport {
+    const TAG: &'static str = "smart-timing-cache";
+    const VERSION: u32 = 1;
+    const FILE_NAME: &'static str = "timing-cache.bin";
 
-/// Bump when the serialized report layout changes (older files then fall
-/// back to cold).
-const VERSION: u32 = 1;
-
-/// File name of the timing store inside a `--cache-dir`.
-pub const FILE_NAME: &str = "timing-cache.bin";
-
-/// Interns a scheme name: reports carry `&'static str` names, so each
-/// distinct name loaded from a store leaks exactly once per process (a
-/// handful of short strings).
-fn intern(name: String) -> &'static str {
-    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let mut names = lock(NAMES.get_or_init(|| Mutex::new(Vec::new())));
-    if let Some(found) = names.iter().find(|n| **n == name) {
-        return found;
+    fn write(&self, w: &mut ByteWriter) {
+        w.str(self.scheme);
+        w.str(&self.model);
+        w.f64(self.clock.as_si()); // raw SI bits: exact round trip
+        w.u64(self.layers.len() as u64);
+        for l in &self.layers {
+            w.str(&l.name);
+            w.u64(l.total_cycles);
+            w.u64(l.compute_cycles);
+            w.u64(l.stream_stall_cycles);
+            for &x in &l.exposed_stall_cycles {
+                w.u64(x);
+            }
+            w.u64(l.prefetch_work_cycles);
+            w.u64(l.prefetch_stall_cycles);
+            w.u64(l.random_busy_cycles);
+        }
     }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
-    names.push(leaked);
-    leaked
-}
 
-fn write_layer(w: &mut ByteWriter, l: &TimingReport) {
-    w.str(&l.name);
-    w.u64(l.total_cycles);
-    w.u64(l.compute_cycles);
-    w.u64(l.stream_stall_cycles);
-    for &x in &l.exposed_stall_cycles {
-        w.u64(x);
-    }
-    w.u64(l.prefetch_work_cycles);
-    w.u64(l.prefetch_stall_cycles);
-    w.u64(l.random_busy_cycles);
-}
-
-fn read_layer(r: &mut ByteReader<'_>) -> Option<TimingReport> {
-    let name = r.str()?;
-    let total_cycles = r.u64()?;
-    let compute_cycles = r.u64()?;
-    let stream_stall_cycles = r.u64()?;
-    let mut exposed_stall_cycles = [0u64; 4];
-    for x in &mut exposed_stall_cycles {
-        *x = r.u64()?;
-    }
-    Some(TimingReport {
-        name,
-        total_cycles,
-        compute_cycles,
-        stream_stall_cycles,
-        exposed_stall_cycles,
-        prefetch_work_cycles: r.u64()?,
-        prefetch_stall_cycles: r.u64()?,
-        random_busy_cycles: r.u64()?,
-    })
-}
-
-fn write_report(w: &mut ByteWriter, report: &ModelTimingReport) {
-    w.str(report.scheme);
-    w.str(&report.model);
-    w.f64(report.clock.as_si()); // raw SI bits: exact round trip
-    w.u64(report.layers.len() as u64);
-    for l in &report.layers {
-        write_layer(w, l);
+    fn read(r: &mut ByteReader<'_>) -> Option<Self> {
+        let scheme = r.static_str()?;
+        let model = r.str()?;
+        let clock = Frequency::from_si(r.f64()?);
+        let n = usize::try_from(r.u64()?).ok()?;
+        let mut layers = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            // Struct fields evaluate in the order written: the write order.
+            layers.push(TimingReport {
+                name: r.str()?,
+                total_cycles: r.u64()?,
+                compute_cycles: r.u64()?,
+                stream_stall_cycles: r.u64()?,
+                exposed_stall_cycles: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
+                prefetch_work_cycles: r.u64()?,
+                prefetch_stall_cycles: r.u64()?,
+                random_busy_cycles: r.u64()?,
+            });
+        }
+        Some(Self {
+            scheme,
+            model,
+            clock,
+            layers,
+        })
     }
 }
 
-fn read_report(r: &mut ByteReader<'_>) -> Option<ModelTimingReport> {
-    let scheme = intern(r.str()?);
-    let model = r.str()?;
-    let clock = Frequency::from_si(r.f64()?);
-    let n = usize::try_from(r.u64()?).ok()?;
-    let mut layers = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        layers.push(read_layer(r)?);
-    }
-    Some(ModelTimingReport {
-        scheme,
-        model,
-        clock,
-        layers,
-    })
-}
-
-/// Serializes every persistable entry of `cache` into a sealed store
-/// payload.
-#[must_use]
-pub fn to_bytes(cache: &TimingCache) -> Vec<u8> {
-    // Key-ordered map: iteration order is the deterministic file order.
-    let entries = cache.snapshot_entries();
-    let mut w = ByteWriter::new();
-    w.u64(entries.len() as u64);
-    for (key, report) in &entries {
-        w.u128(*key);
-        write_report(&mut w, report);
-    }
-    w.into_bytes()
-}
-
-/// Parses a store payload back into a warm-entry map; `None` on any
-/// truncation or malformed field (the caller falls back to cold).
-fn from_bytes(payload: &[u8]) -> Option<BTreeMap<u128, Arc<ModelTimingReport>>> {
-    let mut r = ByteReader::new(payload);
-    let n = usize::try_from(r.u64()?).ok()?;
-    let mut entries = BTreeMap::new();
-    for _ in 0..n {
-        let key = r.u128()?;
-        entries.insert(key, Arc::new(read_report(&mut r)?));
-    }
-    if !r.is_empty() {
-        return None;
-    }
-    Some(entries)
-}
-
-/// Saves `cache` to `dir/`[`FILE_NAME`] (atomically).
+/// Saves `cache` to `dir/timing-cache.bin` (atomically).
 ///
 /// # Errors
 ///
 /// [`smart_units::SmartError::Store`] on any underlying filesystem
 /// failure.
 pub fn save(cache: &TimingCache, dir: &Path) -> smart_units::Result<()> {
-    Store::write_file(&dir.join(FILE_NAME), TAG, VERSION, to_bytes(cache))?;
-    Ok(())
+    cache.memo.save(dir)
 }
 
-/// Loads `dir/`[`FILE_NAME`] into `cache`'s warm tier; returns how many
-/// entries are now warm. A missing, corrupted, truncated, or
+/// Loads `dir/timing-cache.bin` into `cache`'s warm tier; returns how
+/// many entries are now warm. A missing, corrupted, truncated, or
 /// version-mismatched file loads zero entries — the run simply starts
 /// cold.
 pub fn load(cache: &TimingCache, dir: &Path) -> usize {
-    let Some(payload) = Store::read_file(&dir.join(FILE_NAME), TAG, VERSION) else {
-        return 0;
-    };
-    let Some(entries) = from_bytes(&payload) else {
-        return 0;
-    };
-    cache.load_warm_entries(entries)
+    cache.memo.load(dir)
 }
 
 #[cfg(test)]
@@ -182,16 +104,10 @@ mod tests {
     use smart_core::scheme::Scheme;
     use smart_systolic::models::ModelId;
 
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("smart-timing-persist-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir
-    }
-
     #[test]
     fn round_trip_serves_warm_and_identical() {
-        let dir = tmp_dir("round");
+        let dir = std::env::temp_dir().join(format!("smart-timing-persist-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
         let cold = TimingCache::new();
         let scheme = Scheme::smart();
         let cfg = TimingConfig::nominal();
@@ -209,59 +125,5 @@ mod tests {
             "served from the warm store without replaying"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_and_corrupt_files_fall_back_to_cold() {
-        let dir = tmp_dir("corrupt");
-        let cache = TimingCache::new();
-        assert_eq!(load(&cache, &dir), 0, "missing file");
-
-        let scheme = Scheme::pipe();
-        let cfg = TimingConfig::nominal();
-        cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
-        save(&cache, &dir).expect("saves");
-        let path = dir.join(FILE_NAME);
-        let good = std::fs::read(&path).expect("reads");
-
-        // Truncations and single-bit corruption at every eighth offset.
-        for cut in [0, 1, good.len() / 2, good.len() - 1] {
-            std::fs::write(&path, &good[..cut]).expect("writes");
-            assert_eq!(load(&TimingCache::new(), &dir), 0, "truncated at {cut}");
-        }
-        for i in (0..good.len()).step_by(8) {
-            let mut bad = good.clone();
-            bad[i] ^= 0x10;
-            std::fs::write(&path, &bad).expect("writes");
-            assert_eq!(load(&TimingCache::new(), &dir), 0, "corrupted at {i}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn save_to_unwritable_dir_is_a_typed_error() {
-        let cache = TimingCache::new();
-        let err = save(&cache, Path::new("/proc/definitely/not/writable"))
-            .expect_err("must fail, not panic");
-        assert!(
-            matches!(err, smart_units::SmartError::Store { .. }),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn save_is_deterministic() {
-        let cache = TimingCache::new();
-        let scheme = Scheme::smart();
-        for pct in [50, 100] {
-            cache
-                .report(
-                    &scheme,
-                    ModelId::AlexNet,
-                    &TimingConfig::nominal().with_bandwidth_pct(pct),
-                )
-                .expect("ok");
-        }
-        assert_eq!(to_bytes(&cache), to_bytes(&cache));
     }
 }

@@ -46,9 +46,8 @@
 //! [`replay_layer`] is exactly the composition of the two, so a sweep that
 //! reuses one prepass across configs is bit-identical to replaying each
 //! point from scratch (the `prepass_replay_matches_full` test, plus the
-//! `delta_replay_equivalence` property test at the workspace root, pin
-//! this). The struct-of-arrays sweep kernel in [`crate::batch`] drives the
-//! same finish pass over many configs in lockstep.
+//! `timing_delta_replay_equals_full_replay` property test at the workspace
+//! root, pin this).
 
 // lint:allow-file(index, replay indexes class and lane arrays sized by DataClass::ALL and the geometry)
 
@@ -84,10 +83,8 @@ pub struct LayerInstance<'a> {
 /// Precomputed per-word RANDOM-array latency math for one
 /// `(scheme, clock, config)` point — the bandwidth-scaled read/write
 /// latencies and the per-word issue interval that every load, stream,
-/// spill, and realignment in the finish pass prices itself with. Hoisted
-/// out of the replay loop (it used to be recomputed through closures per
-/// call site) and shared with the batched sweep kernel in
-/// [`crate::batch`], which builds one table per sweep scenario up front.
+/// spill, and realignment in the finish pass prices itself with, hoisted
+/// out of the replay loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomCosts {
     /// Accelerator clock period in seconds.
@@ -157,16 +154,6 @@ fn cycles_at(period: f64, seconds: f64) -> u64 {
     (seconds / period).ceil() as u64
 }
 
-/// One prefetch load bucketed at its issue iteration, priced at issue
-/// time with the lane's [`RandomCosts`] (so one bucketing can serve many
-/// bandwidth scenarios in the sweep kernel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BucketedLoad {
-    pub(crate) class: DataClass,
-    pub(crate) use_iteration: u32,
-    pub(crate) words: u64,
-}
-
 /// One prefetch load as the schedule recorded it, before the finish pass
 /// buckets it by issue iteration (bucketing depends on the config's buffer
 /// depth, so it cannot happen in the prepass). Kept in `dag.objects` order
@@ -187,7 +174,7 @@ struct ScheduledLoad {
 /// optimistic for demand (a demand burst never waits on an in-flight
 /// prefetch — banks preempt per access), which is exactly the
 /// bank-conflict arbitration policy a prefetch engine would use.
-pub(crate) struct PriorityChannel {
+struct PriorityChannel {
     /// Cursor behind which new demand queues.
     demand_free: u64,
     /// Demand busy intervals, non-overlapping, in start order.
@@ -197,11 +184,11 @@ pub(crate) struct PriorityChannel {
     /// First interval the prefetch frontier has not yet passed.
     interval_idx: usize,
     /// Total busy cycles (demand + prefetch).
-    pub(crate) busy: u64,
+    busy: u64,
 }
 
 impl PriorityChannel {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             demand_free: 0,
             intervals: Vec::new(),
@@ -212,7 +199,7 @@ impl PriorityChannel {
     }
 
     /// Serves a demand burst requested at `request`; returns completion.
-    pub(crate) fn demand(&mut self, request: u64, work: u64) -> u64 {
+    fn demand(&mut self, request: u64, work: u64) -> u64 {
         let start = request.max(self.demand_free);
         let done = start + work;
         if work > 0 {
@@ -228,7 +215,7 @@ impl PriorityChannel {
 
     /// Serves a prefetch load issued at `issue` from leftover issue slots;
     /// returns completion.
-    pub(crate) fn prefetch(&mut self, issue: u64, work: u64) -> u64 {
+    fn prefetch(&mut self, issue: u64, work: u64) -> u64 {
         let mut remaining = work;
         let mut t = issue.max(self.prefetch_frontier);
         self.busy += work;
@@ -294,26 +281,26 @@ pub struct LayerPrepass {
     /// Layer name (copied into each report).
     name: String,
     /// Iteration count of the DAG the schedule was compiled against.
-    pub(crate) iterations: u32,
+    iterations: u32,
     /// Matrix-unit busy cycles per iteration.
-    pub(crate) compute_per_iter: Vec<u64>,
+    compute_per_iter: Vec<u64>,
     /// `max(compute, SHIFT in/out/weight service)` per iteration — the
     /// iteration's duration before exposed RANDOM/DRAM stalls.
-    pub(crate) dur_per_iter: Vec<u64>,
+    dur_per_iter: Vec<u64>,
     /// PSum spill round-trip words per iteration (zero when the PSum
     /// working set fits the output SHIFT array).
-    pub(crate) spill_words: Vec<u64>,
+    spill_words: Vec<u64>,
     /// DRAM overflow bytes per iteration.
-    pub(crate) dram_bytes: Vec<u64>,
+    dram_bytes: Vec<u64>,
     /// Fold-boundary realignment counts per class per iteration.
-    pub(crate) realigns: Vec<(DataClass, Vec<u64>)>,
+    realigns: Vec<(DataClass, Vec<u64>)>,
     /// Schedule prefetch loads in `dag.objects` order (bucketed per config
     /// by the finish pass, because the issue iteration depends on the
     /// buffer depth).
     loads: Vec<ScheduledLoad>,
     /// Unprefetchable (DRAM-placed) object streams, bucketed by use
     /// iteration and sorted by class — both config-independent.
-    pub(crate) streams_by_iter: Vec<Vec<(DataClass, u64)>>,
+    streams_by_iter: Vec<Vec<(DataClass, u64)>>,
 }
 
 impl LayerPrepass {
@@ -458,27 +445,6 @@ impl LayerPrepass {
         &self.name
     }
 
-    /// Buckets the schedule's prefetch loads by issue iteration for one
-    /// config's buffer depth — exactly the bucketing `replay_layer` has
-    /// always done (same stable sort), shared with the sweep kernel, which
-    /// reuses one bucketing across every scenario of equal depth.
-    pub(crate) fn bucket_loads(&self, depth: u32) -> Vec<Vec<BucketedLoad>> {
-        let mut loads_by_iter: Vec<Vec<BucketedLoad>> =
-            (0..self.iterations as usize).map(|_| Vec::new()).collect();
-        for l in &self.loads {
-            let issue_at = l.fetch_iteration.max(l.use_iteration.saturating_sub(depth));
-            loads_by_iter[issue_at.min(self.iterations - 1) as usize].push(BucketedLoad {
-                class: l.class,
-                use_iteration: l.use_iteration,
-                words: l.words,
-            });
-        }
-        for list in &mut loads_by_iter {
-            list.sort_by_key(|l| (l.use_iteration, l.class as u32));
-        }
-        loads_by_iter
-    }
-
     /// The per-config finish pass: replays this prepass under one
     /// [`TimingConfig`], bit-identical to [`replay_layer`] on the same
     /// inputs.
@@ -486,8 +452,17 @@ impl LayerPrepass {
     #[allow(clippy::too_many_lines)]
     pub fn replay(&self, costs: &RandomCosts, cfg: &TimingConfig) -> TimingReport {
         let iterations = self.iterations as usize;
+        // Bucket the prefetch loads by issue iteration for this config's
+        // buffer depth (a stable sort: ties keep `dag.objects` order).
         let depth = cfg.buffer_depth.max(1);
-        let loads_by_iter = self.bucket_loads(depth);
+        let mut loads_by_iter: Vec<Vec<&ScheduledLoad>> = vec![Vec::new(); iterations];
+        for l in &self.loads {
+            let issue_at = l.fetch_iteration.max(l.use_iteration.saturating_sub(depth));
+            loads_by_iter[issue_at.min(self.iterations - 1) as usize].push(l);
+        }
+        for list in &mut loads_by_iter {
+            list.sort_by_key(|l| (l.use_iteration, l.class as u32));
+        }
 
         // --- The replay ------------------------------------------------
         let mut prev_end = 0u64;
@@ -611,7 +586,7 @@ impl LayerPrepass {
 }
 
 /// Index of a class in [`DataClass::ALL`] (the exposed-stall array order).
-pub(crate) fn class_idx(c: DataClass) -> usize {
+fn class_idx(c: DataClass) -> usize {
     // lint:allow(panic_freedom, DataClass::ALL enumerates every variant)
     DataClass::ALL.iter().position(|&x| x == c).expect("class")
 }

@@ -13,7 +13,6 @@
 //! On the *real* array the replay sees arbitration and late prefetches the
 //! analytic `overlap_fraction` cannot, which is the simulator's purpose.
 
-use crate::cache::TimingCache;
 use crate::config::TimingConfig;
 use crate::replay::{LayerInstance, LayerPrepass, RandomCosts};
 use crate::report::ModelTimingReport;
@@ -175,23 +174,10 @@ pub struct ModelPrepass {
     /// replayed config must carry the same value.
     max_iterations: u32,
     /// Per-layer prepasses, in model order.
-    pub(crate) layers: Vec<LayerPrepass>,
+    layers: Vec<LayerPrepass>,
 }
 
 impl ModelPrepass {
-    /// The per-scenario RANDOM cost table for this prepass's SPM and
-    /// clock.
-    #[must_use]
-    pub fn costs(&self, cfg: &TimingConfig) -> RandomCosts {
-        RandomCosts::new(&self.spm, self.clock, cfg)
-    }
-
-    /// The per-layer prepasses, in model order.
-    #[must_use]
-    pub fn layers(&self) -> &[LayerPrepass] {
-        &self.layers
-    }
-
     /// The per-config finish pass over every layer, bit-identical to
     /// [`simulate_scheme`] on the same scheme/model.
     ///
@@ -207,48 +193,13 @@ impl ModelPrepass {
             "prepass compiled with max_iterations {} replayed with {}",
             self.max_iterations, cfg.max_iterations
         );
-        let costs = self.costs(cfg);
+        let costs = RandomCosts::new(&self.spm, self.clock, cfg);
         ModelTimingReport {
             scheme: self.scheme,
             model: self.model.clone(),
             clock: self.clock,
             layers: self.layers.iter().map(|l| l.replay(&costs, cfg)).collect(),
         }
-    }
-
-    /// Replays every config in `cfgs` through the struct-of-arrays sweep
-    /// kernel, layer by layer in lockstep. Element `s` is bit-identical
-    /// to `self.replay(&cfgs[s])`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`ModelPrepass::replay`], for any config in the sweep.
-    #[must_use]
-    pub fn sweep(&self, cfgs: &[TimingConfig]) -> Vec<ModelTimingReport> {
-        for cfg in cfgs {
-            assert_eq!(
-                cfg.max_iterations, self.max_iterations,
-                "prepass compiled with max_iterations {} swept with {}",
-                self.max_iterations, cfg.max_iterations
-            );
-        }
-        let costs: Vec<RandomCosts> = cfgs.iter().map(|c| self.costs(c)).collect();
-        let mut reports: Vec<ModelTimingReport> = cfgs
-            .iter()
-            .map(|_| ModelTimingReport {
-                scheme: self.scheme,
-                model: self.model.clone(),
-                clock: self.clock,
-                layers: Vec::with_capacity(self.layers.len()),
-            })
-            .collect();
-        for layer in &self.layers {
-            let lanes = crate::batch::replay_sweep_layer(layer, &costs, cfgs);
-            for (report, lane) in reports.iter_mut().zip(lanes) {
-                report.layers.push(lane);
-            }
-        }
-        reports
     }
 }
 
@@ -371,21 +322,6 @@ pub fn max_layer_deviation(scheme: &Scheme, model: &CnnModel, cfg: &TimingConfig
     let ana_total = analytic.total_time.as_s();
     worst = worst.max((sim_total - ana_total).abs() / ana_total.max(1e-30));
     Ok(worst)
-}
-
-/// Memoized [`simulate_scheme`] for a model id (the entry point the
-/// experiment builders use through [`TimingCache`]).
-///
-/// # Errors
-///
-/// As for [`simulate_scheme`].
-pub fn simulate_model(
-    cache: &TimingCache,
-    scheme: &Scheme,
-    model: smart_systolic::models::ModelId,
-    cfg: &TimingConfig,
-) -> Result<std::sync::Arc<ModelTimingReport>> {
-    cache.report(scheme, model, cfg)
 }
 
 #[cfg(test)]

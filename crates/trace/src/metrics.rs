@@ -1,10 +1,9 @@
 //! [`MetricsRegistry`] / [`MetricsSnapshot`]: named counters and gauges
 //! with deterministic ordering.
 //!
-//! The workspace grew one ad-hoc counter struct per subsystem
-//! (`CacheStats`, `TimingCacheStats`, the solver context's warm/cold
-//! tallies, …) and three divergent stderr report formats on top of
-//! them. This module is the unification point: every subsystem's
+//! Every subsystem keeps its own counter struct (the memo caches'
+//! `MemoStats`, the solver context's warm/cold tallies, …). This module
+//! is the unification point for reporting them: every subsystem's
 //! counters are poured into one registry under dotted names
 //! (`eval_cache.hits`, `ilp.pivots`, `timing_cache.misses`), and one
 //! [`MetricsSnapshot`] renders them all — as aligned text for stderr or

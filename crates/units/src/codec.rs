@@ -4,11 +4,12 @@
 //! The sweep workloads (RANDOM-technology ablations, buffer-depth and
 //! bandwidth scans, the coming Pareto searches) call the evaluator, the
 //! ILP compiler, and the cycle replay thousands of times per *process*,
-//! and every process used to start cold. The caches
-//! (`smart_core::cache::EvalCache`, `smart_timing::TimingCache`,
-//! `smart_josim::cache::CircuitCache`, `smart_ilp`'s `SolverContext`
-//! basis store) now serialize themselves through this module so a repeated
-//! run starts warm from a `--cache-dir`.
+//! and every process used to start cold. The result caches built on
+//! [`crate::memo::Memo`] (`smart_core::cache::EvalCache`,
+//! `smart_josim::cache::CircuitCache`, `smart_timing::TimingCache`, each
+//! supplying one [`crate::memo::Persist`] record codec) and `smart_ilp`'s
+//! `SolverContext` basis store serialize through this module, so a
+//! repeated run starts warm from a `--cache-dir`.
 //!
 //! Design constraints, in order:
 //!
@@ -52,9 +53,12 @@
 //! assert!(Store::open(&bad, "demo", 1).is_none());
 //! ```
 
+use crate::sync::lock;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
+use std::sync::Mutex;
 
 /// Magic prefix of every store file.
 const MAGIC: &[u8; 4] = b"SMRT";
@@ -213,6 +217,22 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(s.to_vec()).ok()
     }
 
+    /// Reads a length-prefixed UTF-8 string as a `&'static str` (record
+    /// fields such as scheme names are `&'static str`). Strings are
+    /// interned: each distinct one is leaked once per process, so loading
+    /// a store again leaks nothing new.
+    pub fn static_str(&mut self) -> Option<&'static str> {
+        static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+        let s = self.str()?;
+        let mut interned = lock(&INTERNED);
+        if let Some(&found) = interned.get(s.as_str()) {
+            return Some(found);
+        }
+        let leaked: &'static str = Box::leak(s.into_boxed_str());
+        interned.insert(leaked);
+        Some(leaked)
+    }
+
     /// Reads a length-prefixed `u64` vector (length bounds-checked like
     /// [`ByteReader::str`]).
     pub fn u64_vec(&mut self) -> Option<Vec<u64>> {
@@ -339,6 +359,20 @@ mod tests {
         assert_eq!(r.str().as_deref(), Some("conv4_2"));
         assert_eq!(r.u64_vec(), Some(vec![1, 2, 3]));
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn static_strs_are_interned() {
+        let mut w = ByteWriter::new();
+        w.str("SMART");
+        w.str("SMART");
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let a = r.static_str().expect("first");
+        let b = r.static_str().expect("second");
+        assert_eq!(a, "SMART");
+        assert!(std::ptr::eq(a, b), "one leak per distinct string");
+        assert_eq!(r.static_str(), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! (See the README for the exact per-crate dependency edges.)
 //!
-//! Three things live here:
+//! What lives here:
 //!
 //! * [`quantity`] — strongly-typed physical quantities ([`Time`],
 //!   [`Energy`], [`Power`], [`Length`], [`Area`], [`Frequency`]), stored in
@@ -18,6 +18,9 @@
 //! * [`error`] — the workspace-wide [`SmartError`] type and [`Result`]
 //!   alias that all fallible layers (the ILP solver, the transient circuit
 //!   engine, the allocation compiler) funnel into,
+//! * [`memo`] — the one single-flight memoization layer (with a
+//!   content-hash warm tier, counters and store persistence) under the
+//!   evaluation, circuit and timing caches,
 //! * [`codec`] — the hand-rolled versioned binary store format the
 //!   persistent warm-start caches serialize through,
 //! * [`rng`] — hand-rolled deterministic pseudo-random generation
@@ -41,6 +44,7 @@
 
 pub mod codec;
 pub mod error;
+pub mod memo;
 pub mod quantity;
 pub mod rng;
 pub mod sync;

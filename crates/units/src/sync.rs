@@ -1,7 +1,8 @@
 //! Poison-proof locking for the workspace's memoization caches.
 //!
-//! Every cache in the stack (`EvalCache`, `CircuitCache`, `TimingCache`,
-//! `SolverContext`) guards a plain-data map with a [`Mutex`]. The maps
+//! Every cache in the stack ([`crate::memo::Memo`], which backs the
+//! evaluation, circuit and timing caches, and `SolverContext`) guards a
+//! plain-data map with a [`Mutex`]. The maps
 //! hold *completed* results only — a writer inserts a finished value or
 //! nothing — so a thread that panics while holding the lock cannot leave
 //! a torn entry behind: the worst case is a missing memo, which the next

@@ -291,10 +291,9 @@ proptest! {
         let _: Energy = e1;
     }
 
-    /// Delta replay and the batched sweep kernel are bit-identical to a
-    /// full per-config simulation on random layer/config pairs: one
-    /// prepass finished under each config equals compiling and replaying
-    /// from scratch.
+    /// Delta replay is bit-identical to a full per-config simulation on
+    /// random layer/config pairs: one prepass finished under each config
+    /// equals compiling and replaying from scratch.
     #[test]
     fn timing_delta_replay_equals_full_replay(
         hw in 8u32..32,
@@ -306,7 +305,7 @@ proptest! {
     ) {
         use smart::core::scheme::Scheme;
         use smart::systolic::layer::{CnnModel, ConvLayer};
-        use smart::timing::{prepare_model, replay_sweep, simulate_scheme, TimingConfig};
+        use smart::timing::{prepare_model, simulate_scheme, TimingConfig};
 
         let layer = ConvLayer::conv("p", hw, hw, in_c, out_c, kernel, 1, 1);
         let model = CnnModel::new("p", vec![layer]);
@@ -316,11 +315,9 @@ proptest! {
             .collect();
         let scheme = Scheme::smart();
         let prepass = prepare_model(&scheme, &model, cfgs[0].max_iterations).expect("heterogeneous");
-        let batched = replay_sweep(&prepass, &cfgs);
-        for (cfg, lane) in cfgs.iter().zip(&batched) {
+        for cfg in &cfgs {
             let full = simulate_scheme(&scheme, &model, cfg).expect("heterogeneous");
             prop_assert_eq!(&prepass.replay(cfg), &full);
-            prop_assert_eq!(lane, &full);
         }
     }
 
@@ -334,15 +331,15 @@ proptest! {
     ) {
         use smart::core::scheme::Scheme;
         use smart::systolic::models::ModelId;
-        use smart::timing::{persist, TimingCache, TimingConfig};
+        use smart::timing::{persist, ModelTimingReport, TimingCache, TimingConfig};
+        use smart::units::memo::Persist;
 
         let pct = [25u32, 50, 100][pct_idx];
         let cfg = TimingConfig::nominal().with_depth(depth).with_bandwidth_pct(pct);
         let scheme = Scheme::smart();
-        let dir = unique_temp_dir("timing-warm");
+        let (dir, resaved) = (unique_temp_dir("timing-warm"), unique_temp_dir("timing-resave"));
         let cold = TimingCache::new();
         let direct = cold.report(&scheme, ModelId::AlexNet, &cfg).expect("heterogeneous");
-        prop_assert_eq!(persist::to_bytes(&cold), persist::to_bytes(&cold));
         persist::save(&cold, &dir).expect("saves");
 
         let warm = TimingCache::new();
@@ -350,8 +347,11 @@ proptest! {
         let reloaded = warm.report(&scheme, ModelId::AlexNet, &cfg).expect("heterogeneous");
         prop_assert_eq!(&*reloaded, &*direct);
         prop_assert_eq!(warm.stats().misses, 0);
-        prop_assert_eq!(persist::to_bytes(&warm), persist::to_bytes(&cold));
+        persist::save(&warm, &resaved).expect("saves");
+        let bytes = |d: &std::path::Path| std::fs::read(d.join(ModelTimingReport::FILE_NAME)).expect("reads");
+        prop_assert_eq!(bytes(&resaved), bytes(&dir));
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&resaved).ok();
     }
 
     /// Same round trip for the analytic evaluation cache: warm results are
@@ -389,23 +389,29 @@ proptest! {
         flip_frac in 0.0f64..1.0,
         flip in 1u8..255,
     ) {
-        use smart::timing::{persist, TimingCache};
+        use smart::core::cache::{self, EvalCache};
+        use smart::core::{InferenceReport, Scheme};
+        use smart::systolic::models::ModelId;
+        use smart::units::memo::Persist;
 
-        let good = pristine_timing_store();
-        let dir = unique_temp_dir("timing-corrupt");
-        let path = dir.join(persist::FILE_NAME);
+        let dir = unique_temp_dir("eval-corrupt");
+        let cold = EvalCache::new();
+        let _ = cold.report(&Scheme::smart(), ModelId::AlexNet, 1);
+        cache::save(&cold, &dir).expect("saves");
+        let path = dir.join(InferenceReport::FILE_NAME);
+        let good = std::fs::read(&path).expect("reads");
 
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let cut = (cut_frac * (good.len() - 1) as f64) as usize;
         std::fs::write(&path, &good[..cut]).expect("writes");
-        prop_assert_eq!(persist::load(&TimingCache::new(), &dir), 0);
+        prop_assert_eq!(cache::load(&EvalCache::new(), &dir), 0);
 
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let at = (flip_frac * (good.len() - 1) as f64) as usize;
-        let mut bad = good.to_vec();
+        let mut bad = good.clone();
         bad[at] ^= flip;
         std::fs::write(&path, &bad).expect("writes");
-        prop_assert_eq!(persist::load(&TimingCache::new(), &dir), 0);
+        prop_assert_eq!(cache::load(&EvalCache::new(), &dir), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -422,28 +428,6 @@ fn unique_temp_dir(tag: &str) -> std::path::PathBuf {
     ));
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
-}
-
-/// The intact bytes of a one-entry persisted timing store, built once per
-/// process (corruption cases mutate copies of this).
-fn pristine_timing_store() -> &'static [u8] {
-    use smart::core::scheme::Scheme;
-    use smart::systolic::models::ModelId;
-    use smart::timing::{persist, TimingCache, TimingConfig};
-    use std::sync::OnceLock;
-
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let dir = unique_temp_dir("timing-pristine");
-        let cache = TimingCache::new();
-        cache
-            .report(&Scheme::smart(), ModelId::AlexNet, &TimingConfig::nominal())
-            .expect("heterogeneous");
-        persist::save(&cache, &dir).expect("saves");
-        let bytes = std::fs::read(dir.join(persist::FILE_NAME)).expect("reads");
-        std::fs::remove_dir_all(&dir).ok();
-        bytes
-    })
 }
 
 proptest! {
