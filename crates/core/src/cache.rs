@@ -182,4 +182,123 @@ mod tests {
         assert_eq!(warm.stats().misses, 0, "served without evaluating");
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn second_lookup_hits() {
+        let cache = EvalCache::new();
+        let scheme = Scheme::supernpu();
+        let a = cache.report(&scheme, ModelId::AlexNet, 1);
+        let b = cache.report(&scheme, ModelId::AlexNet, 1);
+        assert!(Arc::ptr_eq(&a, &b), "second lookup must share the Arc");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn concurrent_misses_evaluate_once() {
+        // Single-flight: four threads racing on one cold key run the
+        // evaluator exactly once and share the stored Arc.
+        let cache = EvalCache::new();
+        let scheme = Scheme::pipe();
+        let reports: Vec<Arc<InferenceReport>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| cache.report(&scheme, ModelId::AlexNet, 1)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("joins"))
+                .collect()
+        });
+        for r in &reports {
+            assert!(r.total_time.as_s() > 0.0);
+            assert!(Arc::ptr_eq(&reports[0], r));
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1, "exactly one evaluation ran: {stats:?}");
+        assert_eq!(stats.hits + stats.coalesced, 3, "{stats:?}");
+        assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn waiter_on_an_in_flight_evaluation_counts_as_coalesced() {
+        // A `report` that arrives while another thread is *inside* the
+        // evaluation of the same key counts as coalesced, not as a hit.
+        // The barrier puts the owner inside first; the sleep keeps it
+        // there while the waiter's probe misses.
+        let cache = EvalCache::new();
+        let scheme = Scheme::smart();
+        let key = (scheme.clone(), ModelId::AlexNet, 1);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                cache.0.get_or_init(&key, || {
+                    barrier.wait();
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    evaluate(&scheme, &ModelId::AlexNet.build(), 1)
+                });
+            });
+            barrier.wait();
+            let report = cache.report(&scheme, ModelId::AlexNet, 1);
+            assert!(report.total_time.as_s() > 0.0);
+        });
+        let stats = cache.stats();
+        let counts = (stats.hits, stats.misses, stats.coalesced);
+        assert_eq!(counts, (0, 1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn corrupted_store_never_panics_and_loads_cold() {
+        // Truncations and a bit flip at every eighth offset of a real
+        // eval store load zero entries — no panic, no partial state.
+        let dir = std::env::temp_dir().join(format!("smart-eval-corrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let cold = EvalCache::new();
+        let _ = cold.report(&Scheme::smart(), ModelId::AlexNet, 1);
+        save(&cold, &dir).expect("saves");
+        let path = dir.join(InferenceReport::FILE_NAME);
+        let good = std::fs::read(&path).expect("reads");
+        for cut in [0, 1, good.len() / 3, good.len() - 1] {
+            std::fs::write(&path, &good[..cut]).expect("writes");
+            assert_eq!(load(&EvalCache::new(), &dir), 0, "truncated at {cut}");
+        }
+        for i in (0..good.len()).step_by(8) {
+            let mut bad = good.clone();
+            bad[i] ^= 0x20;
+            std::fs::write(&path, &bad).expect("writes");
+            assert_eq!(load(&EvalCache::new(), &dir), 0, "corrupted at {i}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_to_unwritable_dir_is_a_typed_error() {
+        let err = save(
+            &EvalCache::new(),
+            Path::new("/proc/definitely/not/writable"),
+        )
+        .expect_err("must fail");
+        assert!(
+            matches!(err, smart_units::SmartError::Store { .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn panicking_evaluation_poisons_nothing_else() {
+        // A worker that panics mid-evaluation must not take the cache down
+        // with it: the same key evaluates afresh and other keys still work.
+        let cache = EvalCache::new();
+        let scheme = Scheme::smart();
+        let key = (scheme.clone(), ModelId::AlexNet, 1);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| cache.0.get_or_init(&key, || panic!("die evaluating")))
+                .join()
+        });
+        assert!(died.is_err());
+        let report = cache.report(&scheme, ModelId::AlexNet, 1);
+        assert!(report.total_time.as_s() > 0.0);
+        let other = cache.report(&Scheme::supernpu(), ModelId::AlexNet, 1);
+        assert!(other.total_time.as_s() > 0.0);
+        assert_eq!(cache.stats().entries, 2);
+    }
 }

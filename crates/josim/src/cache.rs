@@ -138,4 +138,75 @@ mod tests {
         assert_eq!(warm.stats().misses, 0, "served without simulating");
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn second_lookup_hits() {
+        let cache = CircuitCache::new();
+        let spec = CellSpec::Jtl(JtlChainSpec::standard(4));
+        let a = cache.measure(&spec).expect("simulates");
+        let b = cache.measure(&spec).expect("simulates");
+        assert!(Arc::ptr_eq(&a, &b), "second lookup must share the Arc");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn concurrent_misses_simulate_once() {
+        // Single-flight: four threads racing on one cold spec run the
+        // transient engine exactly once and share the stored Arc.
+        let cache = CircuitCache::new();
+        let spec = CellSpec::Ptl(PtlLinkSpec::from_mm(0.15));
+        let all: Vec<Arc<CellMeasurement>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| cache.measure(&spec).expect("simulates")))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("joins"))
+                .collect()
+        });
+        for m in &all {
+            assert!(m.delay > 0.0);
+            assert!(Arc::ptr_eq(&all[0], m));
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1, "exactly one simulation ran: {stats:?}");
+        assert_eq!(stats.hits + stats.coalesced, 3, "{stats:?}");
+        assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn corrupted_store_never_panics_and_loads_cold() {
+        // Truncations and a bit flip at every eighth offset of a real
+        // circuit store load zero entries — no panic, no partial state.
+        let dir = std::env::temp_dir().join(format!("smart-josim-corrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let cold = CircuitCache::new();
+        cold.measure(&CellSpec::Jtl(JtlChainSpec::standard(4)))
+            .expect("simulates");
+        save(&cold, &dir).expect("saves");
+        let path = dir.join(CellMeasurement::FILE_NAME);
+        let good = std::fs::read(&path).expect("reads");
+        for cut in [0, 1, good.len() / 3, good.len() - 1] {
+            std::fs::write(&path, &good[..cut]).expect("writes");
+            assert_eq!(load(&CircuitCache::new(), &dir), 0, "truncated at {cut}");
+        }
+        for i in (0..good.len()).step_by(8) {
+            let mut bad = good.clone();
+            bad[i] ^= 0x20;
+            std::fs::write(&path, &bad).expect("writes");
+            assert_eq!(load(&CircuitCache::new(), &dir), 0, "corrupted at {i}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_to_unwritable_dir_is_a_typed_error() {
+        let err = save(
+            &CircuitCache::new(),
+            Path::new("/proc/definitely/not/writable"),
+        )
+        .expect_err("must fail");
+        assert!(matches!(err, SmartError::Store { .. }), "{err:?}");
+    }
 }

@@ -130,6 +130,56 @@ mod tests {
     use super::*;
 
     #[test]
+    fn second_lookup_hits_and_shares() {
+        let cache = TimingCache::new();
+        let scheme = Scheme::smart();
+        let cfg = TimingConfig::nominal();
+        let a = cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
+        let b = cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
+        assert!(Arc::ptr_eq(&a, &b));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn cached_equals_uncached() {
+        // A miss is finished by `ModelPrepass::replay`; it must equal the
+        // full `simulate_scheme` replay.
+        let cache = TimingCache::new();
+        let scheme = Scheme::pipe();
+        let cfg = TimingConfig::nominal();
+        let direct =
+            crate::validate::simulate_scheme(&scheme, &ModelId::AlexNet.build(), &cfg).expect("ok");
+        let cached = cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
+        assert_eq!(*cached, direct);
+    }
+
+    #[test]
+    fn concurrent_misses_replay_once() {
+        // Single-flight: four threads racing on one cold key run the
+        // replay exactly once and all share its Arc.
+        let cache = TimingCache::new();
+        let scheme = Scheme::smart();
+        let cfg = TimingConfig::nominal();
+        let reports: Vec<Arc<ModelTimingReport>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok")))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("joins"))
+                .collect()
+        });
+        for r in &reports[1..] {
+            assert!(Arc::ptr_eq(&reports[0], r));
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1, "exactly one replay ran: {stats:?}");
+        assert_eq!(stats.hits + stats.coalesced, 3, "{stats:?}");
+        assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
     fn config_is_part_of_the_key() {
         let cache = TimingCache::new();
         let scheme = Scheme::smart();

@@ -126,4 +126,73 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("smart-timing-persist-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
+    #[test]
+    fn missing_and_corrupt_files_fall_back_to_cold() {
+        let dir = tmp_dir("corrupt");
+        let cache = TimingCache::new();
+        assert_eq!(load(&cache, &dir), 0, "missing file");
+
+        let scheme = Scheme::pipe();
+        let cfg = TimingConfig::nominal();
+        cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
+        save(&cache, &dir).expect("saves");
+        let path = dir.join(ModelTimingReport::FILE_NAME);
+        let good = std::fs::read(&path).expect("reads");
+
+        // Truncations and single-bit corruption at every eighth offset.
+        for cut in [0, 1, good.len() / 2, good.len() - 1] {
+            std::fs::write(&path, &good[..cut]).expect("writes");
+            assert_eq!(load(&TimingCache::new(), &dir), 0, "truncated at {cut}");
+        }
+        for i in (0..good.len()).step_by(8) {
+            let mut bad = good.clone();
+            bad[i] ^= 0x10;
+            std::fs::write(&path, &bad).expect("writes");
+            assert_eq!(load(&TimingCache::new(), &dir), 0, "corrupted at {i}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_to_unwritable_dir_is_a_typed_error() {
+        let cache = TimingCache::new();
+        let err = save(&cache, Path::new("/proc/definitely/not/writable"))
+            .expect_err("must fail, not panic");
+        assert!(
+            matches!(err, smart_units::SmartError::Store { .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn save_is_deterministic() {
+        // Two caches that replayed the same points in opposite orders
+        // write byte-identical stores.
+        let scheme = Scheme::smart();
+        let stores: Vec<Vec<u8>> = [[50, 100], [100, 50]]
+            .iter()
+            .enumerate()
+            .map(|(i, order)| {
+                let cache = TimingCache::new();
+                for &pct in order {
+                    let cfg = TimingConfig::nominal().with_bandwidth_pct(pct);
+                    cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
+                }
+                let dir = tmp_dir(&format!("order{i}"));
+                save(&cache, &dir).expect("saves");
+                let bytes = std::fs::read(dir.join(ModelTimingReport::FILE_NAME)).expect("reads");
+                std::fs::remove_dir_all(&dir).ok();
+                bytes
+            })
+            .collect();
+        assert_eq!(stores[0], stores[1]);
+    }
 }
