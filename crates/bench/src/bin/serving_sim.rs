@@ -6,7 +6,9 @@
 //! snapshot), this binary exposes every simulator knob, so it is the
 //! interactive front end for exploring the serving design space.
 
-use smart_bench::cli::{self, parse_non_negative, parse_positive, CliSpec, ExtraFlag};
+use smart_bench::cli::{
+    self, parse_non_negative, parse_non_negative_int, parse_positive, CliSpec, ExtraFlag,
+};
 use smart_core::scheme::Scheme;
 use smart_report::{ColumnSpec, ResultTable, Unit, Value};
 use smart_serving::{
@@ -172,18 +174,16 @@ fn main() -> ExitCode {
         "--window-us",
         Some(args.value_of("--window-us").unwrap_or("0")),
     ));
-    let quantum = unwrap(parse_non_negative(
-        "--quantum",
-        Some(args.value_of("--quantum").unwrap_or("0")),
-    )) as u32;
-    let seed = unwrap(parse_non_negative(
-        "--seed",
-        Some(args.value_of("--seed").unwrap_or("42")),
-    )) as u64;
-    let slo_factor = unwrap(parse_non_negative(
+    let quantum: u32 =
+        parse_non_negative_int("--quantum", Some(args.value_of("--quantum").unwrap_or("0")))
+            .unwrap_or_else(|e| fail(&e));
+    let seed: u64 = parse_non_negative_int("--seed", Some(args.value_of("--seed").unwrap_or("42")))
+        .unwrap_or_else(|e| fail(&e));
+    let slo_factor: u64 = parse_non_negative_int(
         "--slo-factor",
         Some(args.value_of("--slo-factor").unwrap_or("8")),
-    )) as u64;
+    )
+    .unwrap_or_else(|e| fail(&e));
     if args.value_of("--rate").is_some() {
         // Validate eagerly so a bad value fails before the ILP prepass.
         let _ = unwrap(parse_non_negative("--rate", args.value_of("--rate")));
@@ -191,7 +191,7 @@ fn main() -> ExitCode {
 
     let ctx = args.context();
     if let Some(dir) = args.cache_dir.as_deref() {
-        let _ = ctx.load_caches_verbose(dir);
+        ctx.load_caches_verbose(dir);
     }
 
     let cfg = TimingConfig::nominal();

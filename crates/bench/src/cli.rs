@@ -1,29 +1,26 @@
-//! The shared command-line front end of every `smart-bench` binary.
+//! The shared command-line front end of the four `smart-bench` drivers
+//! (`all_experiments`, `pareto_search`, `serving_sim`, `bench_check`)
+//! and of `smart_lint`.
 //!
-//! Before this module each binary hand-rolled its own `std::env::args`
-//! loop, so flag names, error strings, and help text drifted (three
-//! different "unknown flag" messages, two `--jobs` validators). Now a
-//! binary declares a [`CliSpec`] — its name, a one-line description, and
-//! any extra flags beyond the standard set — and gets:
+//! Each driver declares a [`CliSpec`] — its name, a one-line
+//! description, and any extra flags beyond the standard set — and gets:
 //!
-//! * the standard flags every binary accepts: `--jobs N`, `--json`,
+//! * the standard flags every driver accepts: `--jobs N`, `--json`,
 //!   `--csv`, `--check`, `--cache-dir DIR`, `--list`,
-//!   `--filter TAG` (repeatable), `--help`;
+//!   `--filter TAG` (repeatable), `--trace-out FILE`, `--metrics`,
+//!   `--help`;
 //! * consistent error messages (one canonical string per failure mode,
-//!   exercised by `tests/cli.rs` against every binary);
+//!   exercised by `tests/cli.rs` against every driver);
 //! * `--help` text generated from the spec, so it cannot go stale.
 //!
-//! Per-figure binaries don't even declare a spec: [`run_single`] wires
-//! the standard flags to one registry entry (bare-table text output,
-//! byte-identical to the pre-redesign binaries in the default
-//! invocation).
+//! One experiment runs as `all_experiments NAME`; there is no
+//! per-experiment binary.
 
-use crate::registry::{self, ExperimentDescriptor};
+use crate::registry::ExperimentDescriptor;
 use crate::ExperimentContext;
 use smart_report::ResultTable;
 use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
-use std::process::ExitCode;
 
 /// Output encoding selected by `--json` / `--csv` (text is the default;
 /// the last format flag wins).
@@ -138,6 +135,23 @@ pub fn parse_positive(flag: &str, value: Option<&str>) -> Result<usize, String> 
         .ok_or_else(|| format!("{flag} needs a positive integer"))
 }
 
+/// Validates the value of a non-negative-integer flag (`--seed`,
+/// `--quantum`, `--slo-factor`): a fraction, an exponent, or a value
+/// that does not fit `T` is an error, never truncated.
+///
+/// # Errors
+///
+/// `"{flag} needs a non-negative integer"`.
+pub fn parse_non_negative_int<T: TryFrom<u64>>(
+    flag: &str,
+    value: Option<&str>,
+) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse::<u64>().ok())
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("{flag} needs a non-negative integer"))
+}
+
 /// Validates the value of a non-negative-number flag
 /// (`--max-regression`).
 ///
@@ -216,18 +230,6 @@ const STANDARD_FLAGS: &[ExtraFlag] = &[
 ];
 
 impl CliSpec {
-    /// A spec with no extras and no positionals (the per-figure
-    /// binaries).
-    #[must_use]
-    pub const fn standard(bin: &'static str, about: &'static str) -> Self {
-        Self {
-            bin,
-            about,
-            extras: &[],
-            positional: None,
-        }
-    }
-
     /// The one-line usage string.
     #[must_use]
     pub fn usage(&self) -> String {
@@ -383,9 +385,8 @@ pub fn write_stdout(text: &str) {
     }
 }
 
-/// Prints the `--list` line of each experiment (shared between
-/// `all_experiments` and the per-figure binaries so the format cannot
-/// drift): `name  group  figure`.
+/// Prints the `--list` line of each experiment, `name  group  figure`
+/// (the format the README catalogue mirrors).
 pub fn print_listing(descriptors: &[&ExperimentDescriptor]) {
     let listing: String = descriptors
         .iter()
@@ -395,8 +396,8 @@ pub fn print_listing(descriptors: &[&ExperimentDescriptor]) {
 }
 
 /// Renders one table in the selected format. Text is the bare
-/// fixed-width table (the per-figure binaries' historical output);
-/// `all_experiments` adds its own `==== name ====` headers.
+/// fixed-width table; `all_experiments` adds its own `==== name ====`
+/// headers.
 pub fn print_table(table: &ResultTable, format: Format) {
     write_stdout(&match format {
         Format::Text => table.to_string(),
@@ -454,55 +455,6 @@ pub fn check_tables(tables: &[ResultTable]) -> bool {
         }
     }
     ok
-}
-
-/// The whole main body of a per-figure binary: standard flags wired to
-/// one registry experiment. The default invocation prints the bare
-/// fixed-width table, byte-identical to the pre-redesign binaries.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the registry (a compile-time-known name;
-/// the registry test catches a typo before any binary ships).
-#[must_use]
-pub fn run_single(name: &str, about: &'static str) -> ExitCode {
-    let descriptor = registry::find(name)
-        // lint:allow(panic_freedom, a binary naming an unknown experiment is a compile-time wiring bug; dying at startup is the right surface)
-        .unwrap_or_else(|| panic!("binary references unknown experiment `{name}`"));
-    let spec = CliSpec {
-        bin: descriptor.name,
-        about,
-        extras: &[],
-        positional: None,
-    };
-    let args = spec.parse_env_or_exit();
-
-    let selected = args.filters.is_empty() || args.filters.iter().any(|f| descriptor.matches(f));
-    if args.list {
-        if selected {
-            print_listing(&[descriptor]);
-        }
-        return ExitCode::SUCCESS;
-    }
-    if !selected {
-        // A filter that deselects the binary's only experiment runs
-        // nothing — same semantics as all_experiments with no match.
-        return ExitCode::SUCCESS;
-    }
-
-    let ctx = args.context();
-    let table = ctx.wall.time(descriptor.name, || {
-        crate::run_cached(descriptor.run, &ctx, args.cache_dir.as_deref())
-    });
-    print_table(&table, args.format);
-    let emitted = emit_observability(&args, &ctx);
-    if args.check && !check_tables(std::slice::from_ref(&table)) {
-        return ExitCode::FAILURE;
-    }
-    if !emitted {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -599,7 +551,12 @@ mod tests {
 
     #[test]
     fn positionals_only_where_declared() {
-        let no_pos = CliSpec::standard("fig", "about");
+        let no_pos = CliSpec {
+            bin: "fig",
+            about: "about",
+            extras: &[],
+            positional: None,
+        };
         let err = no_pos.parse(["stray".to_owned()]).map(|_| ()).unwrap_err();
         assert!(err.contains("takes no positional arguments"), "{err}");
     }
@@ -632,6 +589,23 @@ mod tests {
         assert_eq!(
             parse_non_negative("--max-regression", Some("-0.1")).unwrap_err(),
             "--max-regression needs a non-negative number"
+        );
+        assert_eq!(parse_non_negative_int::<u64>("--seed", Some("42")), Ok(42));
+        for bad in [
+            None,
+            Some("0.5"),
+            Some("-1"),
+            Some("1e30"),
+            Some("18446744073709551616"),
+        ] {
+            assert_eq!(
+                parse_non_negative_int::<u64>("--seed", bad).unwrap_err(),
+                "--seed needs a non-negative integer"
+            );
+        }
+        assert_eq!(
+            parse_non_negative_int::<u32>("--quantum", Some("4294967296")).unwrap_err(),
+            "--quantum needs a non-negative integer"
         );
         assert_eq!(
             require_value("--baseline", "file path", None).unwrap_err(),

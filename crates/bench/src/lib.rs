@@ -1,9 +1,9 @@
 //! The typed, parallel experiment engine: one builder per table/figure of
 //! the paper, all producing [`ResultTable`]s.
 //!
-//! Every builder shares one implementation across the per-figure binaries
-//! (`cargo run -p smart-bench --bin fig18_single_speedup`), the
-//! `all_experiments` runner, and the tests. Builders take an
+//! Every builder shares one implementation across the `all_experiments`
+//! runner (`cargo run -p smart-bench --bin all_experiments -- fig18` runs
+//! one figure), the benchmarks, and the tests. Builders take an
 //! [`ExperimentContext`] — a shared memoized [`EvalCache`] plus a worker
 //! count — so repeated evaluation points (the TPU/SuperNPU baselines
 //! behind every normalized figure) are computed once, and independent
@@ -22,7 +22,7 @@
 //!
 //! Experiments are catalogued in the typed [`registry`]
 //! ([`registry::ExperimentDescriptor`]: name, paper figure, group tag,
-//! runner), and every binary under `src/bin/` parses its command line
+//! runner), and every driver under `src/bin/` parses its command line
 //! through the shared [`cli`] module, so `--list`, `--filter`, and the
 //! flag error messages are identical everywhere.
 
@@ -56,29 +56,6 @@ use smart_trace::wall::WallProfile;
 use smart_trace::Tracer;
 use std::path::Path;
 use std::sync::Arc;
-
-/// How many entries a [`ExperimentContext::load_caches`] call found in
-/// each persisted store (all zeros when the directory is empty, missing,
-/// or holds corrupted/version-mismatched files — the run starts cold).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheLoadSummary {
-    /// Warm analytic-evaluation reports.
-    pub eval: usize,
-    /// Warm circuit characterizations.
-    pub circuits: usize,
-    /// Warm cycle-level replay reports.
-    pub timing: usize,
-    /// Warm-start ILP bases.
-    pub bases: usize,
-}
-
-impl CacheLoadSummary {
-    /// Total warm entries across all stores.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.eval + self.circuits + self.timing + self.bases
-    }
-}
 
 /// Shared state of one experiment run: the memoized evaluation,
 /// circuit-characterization, and timing-replay caches, and the
@@ -129,7 +106,7 @@ impl ExperimentContext {
     }
 
     /// A fully sequential context: deterministic single-thread execution
-    /// for debugging and tests. (The per-figure binaries use
+    /// for debugging and tests. (The drivers default to
     /// [`ExperimentContext::default`], i.e. available parallelism.)
     #[must_use]
     pub fn single_threaded() -> Self {
@@ -213,29 +190,30 @@ impl ExperimentContext {
     /// independently: a missing, truncated, corrupted, or
     /// version-mismatched file loads zero entries and never fails the run.
     /// Warm entries are bit-exact — a warm run's output is byte-identical
-    /// to the cold run that wrote the stores.
-    pub fn load_caches(&self, dir: &Path) -> CacheLoadSummary {
-        let warm = CacheLoadSummary {
-            eval: smart_core::cache::load(&self.cache, dir),
-            circuits: smart_josim::cache::load(&self.circuits, dir),
-            timing: smart_timing::persist::load(&self.timing, dir),
-            bases: self.timing.solver().load_from(dir),
-        };
-        self.metrics.set_gauge("warm.eval", warm.eval as u64);
-        self.metrics
-            .set_gauge("warm.circuits", warm.circuits as u64);
-        self.metrics.set_gauge("warm.timing", warm.timing as u64);
-        self.metrics.set_gauge("warm.bases", warm.bases as u64);
-        warm
+    /// to the cold run that wrote the stores. The entries loaded per store
+    /// are recorded as the `warm.eval`, `warm.circuits`, `warm.timing` and
+    /// `warm.bases` gauges of [`ExperimentContext::metrics_snapshot`].
+    pub fn load_caches(&self, dir: &Path) {
+        let gauge = |name: &str, loaded: usize| self.metrics.set_gauge(name, loaded as u64);
+        gauge("warm.eval", smart_core::cache::load(&self.cache, dir));
+        gauge(
+            "warm.circuits",
+            smart_josim::cache::load(&self.circuits, dir),
+        );
+        gauge(
+            "warm.timing",
+            smart_timing::persist::load(&self.timing, dir),
+        );
+        gauge("warm.bases", self.timing.solver().load_from(dir));
     }
 
     /// [`ExperimentContext::load_caches`] plus the canonical stderr
-    /// summary line every binary prints for `--cache-dir` (one
+    /// summary line every driver prints for `--cache-dir` (one
     /// implementation, so the wording cannot drift). The printed counts
     /// come back out of the metrics registry the load just recorded, so
     /// this line and the `--metrics` dump cannot disagree.
-    pub fn load_caches_verbose(&self, dir: &Path) -> CacheLoadSummary {
-        let warm = self.load_caches(dir);
+    pub fn load_caches_verbose(&self, dir: &Path) {
+        self.load_caches(dir);
         let snap = self.metrics.snapshot();
         let of = |name: &str| snap.gauge(name).unwrap_or(0);
         eprintln!(
@@ -246,7 +224,6 @@ impl ExperimentContext {
             of("warm.timing"),
             of("warm.bases")
         );
-        warm
     }
 
     /// [`ExperimentContext::save_caches`] with the canonical stderr
@@ -282,26 +259,6 @@ impl Default for ExperimentContext {
     fn default() -> Self {
         Self::new(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
     }
-}
-
-/// Runs one builder with the persistent stores of `cache_dir` (when
-/// given): load before (with the canonical stderr summary), save after.
-/// The shared body of the per-figure binaries; save failures warn on
-/// stderr rather than discarding the table.
-#[must_use]
-pub fn run_cached(
-    build: Experiment,
-    ctx: &ExperimentContext,
-    cache_dir: Option<&Path>,
-) -> ResultTable {
-    if let Some(dir) = cache_dir {
-        ctx.load_caches_verbose(dir);
-    }
-    let table = build(ctx);
-    if let Some(dir) = cache_dir {
-        ctx.save_caches_or_warn(dir);
-    }
-    table
 }
 
 /// A figure/table builder: takes the shared context, returns the typed
@@ -375,7 +332,7 @@ mod tests {
     #[test]
     fn dispatch_runs_cheap_experiments() {
         // Smoke the dispatch path on the cheap entries; the expensive
-        // sweeps are exercised by the per-figure binaries and CI's
+        // sweeps are exercised by the golden snapshot test and CI's
         // all_experiments run.
         let ctx = ExperimentContext::single_threaded();
         for name in ["table2", "table4", "fig16", "ablation_lane_length"] {

@@ -8,8 +8,9 @@
 //! annotated catalogue and `--filter` can select whole families
 //! (`--filter timing`, `--filter serving_`) instead of spelling out
 //! names. [`crate::run_experiment`], [`crate::experiment_names`],
-//! [`crate::all_experiments`], and every binary under `src/bin/` resolve
-//! through this table, so a new entry cannot drift between them.
+//! [`crate::all_experiments`], and the `all_experiments` driver (which
+//! runs any subset by name) resolve through this table, so a new entry
+//! cannot drift between them.
 
 use crate::Experiment;
 

@@ -1,12 +1,16 @@
-//! Round-trip of the shared CLI across every binary in the crate: each
-//! one must accept the standard flag set and print the canonical error
-//! strings, so no binary can drift from `smart_bench::cli`.
+//! Round-trip of the shared CLI across the crate's drivers: each one
+//! must accept the standard flag set and print the canonical error
+//! strings, so no driver can drift from `smart_bench::cli`. Every
+//! registry experiment is also selected by name through
+//! `all_experiments`, the one way to run a single experiment.
 //!
-//! Only parse-path invocations are exercised (`--help`, `--list`, bad
-//! flags) — nothing here runs an experiment, so the whole suite is a few
-//! hundred process spawns.
+//! Most invocations stay on the parse path (`--help`, `--list`, bad
+//! flags); only the by-name snapshot check runs experiments, and only
+//! cheap ones.
 
 use std::process::{Command, Output};
+
+const ALL_EXPERIMENTS: &str = env!("CARGO_BIN_EXE_all_experiments");
 
 fn run(exe: &str, args: &[&str]) -> Output {
     Command::new(exe)
@@ -15,9 +19,10 @@ fn run(exe: &str, args: &[&str]) -> Output {
         .unwrap_or_else(|e| panic!("cannot spawn {exe}: {e}"))
 }
 
-/// `--help` exits 0 and documents the standard flags.
-fn check_help(bin: &str, exe: &str) {
-    let out = run(exe, &["--help"]);
+/// `--help` exits 0 and documents the standard flags; `names` are
+/// positional experiment names placed before it.
+fn check_help(bin: &str, exe: &str, names: &[&str]) {
+    let out = run(exe, &[names, &["--help"]].concat());
     assert!(out.status.success(), "{bin} --help failed: {out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
     for flag in [
@@ -33,20 +38,17 @@ fn check_help(bin: &str, exe: &str) {
     }
 }
 
-/// A bad `--jobs` exits 2 with the one canonical message.
-fn check_bad_jobs(bin: &str, exe: &str) {
-    let out = run(exe, &["--jobs", "0"]);
+/// A bad `--jobs` exits 2 with the one canonical message, and an
+/// unknown flag exits 2 and lists the accepted flags.
+fn check_bad_flags(bin: &str, exe: &str, names: &[&str]) {
+    let out = run(exe, &[names, &["--jobs", "0"]].concat());
     assert_eq!(out.status.code(), Some(2), "{bin} --jobs 0: {out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
         err.starts_with("--jobs needs a positive integer"),
         "{bin}: {err}"
     );
-}
-
-/// An unknown flag exits 2 and lists the accepted flags.
-fn check_unknown_flag(bin: &str, exe: &str) {
-    let out = run(exe, &["--definitely-bogus"]);
+    let out = run(exe, &[names, &["--definitely-bogus"]].concat());
     assert_eq!(out.status.code(), Some(2), "{bin} bogus flag: {out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -56,13 +58,25 @@ fn check_unknown_flag(bin: &str, exe: &str) {
     assert!(err.contains("--jobs N"), "{bin}: {err}");
 }
 
-/// `--list` exits 0 without running anything; a filter that matches
-/// nothing lists (and would run) nothing.
-fn check_list(bin: &str, exe: &str) {
-    let out = run(exe, &["--list"]);
+/// `--list` exits 0 without running anything; given `names`, it lists
+/// exactly those experiments. A filter that matches nothing lists (and
+/// would run) nothing.
+fn check_list(bin: &str, exe: &str, names: &[&str]) {
+    let out = run(exe, &[&["--list"], names].concat());
     assert!(out.status.success(), "{bin} --list failed: {out:?}");
-    assert!(!out.stdout.is_empty(), "{bin} --list printed nothing");
-    let none = run(exe, &["--list", "--filter", "zzz_no_such_tag"]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(!text.is_empty(), "{bin} --list printed nothing");
+    if !names.is_empty() {
+        let listed: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(listed, names, "{bin} --list {names:?}: {text}");
+    }
+    let none = run(
+        exe,
+        &[&["--list", "--filter", "zzz_no_such_tag"], names].concat(),
+    );
     assert!(none.status.success(), "{bin} filtered --list: {none:?}");
     assert!(
         none.stdout.is_empty(),
@@ -71,26 +85,30 @@ fn check_list(bin: &str, exe: &str) {
     );
 }
 
+/// Three parse-path tests per module: one module per driver, and one per
+/// registry experiment (named after its builder function) run as
+/// `all_experiments NAME`, the one way to run a single experiment, whose
+/// `--list NAME` must list exactly that experiment.
 macro_rules! cli_round_trip {
-    ($($bin:ident),* $(,)?) => {
+    ($($module:ident: $exe:ident $(($name:literal))?),* $(,)?) => {
         $(
-            mod $bin {
-                const EXE: &str = env!(concat!("CARGO_BIN_EXE_", stringify!($bin)));
+            mod $module {
+                const EXE: &str = env!(concat!("CARGO_BIN_EXE_", stringify!($exe)));
+                const NAMES: &[&str] = &[$($name)?];
 
                 #[test]
                 fn help_documents_the_standard_flags() {
-                    super::check_help(stringify!($bin), EXE);
+                    super::check_help(stringify!($module), EXE, NAMES);
                 }
 
                 #[test]
                 fn bad_jobs_and_unknown_flags_exit_2() {
-                    super::check_bad_jobs(stringify!($bin), EXE);
-                    super::check_unknown_flag(stringify!($bin), EXE);
+                    super::check_bad_flags(stringify!($module), EXE, NAMES);
                 }
 
                 #[test]
                 fn list_runs_nothing() {
-                    super::check_list(stringify!($bin), EXE);
+                    super::check_list(stringify!($module), EXE, NAMES);
                 }
             }
         )*
@@ -98,45 +116,97 @@ macro_rules! cli_round_trip {
 }
 
 cli_round_trip![
-    ablation_ilp_vs_greedy,
-    ablation_lane_length,
-    all_experiments,
-    fig02_wires,
-    fig05_homogeneous,
-    fig06_trace,
-    fig07_hetero,
-    fig09_htree_breakdown,
-    fig12_subbank_validation,
-    fig13_josim_validation,
-    fig14_design_space,
-    fig16_access_energy,
-    fig17_area,
-    fig18_single_speedup,
-    fig19_batch_speedup,
-    fig20_single_energy,
-    fig21_batch_energy,
-    fig22_shift_capacity,
-    fig23_random_capacity,
-    fig24_prefetch,
-    fig25_write_latency,
-    josim_fanout_characterization,
-    josim_jtl_characterization,
-    josim_ptl_characterization,
-    pareto_search,
-    search_frontier,
-    search_frontier_gap,
-    search_warm_vs_cold,
-    serving_batch_tail,
-    serving_saturation,
-    serving_sim,
-    serving_tenant_mix,
-    table1_memories,
-    table2_components,
-    table4_configs,
-    timing_buffer_depth,
-    timing_random_bandwidth,
-    timing_stall_breakdown,
+    all_experiments: all_experiments,
+    pareto_search: pareto_search,
+    serving_sim: serving_sim,
+    ablation_ilp_vs_greedy: all_experiments("ablation_ilp_vs_greedy"),
+    ablation_lane_length: all_experiments("ablation_lane_length"),
+    fig02_wires: all_experiments("fig02"),
+    fig05_homogeneous: all_experiments("fig05"),
+    fig06_trace: all_experiments("fig06"),
+    fig07_hetero: all_experiments("fig07"),
+    fig09_htree_breakdown: all_experiments("fig09"),
+    fig12_subbank_validation: all_experiments("fig12"),
+    fig13_josim_validation: all_experiments("fig13"),
+    fig14_design_space: all_experiments("fig14"),
+    fig16_access_energy: all_experiments("fig16"),
+    fig17_area: all_experiments("fig17"),
+    fig18_single_speedup: all_experiments("fig18"),
+    fig19_batch_speedup: all_experiments("fig19"),
+    fig20_single_energy: all_experiments("fig20"),
+    fig21_batch_energy: all_experiments("fig21"),
+    fig22_shift_capacity: all_experiments("fig22"),
+    fig23_random_capacity: all_experiments("fig23"),
+    fig24_prefetch: all_experiments("fig24"),
+    fig25_write_latency: all_experiments("fig25"),
+    josim_fanout_characterization: all_experiments("josim_fanout"),
+    josim_jtl_characterization: all_experiments("josim_jtl"),
+    josim_ptl_characterization: all_experiments("josim_ptl"),
+    search_frontier: all_experiments("search_frontier"),
+    search_frontier_gap: all_experiments("search_frontier_gap"),
+    search_warm_vs_cold: all_experiments("search_warm_vs_cold"),
+    serving_batch_tail: all_experiments("serving_batch_tail"),
+    serving_saturation: all_experiments("serving_saturation"),
+    serving_tenant_mix: all_experiments("serving_tenant_mix"),
+    table1_memories: all_experiments("table1"),
+    table2_components: all_experiments("table2"),
+    table4_configs: all_experiments("table4"),
+    timing_buffer_depth: all_experiments("timing_buffer_depth"),
+    timing_random_bandwidth: all_experiments("timing_random_bandwidth"),
+    timing_stall_breakdown: all_experiments("timing_stall_breakdown"),
 ];
+
+/// `all_experiments NAME...` prints exactly those sections of the golden
+/// snapshot, in the order asked for, and an unknown name exits 1. (Each
+/// module above checks that `--list NAME` lists only that experiment.)
+#[test]
+fn selecting_experiments_by_name_reproduces_the_snapshot() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/snapshots/all_experiments.txt"
+    );
+    let snapshot = std::fs::read_to_string(path).expect("committed snapshot");
+    let section = |name: &str| {
+        let start = snapshot
+            .find(&format!("==== {name} ====\n"))
+            .unwrap_or_else(|| panic!("no `{name}` section in the snapshot"));
+        let end = snapshot[start..]
+            .find("\n==== ")
+            .map_or(snapshot.len(), |i| start + i + 1);
+        snapshot[start..end].to_owned()
+    };
+
+    let names = ["table2", "fig16", "table4"];
+    let out = run(ALL_EXPERIMENTS, &[&["--jobs", "1"], &names[..]].concat());
+    assert!(out.status.success(), "{out:?}");
+    let expected: String = names.iter().map(|n| section(n)).collect();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+
+    let unknown = run(ALL_EXPERIMENTS, &["fig1"]);
+    assert_eq!(unknown.status.code(), Some(1), "{unknown:?}");
+    assert!(unknown.stdout.is_empty(), "{unknown:?}");
+}
+
+/// `serving_sim`'s integer knobs reject a fraction or an exponent with
+/// the canonical message instead of truncating it: `--slo-factor 0.5`
+/// truncated to 0 would silently switch the SLO off.
+#[test]
+fn serving_sim_integer_flags_are_not_truncated() {
+    let exe = env!("CARGO_BIN_EXE_serving_sim");
+    for (flag, value) in [
+        ("--slo-factor", "0.5"),
+        ("--quantum", "2.9"),
+        ("--seed", "1e30"),
+    ] {
+        let out = run(exe, &[flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with(&format!("{flag} needs a non-negative integer")),
+            "{flag} {value}: {err}"
+        );
+    }
+}
 
 /// A reader that closes the pipe after one line (`all_experiments |
 /// head -1`) ends the run quietly with status 0, for the listing and the
@@ -148,7 +218,7 @@ fn closed_stdout_ends_the_run_quietly() {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;
 
-    let exe = env!("CARGO_BIN_EXE_all_experiments");
+    let exe = ALL_EXPERIMENTS;
     for (mode, repeats) in [(Some("--list"), 4000), (None, 1000)] {
         let mut child = Command::new(exe)
             .args(["--jobs", "1"])
@@ -177,13 +247,12 @@ mod bench_check {
 
     #[test]
     fn help_documents_the_standard_flags() {
-        super::check_help("bench_check", EXE);
+        super::check_help("bench_check", EXE, &[]);
     }
 
     #[test]
     fn bad_jobs_and_unknown_flags_exit_2() {
-        super::check_bad_jobs("bench_check", EXE);
-        super::check_unknown_flag("bench_check", EXE);
+        super::check_bad_flags("bench_check", EXE, &[]);
     }
 
     #[test]

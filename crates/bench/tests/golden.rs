@@ -119,8 +119,8 @@ fn parallel_and_sequential_runs_agree() {
 }
 
 /// Every experiment's table is finite and renderable in all three
-/// formats. (The expensive sweeps run in CI's `all_experiments --check`
-/// job; this covers the cheap majority.)
+/// formats. (The expensive sweeps run under `all_experiments --check` in
+/// CI's `golden-snapshot` job; this covers the cheap majority.)
 #[test]
 fn tables_are_finite_and_render() {
     let ctx = ctx();
@@ -225,7 +225,14 @@ fn search_cache_roundtrip_is_byte_identical() {
     let cold_text = smart_bench::frontier_table("golden", "golden", &cold).to_string();
 
     let warm_ctx = ctx();
-    assert!(warm_ctx.load_caches(&dir).total() > 0, "stores must load");
+    warm_ctx.load_caches(&dir);
+    let loaded = warm_ctx.metrics_snapshot();
+    for store in ["warm.eval", "warm.timing"] {
+        assert!(
+            loaded.gauge(store).unwrap_or(0) > 0,
+            "{store}: stores must load"
+        );
+    }
     let warm = search(
         &space,
         &SearchConfig::new(2),

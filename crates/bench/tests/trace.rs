@@ -13,7 +13,12 @@ use smart_trace::{chrome, Tracer};
 
 /// A traced single-threaded context, the way `--trace-out` builds one.
 fn traced_context() -> ExperimentContext {
-    let spec = CliSpec::standard("trace_test", "traced run");
+    let spec = CliSpec {
+        bin: "trace_test",
+        about: "traced run",
+        extras: &[],
+        positional: None,
+    };
     let argv = ["--jobs", "1", "--trace-out", "unused.json"];
     match spec.parse(argv.iter().map(|s| (*s).to_owned())) {
         Ok(Parsed::Run(args)) => {

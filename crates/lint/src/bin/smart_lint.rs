@@ -11,8 +11,7 @@
 //!
 //! Exits `0` when every rule passes (or every finding is justified with
 //! a written `lint:allow`), `1` when findings remain, `2` on usage
-//! errors — the same contract as the other `smart-bench`-style
-//! binaries.
+//! errors — the same contract as the `smart-bench` drivers.
 
 use smart_bench::cli::{CliSpec, ExtraFlag, Format};
 use smart_lint::{lint_workspace, Finding, RULES};
@@ -50,7 +49,7 @@ const RULE_HELP: &[(&str, &str)] = &[
     ),
     (
         "registry",
-        "bins, snapshot sections, README catalogue match the registry",
+        "snapshot sections and README catalogue match the registry",
     ),
     (
         "allow",

@@ -13,8 +13,8 @@
 //! * **panic-freedom** ([`rules::panic_freedom`]) — no unjustified
 //!   `unwrap`/`expect`/`panic!` family calls or unchecked indexing in
 //!   non-test library code;
-//! * **registry coherence** ([`rules::registry`]) — binaries, golden
-//!   snapshot sections, and the README catalogue all agree with the
+//! * **registry coherence** ([`rules::registry`]) — the golden snapshot
+//!   sections and the README catalogue both agree with the
 //!   `ExperimentDescriptor` table.
 //!
 //! Findings are suppressed only by a written justification
@@ -91,19 +91,17 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         }
     }
 
-    // Registry coherence across binaries, snapshot, and README.
+    // Registry coherence across snapshot and README.
     let registry = registry_entries();
-    let bins = workspace::bin_stems(root)?;
     let snapshot = fs::read_to_string(root.join(SNAPSHOT_PATH))?;
     let sections = workspace::snapshot_sections(&snapshot);
     let catalogue = workspace::parse_catalogue(&readme);
     let paths = Paths {
-        bin_dir: "crates/bench/src/bin".to_owned(),
         snapshot: SNAPSHOT_PATH.to_owned(),
         readme: "README.md".to_owned(),
     };
     findings.extend(rules::registry::check(
-        &registry, &bins, &sections, &catalogue, &paths,
+        &registry, &sections, &catalogue, &paths,
     ));
 
     findings.sort();

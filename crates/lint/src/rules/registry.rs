@@ -1,15 +1,11 @@
 //! Rule `registry`: every view of the experiment catalogue agrees.
 //!
 //! The `ExperimentDescriptor` table in `smart-bench` is the single
-//! source of truth, but three other artifacts mirror it and can drift
-//! silently: the per-figure binaries under `crates/bench/src/bin/`, the
-//! `==== name ====` section headers of the golden snapshot, and the
-//! README's experiment catalogue. This rule cross-checks all three:
+//! source of truth, but two other artifacts mirror it and can drift
+//! silently: the `==== name ====` section headers of the golden
+//! snapshot, and the README's experiment catalogue. This rule
+//! cross-checks both:
 //!
-//! * every non-driver binary resolves to exactly one descriptor (stem
-//!   equals the name, or extends it with `_…`; the longest matching
-//!   name wins so `fig18_sweep` cannot accidentally claim `fig1`), and
-//!   every descriptor has at least one binary;
 //! * the snapshot sections are exactly the registry names, in registry
 //!   order (the snapshot is regenerated in that order, so any deviation
 //!   means a stale or hand-edited golden file);
@@ -17,15 +13,6 @@
 //!   with matching group tags and figure labels.
 
 use crate::rules::Finding;
-
-/// Front-end driver binaries that intentionally have no descriptor of
-/// their own (they iterate or wrap the registry instead).
-pub const DRIVER_BINS: &[&str] = &[
-    "all_experiments",
-    "bench_check",
-    "pareto_search",
-    "serving_sim",
-];
 
 /// One registry descriptor, as seen by the lint (name, tag, figure).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,68 +41,21 @@ pub struct CatalogueEntry {
 /// The non-registry artifact paths, for findings.
 #[derive(Debug, Clone)]
 pub struct Paths {
-    /// Directory holding the experiment binaries.
-    pub bin_dir: String,
     /// The golden snapshot file.
     pub snapshot: String,
     /// The README.
     pub readme: String,
 }
 
-/// The descriptor a binary stem resolves to: the *longest* registry
-/// name the stem equals or extends with `_…`.
-#[must_use]
-pub fn bin_owner<'a>(stem: &str, registry: &'a [RegistryEntry]) -> Option<&'a RegistryEntry> {
-    registry
-        .iter()
-        .filter(|e| {
-            stem == e.name
-                || stem
-                    .strip_prefix(e.name.as_str())
-                    .is_some_and(|r| r.starts_with('_'))
-        })
-        .max_by_key(|e| e.name.len())
-}
-
-/// Runs the registry rule over the four catalogue views.
+/// Runs the registry rule over the three catalogue views.
 #[must_use]
 pub fn check(
     registry: &[RegistryEntry],
-    bins: &[String],
     snapshot_sections: &[String],
     catalogue: &[CatalogueEntry],
     paths: &Paths,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-
-    // Binaries <-> descriptors.
-    let mut owned: Vec<&str> = Vec::new();
-    for stem in bins {
-        if DRIVER_BINS.contains(&stem.as_str()) {
-            continue;
-        }
-        match bin_owner(stem, registry) {
-            Some(e) => owned.push(e.name.as_str()),
-            None => findings.push(Finding {
-                file: format!("{}/{stem}.rs", paths.bin_dir),
-                line: 0,
-                rule: "registry",
-                message: format!(
-                    "binary `{stem}` matches no ExperimentDescriptor (and is not a known driver)"
-                ),
-            }),
-        }
-    }
-    for e in registry {
-        if !owned.contains(&e.name.as_str()) {
-            findings.push(Finding {
-                file: paths.bin_dir.clone(),
-                line: 0,
-                rule: "registry",
-                message: format!("experiment `{}` has no binary under src/bin/", e.name),
-            });
-        }
-    }
 
     // Snapshot sections: exactly the registry names, in order.
     let names: Vec<&str> = registry.iter().map(|e| e.name.as_str()).collect();
@@ -222,26 +162,15 @@ mod tests {
 
     fn paths() -> Paths {
         Paths {
-            bin_dir: "crates/bench/src/bin".to_owned(),
             snapshot: "crates/bench/tests/snapshots/all_experiments.txt".to_owned(),
             readme: "README.md".to_owned(),
         }
     }
 
-    fn world() -> (
-        Vec<RegistryEntry>,
-        Vec<String>,
-        Vec<String>,
-        Vec<CatalogueEntry>,
-    ) {
+    fn world() -> (Vec<RegistryEntry>, Vec<String>, Vec<CatalogueEntry>) {
         let registry = vec![
             entry("fig18", "paper", "Figure 18"),
             entry("timing_stall_breakdown", "timing", "-"),
-        ];
-        let bins = vec![
-            "all_experiments".to_owned(),
-            "fig18".to_owned(),
-            "timing_stall_breakdown".to_owned(),
         ];
         let sections = vec!["fig18".to_owned(), "timing_stall_breakdown".to_owned()];
         let catalogue = registry
@@ -254,58 +183,21 @@ mod tests {
                 line: 100 + u32::try_from(i).unwrap_or(0),
             })
             .collect();
-        (registry, bins, sections, catalogue)
+        (registry, sections, catalogue)
     }
 
     #[test]
     fn a_coherent_catalogue_is_clean() {
-        let (registry, bins, sections, catalogue) = world();
-        let f = check(&registry, &bins, &sections, &catalogue, &paths());
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn longest_name_wins_bin_matching() {
-        let registry = vec![
-            entry("fig1", "paper", "Figure 1"),
-            entry("fig18", "paper", "Figure 18"),
-        ];
-        let owner = bin_owner("fig18_sweep", &registry);
-        assert_eq!(owner.map(|e| e.name.as_str()), Some("fig18"));
-        // `fig18x` extends neither name (no underscore separator).
-        assert!(bin_owner("fig18x", &registry).is_none());
-    }
-
-    #[test]
-    fn stray_bins_and_missing_bins_are_flagged() {
-        let (registry, mut bins, sections, catalogue) = world();
-        bins.push("fig99".to_owned()); // stray
-        bins.retain(|b| b != "fig18"); // fig18 loses its binary
-        let f = check(&registry, &bins, &sections, &catalogue, &paths());
-        assert!(
-            f.iter()
-                .any(|x| x.message.contains("matches no ExperimentDescriptor")),
-            "{f:?}"
-        );
-        assert!(
-            f.iter().any(|x| x.message.contains("has no binary")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn driver_bins_are_exempt() {
-        let (registry, mut bins, sections, catalogue) = world();
-        bins.extend(DRIVER_BINS.iter().map(|b| (*b).to_owned()));
-        let f = check(&registry, &bins, &sections, &catalogue, &paths());
+        let (registry, sections, catalogue) = world();
+        let f = check(&registry, &sections, &catalogue, &paths());
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn snapshot_drift_is_flagged() {
-        let (registry, bins, mut sections, catalogue) = world();
+        let (registry, mut sections, catalogue) = world();
         sections.swap(0, 1);
-        let f = check(&registry, &bins, &sections, &catalogue, &paths());
+        let f = check(&registry, &sections, &catalogue, &paths());
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(
             f[0].message.contains("out of registry order"),
@@ -313,9 +205,9 @@ mod tests {
             f[0].message
         );
 
-        let (registry, bins, mut sections, catalogue) = world();
+        let (registry, mut sections, catalogue) = world();
         sections.pop();
-        let f = check(&registry, &bins, &sections, &catalogue, &paths());
+        let f = check(&registry, &sections, &catalogue, &paths());
         assert!(
             f.iter()
                 .any(|x| x.message.contains("missing snapshot section")),
@@ -325,10 +217,10 @@ mod tests {
 
     #[test]
     fn catalogue_field_drift_is_flagged() {
-        let (registry, bins, sections, mut catalogue) = world();
+        let (registry, sections, mut catalogue) = world();
         catalogue[0].tag = "circuit".to_owned();
         catalogue[1].figure = "Figure 7".to_owned();
-        let f = check(&registry, &bins, &sections, &catalogue, &paths());
+        let f = check(&registry, &sections, &catalogue, &paths());
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f[0].message.contains("tags"), "{}", f[0].message);
         assert!(f[1].message.contains("labels"), "{}", f[1].message);

@@ -150,20 +150,6 @@ fn walk_src(dir: &Path, rel: &str, out: &mut Vec<SourceFile>) -> io::Result<()> 
     Ok(())
 }
 
-/// The binary stems under `crates/bench/src/bin/`, sorted.
-pub fn bin_stems(root: &Path) -> io::Result<Vec<String>> {
-    let dir = root.join("crates/bench/src/bin");
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name().to_string_lossy().into_owned();
-        if let Some(stem) = name.strip_suffix(".rs") {
-            out.push(stem.to_owned());
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
 fn sorted_dirs(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out: Vec<PathBuf> = fs::read_dir(dir)?
         .collect::<io::Result<Vec<_>>>()?

@@ -4,8 +4,8 @@
 //! `workspace_is_lint_clean` is the same check CI runs via
 //! `smart_lint --check`, so plain `cargo test` already fails on
 //! layering, determinism, panic-freedom, or registry drift — including
-//! a new experiment added to the registry without a binary, snapshot
-//! section, or README catalogue row.
+//! a new experiment added to the registry without a snapshot section or
+//! README catalogue row.
 
 use smart_lint::rules::registry::{self, Paths};
 use smart_lint::{lint_workspace, registry_entries, workspace};
@@ -31,24 +31,22 @@ fn workspace_is_lint_clean() {
 }
 
 #[test]
-fn the_registry_rule_would_catch_a_stray_binary() {
+fn the_registry_rule_would_catch_a_missing_catalogue_row() {
     let registry = registry_entries();
-    let mut bins = workspace::bin_stems(root()).expect("bin dir");
-    bins.push("fig99_not_in_registry".to_owned());
     let snapshot =
         std::fs::read_to_string(root().join(smart_lint::SNAPSHOT_PATH)).expect("snapshot");
     let sections = workspace::snapshot_sections(&snapshot);
     let readme = std::fs::read_to_string(root().join("README.md")).expect("README");
-    let catalogue = workspace::parse_catalogue(&readme);
+    let mut catalogue = workspace::parse_catalogue(&readme);
+    catalogue.retain(|row| row.name != "fig18");
     let paths = Paths {
-        bin_dir: "crates/bench/src/bin".to_owned(),
         snapshot: smart_lint::SNAPSHOT_PATH.to_owned(),
         readme: "README.md".to_owned(),
     };
-    let findings = registry::check(&registry, &bins, &sections, &catalogue, &paths);
+    let findings = registry::check(&registry, &sections, &catalogue, &paths);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert!(
-        findings[0].message.contains("fig99_not_in_registry"),
+        findings[0].message.contains("`fig18`"),
         "{}",
         findings[0].message
     );

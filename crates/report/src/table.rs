@@ -4,7 +4,7 @@
 //! The text renderer reproduces the fixed-width layout of the paper's
 //! figures (per-column width and alignment, a configurable column
 //! separator, an optional header row, `key = value` summary lines, and
-//! free-text notes), so the per-figure binaries keep printing the familiar
+//! free-text notes), so `all_experiments` keeps printing the familiar
 //! reports while tests and scripts consume the typed cells.
 
 use smart_units::{Area, Energy, Frequency, Length, Power, Time};
