@@ -30,10 +30,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use smart_bench::{ablation_ilp_vs_greedy, run_experiments, ExperimentContext};
 use smart_compiler::formulation::{compile_layer_ctx, FormulationParams};
+use smart_compiler::SolverContext;
 use smart_core::cache::EvalCache;
 use smart_core::scheme::Scheme;
-use smart_core::sensitivity::allocation_capacity_sweep;
-use smart_core::SolverContext;
 use smart_josim::cells::{CellCircuit, CellSpec};
 use smart_report::parallel_map;
 use smart_sfq::cells::{JtlChainSpec, PtlLinkSpec};
@@ -65,14 +64,32 @@ fn bench_ilp_compile_layer(c: &mut Criterion) {
     });
 }
 
-/// The compiler-side capacity sweep through one shared `SolverContext`:
-/// after the first point, every root relaxation warm-starts from a stored
-/// basis (rhs-only changes).
+/// The compiler-side SHIFT-capacity sweep through one shared
+/// `SolverContext`: every AlexNet layer compiled at 16, 32 and 64 KB.
+/// After the first point, every root relaxation warm-starts from a stored
+/// basis (rhs-only changes). Each iteration builds the model and its DAGs
+/// and then compiles, all on a fresh context.
 fn bench_ilp_warm_sweep(c: &mut Criterion) {
     c.bench_function("ilp_allocation_sweep_warm_3pts", |b| {
         b.iter(|| {
             let solver = SolverContext::new();
-            allocation_capacity_sweep(black_box(&solver), ModelId::AlexNet, &[16, 32, 64], 1)
+            let dags: Vec<LayerDag> = ModelId::AlexNet
+                .build()
+                .layers
+                .iter()
+                .map(|layer| {
+                    LayerDag::build(&LayerMapping::map(layer, ArrayShape::new(64, 256), 1), 6)
+                })
+                .collect();
+            [16u64, 32, 64].map(|kb| {
+                let params = FormulationParams {
+                    shift_capacity: kb * 1024,
+                    ..FormulationParams::smart_default()
+                };
+                dags.iter()
+                    .map(|dag| compile_layer_ctx(dag, &params, black_box(&solver)).objective)
+                    .sum::<f64>()
+            })
         })
     });
 }
@@ -256,12 +273,13 @@ fn bench_timing_replay_traced_off(c: &mut Criterion) {
 ///
 /// * `per_point_16pt` — one full `simulate_scheme` (ILP compile + replay)
 ///   per point, the pre-PR-6 cost of a sweep;
-/// * `delta_16pt` — one `prepare_model` then 16 cheap finish passes
-///   (delta replay, what `TimingCache::sweep` does for its misses).
+/// * `delta_16pt` — one `prepare_model_ctx` on a fresh context, then 16
+///   cheap finish passes (delta replay, what `TimingCache::sweep` does for
+///   its misses).
 ///
 /// The acceptance target of the delta path is >= 5x over `per_point`.
 fn bench_timing_sweep(c: &mut Criterion) {
-    use smart_timing::{prepare_model, simulate_scheme, TimingConfig};
+    use smart_timing::{prepare_model_ctx, simulate_scheme, TimingConfig};
 
     let model = ModelId::AlexNet.build();
     let scheme = Scheme::smart();
@@ -280,7 +298,13 @@ fn bench_timing_sweep(c: &mut Criterion) {
     });
     g.bench_function("delta_16pt", |b| {
         b.iter(|| {
-            let prepass = prepare_model(&scheme, &model, nominal.max_iterations).expect("prepares");
+            let prepass = prepare_model_ctx(
+                &scheme,
+                &model,
+                nominal.max_iterations,
+                &SolverContext::new(),
+            )
+            .expect("prepares");
             for cfg in &cfgs {
                 black_box(prepass.replay(cfg));
             }

@@ -3,7 +3,8 @@
 //! transient engine, the ILP compiler, and the end-to-end evaluator.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use smart_compiler::formulation::{compile_layer, FormulationParams};
+use smart_compiler::formulation::{compile_layer_ctx, FormulationParams};
+use smart_compiler::SolverContext;
 use smart_core::eval::evaluate;
 use smart_core::scheme::Scheme;
 use smart_cryomem::subbank::{SubBankConfig, SubBankModel};
@@ -43,7 +44,7 @@ fn bench_ilp_compile(c: &mut Criterion) {
     let dag = LayerDag::build(&mapping, 6);
     let params = FormulationParams::smart_default();
     c.bench_function("compiler_ilp_layer_6iter", |b| {
-        b.iter(|| compile_layer(black_box(&dag), black_box(&params)))
+        b.iter(|| compile_layer_ctx(black_box(&dag), black_box(&params), &SolverContext::new()))
     });
 }
 

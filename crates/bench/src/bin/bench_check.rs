@@ -10,10 +10,13 @@
 //! * `--max-regression R` — fail when `current > baseline * (1 + R)`
 //!   (default 0.25);
 //! * `--filter PREFIX` — only gate benchmark ids starting with `PREFIX`
-//!   (the shared repeatable flag; default: every id present in both
-//!   files);
-//! * ids present in only one file are reported but never fail the gate
-//!   (new benchmarks need a baseline refresh, not a red build).
+//!   (the shared repeatable flag; default: every baseline id);
+//! * a gated baseline id missing from the current run fails the gate and
+//!   is named, so renaming or deleting a gated benchmark cannot silently
+//!   un-gate it (refresh the baseline in the same change);
+//! * ungated baseline-only ids and current-only ids are reported but never
+//!   fail the gate (new benchmarks need a baseline refresh, not a red
+//!   build).
 //!
 //! Baselines are machine-relative wall-clock means; refresh them with the
 //! command in the README's Performance section when the reference machine
@@ -140,9 +143,15 @@ fn main() -> ExitCode {
     let gated = |id: &str| filters.is_empty() || filters.iter().any(|f| id.starts_with(f.as_str()));
     let mut failed = false;
     let mut compared = 0usize;
+    let mut missing: Vec<&str> = Vec::new();
     for (id, base) in &baseline {
         let Some((_, cur)) = current.iter().find(|(cid, _)| cid == id) else {
-            eprintln!("~ {id}: in baseline only (refresh pending?)");
+            if gated(id) {
+                eprintln!("FAIL  {id}: gated benchmark missing from {current_path}");
+                missing.push(id);
+            } else {
+                eprintln!("~ {id}: in baseline only (refresh pending?)");
+            }
             continue;
         };
         let ratio = cur / base.max(1e-9);
@@ -197,6 +206,13 @@ fn main() -> ExitCode {
             eprintln!("ratio gate failed: {ratio:.3} > {max_ratio:.3}");
             return ExitCode::FAILURE;
         }
+    }
+    if !missing.is_empty() {
+        eprintln!(
+            "perf gate failed: gated benchmark(s) missing from {current_path}: {}",
+            missing.join(", ")
+        );
+        return ExitCode::FAILURE;
     }
     if compared == 0 && !ratio_requested {
         eprintln!("no benchmarks matched the gate filters {filters:?}");

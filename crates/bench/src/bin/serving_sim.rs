@@ -12,7 +12,7 @@ use smart_bench::cli::{
 use smart_core::scheme::Scheme;
 use smart_report::{ColumnSpec, ResultTable, Unit, Value};
 use smart_serving::{
-    simulate_traced, ArrivalModel, ServingConfig, Tenant, TenantProfile, Workload,
+    mix_capacity_rps, simulate_traced, ArrivalModel, ServingConfig, Tenant, TenantProfile, Workload,
 };
 use smart_systolic::models::ModelId;
 use smart_timing::TimingConfig;
@@ -203,15 +203,8 @@ fn main() -> ExitCode {
         })
         .collect();
 
-    // Mix capacity: harmonic mean of the tenants' stand-alone rates under
-    // their traffic shares (same definition as the serving experiments).
-    let total_w: f64 = tenants.iter().map(|t| t.weight.max(0.0)).sum();
-    let capacity_rps = 1.0
-        / profs
-            .iter()
-            .zip(&tenants)
-            .map(|(p, t)| (t.weight.max(0.0) / total_w) / p.standalone_rps())
-            .sum::<f64>();
+    // Same capacity definition as the serving experiments.
+    let capacity_rps = mix_capacity_rps(&profs, &tenants);
     let rate = match args.value_of("--rate") {
         Some(r) => unwrap(parse_non_negative("--rate", Some(r))),
         None => load * capacity_rps,
@@ -236,6 +229,18 @@ fn main() -> ExitCode {
     };
 
     let clock = profs[0].clock;
+    // Seconds convert to cycles with a saturating cast, so at a low enough
+    // rate the later arrivals all pile onto `u64::MAX`.
+    if workload
+        .trace(requests, clock)
+        .last()
+        .is_some_and(|r| r.arrival == u64::MAX)
+    {
+        fail(
+            "offered rate too low: arrivals overflow the simulator's 64-bit cycle clock; \
+             raise --load or --rate",
+        );
+    }
     let mut config = ServingConfig::fcfs()
         .with_batching(
             u32::try_from(batch).unwrap_or(u32::MAX),

@@ -21,7 +21,7 @@ use smart_cryomem::subbank::{chip_validation_data, SubBankConfig, SubBankModel};
 use smart_cryomem::tech::MemoryTechnology;
 use smart_josim::cells::CellSpec;
 use smart_josim::fixtures::validate_ptl_model;
-use smart_report::{ColumnSpec, ResultTable, Scenario, Unit, Value};
+use smart_report::{parallel_map, ColumnSpec, ResultTable, Unit, Value};
 use smart_search::{SearchConfig, SearchSpace};
 use smart_sfq::cells::{JtlChainSpec, PtlLinkSpec, SplitterFanoutSpec};
 use smart_sfq::components::{Component, ComponentKind};
@@ -155,17 +155,13 @@ pub fn fig05_homogeneous(ctx: &ExperimentContext) -> ResultTable {
         Value::num(1.0, 3),
         Value::num(1.0, 3),
     ]);
-    let scenario = Scenario::over(
-        "fig05",
-        &["spm-technology"],
-        vec![
-            RandomArrayKind::JosephsonCmosSram,
-            RandomArrayKind::SheMram,
-            RandomArrayKind::Snm,
-            RandomArrayKind::Vtm,
-        ],
-    );
-    for (name, latency, energy, area) in scenario.run(ctx.jobs, |&kind| {
+    let technologies = [
+        RandomArrayKind::JosephsonCmosSram,
+        RandomArrayKind::SheMram,
+        RandomArrayKind::Snm,
+        RandomArrayKind::Vtm,
+    ];
+    for (name, latency, energy, area) in parallel_map(ctx.jobs, &technologies, |&kind| {
         let scheme = Scheme::fig5_homogeneous(kind);
         let r = ctx.cache.report(&scheme, ModelId::AlexNet, 1);
         let area = ChipArea::of(&scheme.spm, ArrayShape::new(64, 256)).total();
@@ -234,18 +230,14 @@ pub fn fig07_hetero(ctx: &ExperimentContext) -> ResultTable {
         ColumnSpec::right("norm.latency", 12),
     ];
     t.push_row(vec![Value::text("SHIFT"), Value::num(1.0, 3)]);
-    let scenario = Scenario::over(
-        "fig07",
-        &["random-technology", "prefetch"],
-        vec![
-            (RandomArrayKind::JosephsonCmosSram, false),
-            (RandomArrayKind::SheMram, false),
-            (RandomArrayKind::Snm, false),
-            (RandomArrayKind::Vtm, false),
-            (RandomArrayKind::Vtm, true),
-        ],
-    );
-    for (name, norm) in scenario.run(ctx.jobs, |&(kind, prefetch)| {
+    let variants = [
+        (RandomArrayKind::JosephsonCmosSram, false),
+        (RandomArrayKind::SheMram, false),
+        (RandomArrayKind::Snm, false),
+        (RandomArrayKind::Vtm, false),
+        (RandomArrayKind::Vtm, true),
+    ];
+    for (name, norm) in parallel_map(ctx.jobs, &variants, |&(kind, prefetch)| {
         let scheme = Scheme::fig7_hetero(kind, prefetch);
         let r = ctx.cache.report(&scheme, ModelId::AlexNet, 1);
         (scheme.name, r.total_time.ratio(shift.total_time))
@@ -474,14 +466,12 @@ pub fn fig17_area(_ctx: &ExperimentContext) -> ResultTable {
 /// pool. Returns one row of column values per model plus the gmean row.
 fn tpu_normalized_grid(
     ctx: &ExperimentContext,
-    name: &str,
     batch_mode: bool,
     metric: impl Fn(&smart_core::eval::InferenceReport, &smart_core::eval::InferenceReport) -> f64
         + Sync,
 ) -> (Vec<(&'static str, Vec<f64>)>, Vec<f64>) {
     let schemes = Scheme::figure18_set();
-    let scenario = Scenario::over(name, &["model"], ModelId::ALL.to_vec());
-    let rows: Vec<(&'static str, Vec<f64>)> = scenario.run(ctx.jobs, |&id| {
+    let rows: Vec<(&'static str, Vec<f64>)> = parallel_map(ctx.jobs, &ModelId::ALL, |&id| {
         let tpu_batch = if batch_mode { id.smart_batch() } else { 1 };
         let tpu = ctx.cache.report(&Scheme::tpu(), id, tpu_batch);
         let cells: Vec<f64> = schemes
@@ -541,7 +531,7 @@ fn grid_table(
 /// Fig. 18: single-image speedup over TPU.
 #[must_use]
 pub fn fig18_single_speedup(ctx: &ExperimentContext) -> ResultTable {
-    let (rows, gmeans) = tpu_normalized_grid(ctx, "fig18", false, |r, tpu| r.speedup_over(tpu));
+    let (rows, gmeans) = tpu_normalized_grid(ctx, false, |r, tpu| r.speedup_over(tpu));
     grid_table(
         "fig18",
         "Figure 18: single-image throughput normalized to TPU",
@@ -555,7 +545,7 @@ pub fn fig18_single_speedup(ctx: &ExperimentContext) -> ResultTable {
 /// Fig. 19: batch speedup over TPU.
 #[must_use]
 pub fn fig19_batch_speedup(ctx: &ExperimentContext) -> ResultTable {
-    let (rows, gmeans) = tpu_normalized_grid(ctx, "fig19", true, |r, tpu| r.speedup_over(tpu));
+    let (rows, gmeans) = tpu_normalized_grid(ctx, true, |r, tpu| r.speedup_over(tpu));
     grid_table(
         "fig19",
         "Figure 19: batch throughput normalized to TPU",
@@ -569,7 +559,7 @@ pub fn fig19_batch_speedup(ctx: &ExperimentContext) -> ResultTable {
 /// Fig. 20: single-image energy normalized to TPU.
 #[must_use]
 pub fn fig20_single_energy(ctx: &ExperimentContext) -> ResultTable {
-    let (rows, gmeans) = tpu_normalized_grid(ctx, "fig20", false, |r, tpu| {
+    let (rows, gmeans) = tpu_normalized_grid(ctx, false, |r, tpu| {
         r.energy_per_image().ratio(tpu.energy_per_image())
     });
     grid_table(
@@ -585,7 +575,7 @@ pub fn fig20_single_energy(ctx: &ExperimentContext) -> ResultTable {
 /// Fig. 21: batch energy normalized to TPU.
 #[must_use]
 pub fn fig21_batch_energy(ctx: &ExperimentContext) -> ResultTable {
-    let (rows, gmeans) = tpu_normalized_grid(ctx, "fig21", true, |r, tpu| {
+    let (rows, gmeans) = tpu_normalized_grid(ctx, true, |r, tpu| {
         r.energy_per_image().ratio(tpu.energy_per_image())
     });
     grid_table(
@@ -715,12 +705,7 @@ pub fn ablation_ilp_vs_greedy(ctx: &ExperimentContext) -> ResultTable {
     // under `--cache-dir` — replays whole solves from the persisted
     // solution memo, which is what makes this experiment near-free warm.
     let solver = ctx.timing.solver();
-    let scenario = Scenario::over(
-        "ablation_ilp_vs_greedy",
-        &["layer"],
-        model.layers.iter().collect::<Vec<_>>(),
-    );
-    let compiled = scenario.run(ctx.jobs, |layer| {
+    let compiled = parallel_map(ctx.jobs, &model.layers, |layer| {
         let mapping = LayerMapping::map(layer, ArrayShape::new(64, 256), 1);
         let dag = LayerDag::build(&mapping, 6);
         let ilp = compile_layer_ctx(&dag, &params, solver);
@@ -752,7 +737,7 @@ pub fn ablation_ilp_vs_greedy(ctx: &ExperimentContext) -> ResultTable {
     tight.shift_capacity = 4 * 1024;
     tight.random_capacity = 192 * 1024;
     tight.bytes_per_iteration = 256 * 1024;
-    let contested = scenario.run(ctx.jobs, |layer| {
+    let contested = parallel_map(ctx.jobs, &model.layers, |layer| {
         let mapping = LayerMapping::map(layer, ArrayShape::new(64, 256), 1);
         let dag = LayerDag::build(&mapping, 6);
         let ilp = compile_layer_ctx(&dag, &tight, solver).objective;
@@ -821,8 +806,7 @@ pub fn josim_jtl_characterization(ctx: &ExperimentContext) -> ResultTable {
             .iter()
             .map(|&b| JtlChainSpec::new(8, 100_000, b)),
     );
-    let scenario = Scenario::over("josim_jtl", &["stages", "bias"], points);
-    let measured = scenario.run(ctx.jobs, |spec| {
+    let measured = parallel_map(ctx.jobs, &points, |spec| {
         let m = ctx
             .circuits
             .measure(&CellSpec::Jtl(*spec))
@@ -877,8 +861,7 @@ pub fn josim_fanout_characterization(ctx: &ExperimentContext) -> ResultTable {
         .iter()
         .map(|&l| SplitterFanoutSpec::standard(l))
         .collect();
-    let scenario = Scenario::over("josim_fanout", &["leaves"], points);
-    let measured = scenario.run(ctx.jobs, |spec| {
+    let measured = parallel_map(ctx.jobs, &points, |spec| {
         let m = ctx
             .circuits
             .measure(&CellSpec::Fanout(*spec))
@@ -931,8 +914,7 @@ pub fn josim_ptl_characterization(ctx: &ExperimentContext) -> ResultTable {
         .iter()
         .map(|&mm| PtlLinkSpec::from_mm(mm))
         .collect();
-    let scenario = Scenario::over("josim_ptl", &["length"], points);
-    let measured = scenario.run(ctx.jobs, |spec| {
+    let measured = parallel_map(ctx.jobs, &points, |spec| {
         let m = ctx
             .circuits
             .measure(&CellSpec::Ptl(*spec))
@@ -990,12 +972,9 @@ pub fn timing_stall_breakdown(ctx: &ExperimentContext) -> ResultTable {
 
     let cfg = smart_timing::TimingConfig::nominal();
     let scheme = Scheme::smart();
-    let scenario = Scenario::over(
-        "timing_stall_breakdown",
-        &["model"],
-        vec![ModelId::Vgg16, ModelId::ResNet50],
-    );
-    let replays = scenario.run(ctx.jobs, |&id| (id, timing_replay(ctx, id, &cfg)));
+    let replays = parallel_map(ctx.jobs, &[ModelId::Vgg16, ModelId::ResNet50], |&id| {
+        (id, timing_replay(ctx, id, &cfg))
+    });
     // Under --trace-out, derive each replay's per-layer timeline (one
     // lane per model, on the virtual replay-cycle clock).
     for (id, rep) in &replays {

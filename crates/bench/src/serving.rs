@@ -23,7 +23,7 @@ use crate::ExperimentContext;
 use smart_core::scheme::Scheme;
 use smart_report::{parallel_map, ColumnSpec, ResultTable, Unit, Value};
 use smart_serving::{
-    simulate_traced, ArrivalModel, ServingConfig, Tenant, TenantProfile, Workload,
+    mix_capacity_rps, simulate_traced, ArrivalModel, ServingConfig, Tenant, TenantProfile, Workload,
 };
 use smart_systolic::models::ModelId;
 use smart_timing::TimingConfig;
@@ -54,20 +54,6 @@ fn profiles(scheme: &Scheme, tenants: &[Tenant], ctx: &ExperimentContext) -> Vec
                 .expect("serving schemes are heterogeneous")
         })
         .collect()
-}
-
-/// Aggregate single-stream capacity of a tenant mix in requests per
-/// second: the harmonic combination of the tenants' stand-alone rates
-/// under their traffic shares (the load at which a work-conserving
-/// server with no switch cost saturates).
-fn mix_capacity_rps(profiles: &[TenantProfile], tenants: &[Tenant]) -> f64 {
-    let total: f64 = tenants.iter().map(|t| t.weight.max(0.0)).sum();
-    let mean_service_s: f64 = profiles
-        .iter()
-        .zip(tenants)
-        .map(|(p, t)| (t.weight.max(0.0) / total) / p.standalone_rps())
-        .sum();
-    1.0 / mean_service_s
 }
 
 /// Scheme-independent SLO deadlines: `factor ×` the Heter baseline's

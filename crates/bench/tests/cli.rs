@@ -208,6 +208,28 @@ fn serving_sim_integer_flags_are_not_truncated() {
     }
 }
 
+/// An offered rate so low that arrivals overflow the 64-bit cycle clock
+/// exits 2 with one canonical message instead of simulating requests
+/// piled onto the last cycle; a low rate that still fits runs.
+#[test]
+fn serving_sim_rejects_rates_that_overflow_the_cycle_clock() {
+    let exe = env!("CARGO_BIN_EXE_serving_sim");
+    for args in [["--load", "1e-12"], ["--rate", "1e-300"]] {
+        let out = run(exe, &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with(
+                "offered rate too low: arrivals overflow the simulator's 64-bit cycle clock"
+            ),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
+    let out = run(exe, &["--load", "1e-9"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
 /// A reader that closes the pipe after one line (`all_experiments |
 /// head -1`) ends the run quietly with status 0, for the listing and the
 /// table output alike. Each run repeats a cheap experiment until its
@@ -241,7 +263,8 @@ fn closed_stdout_ends_the_run_quietly() {
 }
 
 // `bench_check` has no `--list` mode (it gates two files, it does not
-// run experiments), so it is exercised on the parse paths only.
+// run experiments), so it is exercised on the parse paths and on small
+// baseline/current file pairs.
 mod bench_check {
     const EXE: &str = env!("CARGO_BIN_EXE_bench_check");
 
@@ -261,5 +284,51 @@ mod bench_check {
         assert_eq!(out.status.code(), Some(1), "{out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("--baseline"), "{err}");
+    }
+
+    /// Writes a shim-format results file holding `ids`, all at 100 ns.
+    fn results_file(name: &str, ids: &[&str]) -> std::path::PathBuf {
+        let entries: Vec<String> = ids
+            .iter()
+            .map(|id| format!("{{ \"id\": \"{id}\", \"mean_ns\": 100.0 }}"))
+            .collect();
+        let path = std::env::temp_dir().join(format!(
+            "smart-bench-check-{}-{name}.json",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            format!("{{\"benchmarks\": [{}]}}", entries.join(", ")),
+        )
+        .expect("writes the results file");
+        path
+    }
+
+    /// A gated benchmark that disappears from the current run fails the
+    /// gate by name; an ungated one stays informational.
+    #[test]
+    fn a_missing_gated_benchmark_fails_the_gate() {
+        let baseline = results_file("baseline", &["ilp_a", "ilp_b", "other_c"]);
+        let current = results_file("current", &["ilp_a"]);
+        let (b, c) = (
+            baseline.to_str().expect("utf-8 temp path"),
+            current.to_str().expect("utf-8 temp path"),
+        );
+        let gated = super::run(EXE, &["--baseline", b, "--current", c, "--filter", "ilp_"]);
+        let ungated = super::run(EXE, &["--baseline", b, "--current", c, "--filter", "ilp_a"]);
+        std::fs::remove_file(&baseline).ok();
+        std::fs::remove_file(&current).ok();
+
+        assert_eq!(gated.status.code(), Some(1), "{gated:?}");
+        let err = String::from_utf8_lossy(&gated.stderr);
+        assert!(
+            err.contains("missing from") && err.contains("ilp_b"),
+            "{err}"
+        );
+        assert!(
+            !err.contains("FAIL  other_c"),
+            "ungated ids never fail: {err}"
+        );
+        assert_eq!(ungated.status.code(), Some(0), "{ungated:?}");
     }
 }

@@ -31,7 +31,6 @@ use smart_ilp::solver::{MipSolution, Solver};
 use smart_ilp::SolverContext;
 use smart_systolic::dag::LayerDag;
 use smart_systolic::trace::DataClass;
-use smart_units::{Result, SmartError};
 
 /// Cost/capacity parameters of the formulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,31 +78,18 @@ impl FormulationParams {
     }
 }
 
-/// Builds and solves the allocation ILP for one layer DAG with a private,
-/// throwaway [`SolverContext`].
-///
-/// Falls back to the greedy allocator when the solver cannot find a
-/// feasible point (the paper's compiler is "near-optimal" as well). Use
-/// [`compile_layer_strict`] to surface solver failures instead of silently
-/// degrading, and [`compile_layer_ctx`] to share warm-start state across a
-/// sweep of related compilations.
-///
-/// # Panics
-///
-/// Panics if `params.prefetch_window` is zero.
-#[must_use]
-pub fn compile_layer(dag: &LayerDag, params: &FormulationParams) -> Schedule {
-    compile_layer_ctx(dag, params, &SolverContext::new())
-}
-
-/// Like [`compile_layer`], threading a shared [`SolverContext`] through the
-/// solver so adjacent compilations (the same layer at different capacities,
-/// the ablation's default-vs-contested runs, sensitivity sweeps) warm-start
-/// from each other's optimal bases.
+/// Builds and solves the allocation ILP for one layer DAG, threading the
+/// caller's [`SolverContext`] through the solver so adjacent compilations
+/// (the same layer at different capacities, the ablation's
+/// default-vs-contested runs, neighbouring design points) warm-start from
+/// each other's optimal bases and identical ones replay from its memo. A
+/// one-off compilation passes `&SolverContext::new()`.
 ///
 /// The greedy allocation is computed first and seeded as the solver's
 /// initial incumbent, so best-bound pruning starts at node zero and a
-/// node-limited search can never return something worse than greedy.
+/// node-limited search can never return something worse than greedy. When
+/// the solver finds no feasible point, the greedy schedule is returned
+/// (the paper's compiler is "near-optimal" as well).
 ///
 /// # Panics
 ///
@@ -116,7 +102,14 @@ pub fn compile_layer_ctx(
 ) -> Schedule {
     let lifespans = analyze(dag, params.prefetch_window);
     let greedy = crate::greedy::allocate(dag, params, lifespans.clone());
-    match solve_with_lifespans(dag, params, lifespans, &greedy, solver) {
+    let (p, h_vars, r_vars) = build_problem(dag, params, &lifespans);
+    let seed = seed_values(dag, &greedy, &h_vars, &r_vars, p.num_vars());
+    let schedule = Solver::new()
+        .with_node_limit(2_000)
+        .with_incumbent(seed)
+        .solve(&p, solver)
+        .map(|sol| schedule_from(dag, params, lifespans, &sol, &h_vars, &r_vars));
+    match schedule {
         // The incumbent seed makes the solver's result at least as good as
         // greedy; this guard only survives as a numerical backstop.
         Ok(s) if s.source == ScheduleSource::IlpFeasible && greedy.objective > s.objective => {
@@ -125,65 +118,6 @@ pub fn compile_layer_ctx(
         Ok(s) => s,
         Err(_) => greedy,
     }
-}
-
-/// Builds and solves the allocation ILP for one layer DAG, surfacing
-/// failures as [`SmartError`] instead of falling back to the greedy
-/// allocator.
-///
-/// # Errors
-///
-/// * [`SmartError::InvalidInput`] when `params.prefetch_window` is zero,
-/// * [`SmartError::Infeasible`] / [`SmartError::Unbounded`] from the
-///   underlying integer program.
-pub fn compile_layer_strict(dag: &LayerDag, params: &FormulationParams) -> Result<Schedule> {
-    compile_layer_strict_ctx(dag, params, &SolverContext::new())
-}
-
-/// Like [`compile_layer_strict`], with a shared [`SolverContext`] (see
-/// [`compile_layer_ctx`]).
-///
-/// # Errors
-///
-/// As for [`compile_layer_strict`].
-pub fn compile_layer_strict_ctx(
-    dag: &LayerDag,
-    params: &FormulationParams,
-    solver: &SolverContext,
-) -> Result<Schedule> {
-    if params.prefetch_window == 0 {
-        return Err(SmartError::invalid_input(
-            "prefetch window must be >= 1 iteration",
-        ));
-    }
-    let lifespans = analyze(dag, params.prefetch_window);
-    // The greedy allocation seeds the solver's bound here too, so the
-    // strict and fallback entry points explore identically and return the
-    // same schedules on solvable layers.
-    let greedy = crate::greedy::allocate(dag, params, lifespans.clone());
-    solve_with_lifespans(dag, params, lifespans, &greedy, solver)
-}
-
-/// Shared core of the `compile_layer*` entry points: formulate and solve
-/// given already-computed lifespans (the analysis is O(objects x edges) and
-/// every entry point needs it), seeding the greedy schedule as the initial
-/// incumbent.
-fn solve_with_lifespans(
-    dag: &LayerDag,
-    params: &FormulationParams,
-    lifespans: Vec<Lifespan>,
-    greedy: &Schedule,
-    solver: &SolverContext,
-) -> Result<Schedule> {
-    let (p, h_vars, r_vars) = build_problem(dag, params, &lifespans);
-    let seed = seed_values(dag, greedy, &h_vars, &r_vars, p.num_vars());
-    let sol = Solver::new()
-        .with_node_limit(2_000)
-        .with_incumbent(seed)
-        .try_solve_with(&p, solver)?;
-    Ok(schedule_from(
-        dag, params, lifespans, &sol, &h_vars, &r_vars,
-    ))
 }
 
 /// Encodes a (greedy) schedule as ILP variable values, for incumbent
@@ -354,10 +288,37 @@ mod tests {
     use super::*;
     use smart_systolic::layer::ConvLayer;
     use smart_systolic::mapping::{ArrayShape, LayerMapping};
+    use smart_systolic::models::ModelId;
 
     fn dag_for(layer: &ConvLayer) -> LayerDag {
         let m = LayerMapping::map(layer, ArrayShape::new(64, 256), 1);
         LayerDag::build(&m, 6)
+    }
+
+    fn compile_fresh(dag: &LayerDag, params: &FormulationParams) -> Schedule {
+        compile_layer_ctx(dag, params, &SolverContext::new())
+    }
+
+    /// AlexNet's summed allocation objective at each SHIFT capacity, every
+    /// layer compiled through `solver`: the Fig. 22 sweep as the ILP sees
+    /// it, before the evaluator.
+    fn alexnet_capacity_sweep(solver: &SolverContext, capacities_kb: &[u64]) -> Vec<f64> {
+        let dags: Vec<LayerDag> = ModelId::AlexNet
+            .build()
+            .layers
+            .iter()
+            .map(dag_for)
+            .collect();
+        capacities_kb
+            .iter()
+            .map(|&kb| {
+                let mut params = FormulationParams::smart_default();
+                params.shift_capacity = kb * 1024;
+                dags.iter()
+                    .map(|dag| compile_layer_ctx(dag, &params, solver).objective)
+                    .sum()
+            })
+            .collect()
     }
 
     #[test]
@@ -365,7 +326,7 @@ mod tests {
         // A small layer fits everything in SPM: no object left in DRAM.
         let l = ConvLayer::conv("c", 13, 13, 64, 64, 3, 1, 1);
         let dag = dag_for(&l);
-        let s = compile_layer(&dag, &FormulationParams::smart_default());
+        let s = compile_fresh(&dag, &FormulationParams::smart_default());
         assert!(matches!(
             s.source,
             ScheduleSource::IlpOptimal | ScheduleSource::IlpFeasible
@@ -379,7 +340,7 @@ mod tests {
         // SHIFT has the higher saving, so small objects should prefer it.
         let l = ConvLayer::conv("c", 13, 13, 64, 64, 3, 1, 1);
         let dag = dag_for(&l);
-        let s = compile_layer(&dag, &FormulationParams::smart_default());
+        let s = compile_fresh(&dag, &FormulationParams::smart_default());
         let (shift, _, _) = s.bytes_by_location(&dag);
         assert!(shift > 0);
     }
@@ -391,7 +352,7 @@ mod tests {
         let dag = dag_for(&l);
         let mut params = FormulationParams::smart_default();
         params.shift_capacity = 1024;
-        let s = compile_layer(&dag, &params);
+        let s = compile_fresh(&dag, &params);
         // Verify per-edge residency against capacity.
         for edge in 0..dag.edges.len() as u32 {
             for class in DataClass::ALL {
@@ -421,7 +382,7 @@ mod tests {
         let mut params = FormulationParams::smart_default();
         params.shift_capacity = 512;
         params.random_capacity = 1024;
-        let s = compile_layer(&dag, &params);
+        let s = compile_fresh(&dag, &params);
         let (_, _, dram) = s.bytes_by_location(&dag);
         assert!(dram > 0, "overflow must fall back to DRAM");
     }
@@ -430,29 +391,8 @@ mod tests {
     fn objective_positive_when_spm_used() {
         let l = ConvLayer::conv("c", 13, 13, 64, 64, 3, 1, 1);
         let dag = dag_for(&l);
-        let s = compile_layer(&dag, &FormulationParams::smart_default());
+        let s = compile_fresh(&dag, &FormulationParams::smart_default());
         assert!(s.objective > 0.0);
-    }
-
-    #[test]
-    fn strict_rejects_zero_prefetch_window() {
-        let l = ConvLayer::conv("c", 13, 13, 64, 64, 3, 1, 1);
-        let dag = dag_for(&l);
-        let mut params = FormulationParams::smart_default();
-        params.prefetch_window = 0;
-        let err = compile_layer_strict(&dag, &params).unwrap_err();
-        assert!(matches!(err, SmartError::InvalidInput { .. }), "{err}");
-    }
-
-    #[test]
-    fn strict_matches_fallback_on_solvable_layers() {
-        let l = ConvLayer::conv("c", 13, 13, 64, 64, 3, 1, 1);
-        let dag = dag_for(&l);
-        let params = FormulationParams::smart_default();
-        let strict = compile_layer_strict(&dag, &params).expect("solvable");
-        let fallback = compile_layer(&dag, &params);
-        assert_eq!(strict.source, fallback.source);
-        assert!((strict.objective - fallback.objective).abs() < 1e-9);
     }
 
     #[test]
@@ -461,8 +401,38 @@ mod tests {
         let dag = dag_for(&l);
         let mut params = FormulationParams::smart_default();
         params.prefetch_window = 4;
-        let s = compile_layer(&dag, &params);
+        let s = compile_fresh(&dag, &params);
         assert_eq!(s.prefetch_window, 4);
         assert!(s.prefetched_fraction(&dag) > 0.0);
+    }
+
+    #[test]
+    fn allocation_sweep_is_monotone_and_warm_starts() {
+        let ctx = SolverContext::new();
+        let objectives = alexnet_capacity_sweep(&ctx, &[8, 16, 32]);
+        assert_eq!(objectives.len(), 3);
+        // More staging capacity can only help the allocation objective.
+        assert!(objectives[0] <= objectives[1] + 1e-6);
+        assert!(objectives[1] <= objectives[2] + 1e-6);
+        let stats = ctx.stats();
+        assert!(
+            stats.warm_attempts > 0,
+            "adjacent points must warm-start: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn allocation_sweep_shared_context_matches_fresh_contexts() {
+        // Warm-start reuse must never change a result, only wall-clock.
+        let capacities = [16u64, 32];
+        let shared = alexnet_capacity_sweep(&SolverContext::new(), &capacities);
+        for (i, kb) in capacities.into_iter().enumerate() {
+            let fresh = alexnet_capacity_sweep(&SolverContext::new(), &[kb])[0];
+            assert!(
+                (shared[i] - fresh).abs() < 1e-6,
+                "{kb}KB: {} vs {fresh}",
+                shared[i]
+            );
+        }
     }
 }

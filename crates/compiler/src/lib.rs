@@ -16,7 +16,8 @@
 //! # Quick start
 //!
 //! ```
-//! use smart_compiler::formulation::{compile_layer, FormulationParams};
+//! use smart_compiler::formulation::{compile_layer_ctx, FormulationParams};
+//! use smart_compiler::SolverContext;
 //! use smart_systolic::dag::LayerDag;
 //! use smart_systolic::layer::ConvLayer;
 //! use smart_systolic::mapping::{ArrayShape, LayerMapping};
@@ -24,7 +25,9 @@
 //! let layer = ConvLayer::conv("conv3", 13, 13, 256, 384, 3, 1, 1);
 //! let mapping = LayerMapping::map(&layer, ArrayShape::new(64, 256), 1);
 //! let dag = LayerDag::build(&mapping, 6);
-//! let schedule = compile_layer(&dag, &FormulationParams::smart_default());
+//! // One compilation: a fresh context. Sweeps share one across calls.
+//! let ctx = SolverContext::new();
+//! let schedule = compile_layer_ctx(&dag, &FormulationParams::smart_default(), &ctx);
 //! assert!(schedule.objective > 0.0);
 //! ```
 
@@ -36,10 +39,7 @@ pub mod greedy;
 pub mod lifespan;
 pub mod schedule;
 
-pub use formulation::{
-    compile_layer, compile_layer_ctx, compile_layer_strict, compile_layer_strict_ctx,
-    FormulationParams,
-};
+pub use formulation::{compile_layer_ctx, FormulationParams};
 pub use lifespan::{analyze, resident_bytes_on_edge, Lifespan};
 pub use schedule::{Location, Placement, Schedule, ScheduleSource};
 pub use smart_ilp::{SolverContext, SolverContextStats};

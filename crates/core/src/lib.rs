@@ -18,7 +18,5 @@ pub use eval::{evaluate, EnergyReport, InferenceReport, LayerReport};
 pub use geometry::{GeometryParams, ShiftGeometry, SpmGeometry};
 pub use scheme::{AllocationPolicy, PureShiftSpm, Scheme, SpmOrganization};
 pub use sensitivity::{
-    allocation_capacity_sweep, prefetch_sweep, random_capacity_sweep, shift_capacity_sweep,
-    write_latency_sweep, AllocationPoint, SweepPoint,
+    prefetch_sweep, random_capacity_sweep, shift_capacity_sweep, write_latency_sweep, SweepPoint,
 };
-pub use smart_compiler::{SolverContext, SolverContextStats};

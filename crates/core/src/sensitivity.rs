@@ -6,21 +6,14 @@
 //! Every sweep evaluates through a shared [`EvalCache`], so the SuperNPU
 //! baselines (one single-image and one batch evaluation per model) are
 //! computed once per cache rather than once per sweep point, and sweep
-//! points run concurrently on up to `jobs` worker threads. The
-//! compiler-side sweep ([`allocation_capacity_sweep`]) threads a shared
-//! [`SolverContext`] the same way: adjacent capacity points share a
-//! constraint structure and differ only in right-hand sides, so each ILP
-//! after the first warm-starts from a stored basis.
+//! points run concurrently on up to `jobs` worker threads. The sweeps are
+//! analytic: none of them solves an ILP.
 
 use crate::cache::EvalCache;
 use crate::scheme::{AllocationPolicy, Scheme, SpmOrganization};
-use smart_compiler::formulation::{compile_layer_ctx, FormulationParams};
-use smart_compiler::SolverContext;
 use smart_cryomem::array::RandomArrayKind;
 use smart_report::parallel_map;
 use smart_spm::hetero::HeterogeneousSpm;
-use smart_systolic::dag::LayerDag;
-use smart_systolic::mapping::{ArrayShape, LayerMapping};
 use smart_systolic::models::ModelId;
 use smart_units::Time;
 
@@ -144,62 +137,6 @@ pub fn write_latency_sweep(
     })
 }
 
-/// One point of the compiler-side capacity sweep: the summed ILP
-/// allocation objective (model-time saved) across a model's layers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AllocationPoint {
-    /// Human-readable capacity label (e.g. "32KB").
-    pub label: String,
-    /// Sum of per-layer ILP objectives (higher = more streaming time
-    /// saved by SPM residency).
-    pub objective: f64,
-    /// Branch & bound nodes explored across all layers of this point.
-    pub nodes: usize,
-}
-
-/// Compiler-side SHIFT-capacity sensitivity: compiles every layer of
-/// `model` at each staging capacity and reports the total allocation
-/// objective — the Fig. 22 sweep as the ILP sees it, before the evaluator.
-///
-/// All points thread the one `solver` context: the per-layer ILPs of
-/// adjacent capacities differ only in right-hand sides, so every solve
-/// after a structure's first warm-starts from its stored basis
-/// (`solver.stats()` shows the reuse). Points fan out over up to `jobs`
-/// threads; the context is `Sync` and shared.
-#[must_use]
-pub fn allocation_capacity_sweep(
-    solver: &SolverContext,
-    model: ModelId,
-    capacities_kb: &[u64],
-    jobs: usize,
-) -> Vec<AllocationPoint> {
-    let model = model.build();
-    let dags: Vec<LayerDag> = model
-        .layers
-        .iter()
-        .map(|layer| {
-            let mapping = LayerMapping::map(layer, ArrayShape::new(64, 256), 1);
-            LayerDag::build(&mapping, 6)
-        })
-        .collect();
-    parallel_map(jobs, capacities_kb, |&kb| {
-        let mut params = FormulationParams::smart_default();
-        params.shift_capacity = kb * KB;
-        let mut objective = 0.0;
-        let mut nodes = 0;
-        for dag in &dags {
-            let s = compile_layer_ctx(dag, &params, solver);
-            objective += s.objective;
-            nodes += s.nodes;
-        }
-        AllocationPoint {
-            label: format!("{kb}KB"),
-            objective,
-            nodes,
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,44 +184,6 @@ mod tests {
         assert!(pts[1].single < pts[0].single);
         assert!(pts[2].single <= pts[1].single * 1.001);
         assert!(pts[2].batch < pts[0].batch);
-    }
-
-    #[test]
-    fn allocation_sweep_is_monotone_and_warm_starts() {
-        let ctx = SolverContext::new();
-        let pts = allocation_capacity_sweep(&ctx, ModelId::AlexNet, &[8, 16, 32], 2);
-        assert_eq!(pts.len(), 3);
-        // More staging capacity can only help the allocation objective.
-        assert!(pts[0].objective <= pts[1].objective + 1e-6);
-        assert!(pts[1].objective <= pts[2].objective + 1e-6);
-        let stats = ctx.stats();
-        assert!(
-            stats.warm_attempts > 0,
-            "adjacent points must warm-start: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn allocation_sweep_shared_context_matches_fresh_contexts() {
-        // Warm-start reuse must never change a result, only wall-clock.
-        let shared = SolverContext::new();
-        let with_shared = allocation_capacity_sweep(&shared, ModelId::AlexNet, &[16, 32], 2);
-        let fresh: Vec<AllocationPoint> = [16u64, 32]
-            .iter()
-            .flat_map(|&kb| {
-                allocation_capacity_sweep(&SolverContext::new(), ModelId::AlexNet, &[kb], 1)
-            })
-            .collect();
-        for (a, b) in with_shared.iter().zip(&fresh) {
-            assert_eq!(a.label, b.label);
-            assert!(
-                (a.objective - b.objective).abs() < 1e-6,
-                "{}: {} vs {}",
-                a.label,
-                a.objective,
-                b.objective
-            );
-        }
     }
 
     #[test]

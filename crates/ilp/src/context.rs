@@ -1,7 +1,8 @@
 //! [`SolverContext`]: cross-solve warm-start state.
 //!
-//! Sweep-style workloads (the ILP ablation's default-vs-contested capacity
-//! runs, the compiler-side capacity sensitivity in `smart-core`) solve long
+//! Every [`crate::solver::Solver::solve`] goes through a context. Sweep-style
+//! workloads (the ILP ablation's default-vs-contested capacity runs, the
+//! timing prepasses, the design-space search) share one and solve long
 //! runs of LPs that share a constraint *structure* and differ only in
 //! right-hand sides. A [`SolverContext`] remembers the optimal root basis
 //! of every structure it has seen (keyed by a fingerprint over the
@@ -67,9 +68,11 @@ pub struct SolverContextStats {
     pub nodes: u64,
 }
 
-/// Shared warm-start state threaded through
-/// `smart_compiler::formulation::compile_layer_ctx` and
-/// `smart_core::sensitivity` sweeps.
+/// Shared warm-start state, solution memo and work counters: the one
+/// argument every [`crate::solver::Solver::solve`] takes. Production
+/// callers thread one context per run through
+/// `smart_compiler::formulation::compile_layer_ctx` (the timing cache
+/// owns it); a one-off solve passes `&SolverContext::new()`.
 #[derive(Debug, Default)]
 pub struct SolverContext {
     // Key-ordered maps: the persisted store serializes them in iteration

@@ -11,14 +11,15 @@
 //! to greedy rounding so compilation always terminates. A [`SolverContext`]
 //! carries optimal bases *between* solves, so sweeps over capacities or
 //! budgets (same constraint structure, different right-hand sides) become
-//! cheap reoptimizations. The original dense tableau lives on in [`dense`]
-//! as the property-test oracle.
+//! cheap reoptimizations. [`Solver::solve`] is the one entry point: every
+//! solve goes through a context, and a one-off solve passes a fresh one.
+//! The original dense tableau lives on in [`dense`] as the property-test
+//! oracle of [`solve_relaxation`].
 //!
 //! # Quick start
 //!
 //! ```
-//! use smart_ilp::problem::{Problem, Relation, Sense};
-//! use smart_ilp::solver::Solver;
+//! use smart_ilp::{Problem, Relation, Sense, Solver, SolverContext};
 //!
 //! // Knapsack: max 10a + 6b + 4c  s.t.  5a + 4b + 3c <= 7.
 //! let mut p = Problem::new(Sense::Maximize);
@@ -30,11 +31,12 @@
 //! p.set_objective(c, 4.0);
 //! p.add_constraint(&[(a, 5.0), (b, 4.0), (c, 3.0)], Relation::Le, 7.0);
 //!
-//! let result = Solver::new().solve(&p);
-//! assert!((result.solution().unwrap().objective - 10.0).abs() < 1e-6);
+//! let solution = Solver::new().solve(&p, &SolverContext::new())?;
+//! assert!((solution.objective - 10.0).abs() < 1e-6);
+//! # Ok::<(), smart_ilp::SmartError>(())
 //! ```
 //!
-//! Sweep-style callers share a [`SolverContext`] so adjacent solves
+//! Sweep-style callers share one [`SolverContext`] so adjacent solves
 //! warm-start from each other's bases:
 //!
 //! ```
@@ -48,9 +50,10 @@
 //!     p.set_objective(a, 10.0);
 //!     p.set_objective(b, 6.0);
 //!     p.add_constraint(&[(a, 5.0), (b, 4.0)], Relation::Le, capacity);
-//!     let _ = Solver::new().solve_with(&p, &ctx);
+//!     Solver::new().solve(&p, &ctx)?;
 //! }
 //! assert!(ctx.stats().warm_attempts >= 2);
+//! # Ok::<(), smart_ilp::SmartError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -66,6 +69,6 @@ pub mod solver;
 pub use context::{SolverContext, SolverContextStats};
 pub use problem::{Problem, Relation, Sense, VarId};
 pub use revised::Basis;
-pub use simplex::{solve_relaxation, try_solve_relaxation, LpResult, LpSolution};
+pub use simplex::{solve_relaxation, LpResult, LpSolution};
 pub use smart_units::{Result, SmartError};
-pub use solver::{MipResult, MipSolution, Solver};
+pub use solver::{MipSolution, Solver};

@@ -1,13 +1,15 @@
-//! LP relaxation API: result types and the solver entry points.
+//! LP relaxation API: the result types and the one-shot
+//! [`solve_relaxation`] entry point.
 //!
 //! The implementation behind [`solve_relaxation`] is the sparse revised
 //! simplex in [`crate::revised`] (bounded variables, warm-startable bases);
 //! the original dense tableau survives in [`crate::dense`] as the reference
-//! oracle the property suite cross-checks against.
+//! oracle the property suite cross-checks against. Nothing on the
+//! production path calls it: branch & bound solves its relaxations inside
+//! [`crate::solver::Solver::solve`].
 
 use crate::problem::Problem;
 use crate::revised::{solve_with_pins, SolveTrace, StandardForm};
-use smart_units::{Result, SmartError};
 
 /// LP outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,24 +22,6 @@ pub enum LpResult {
     Unbounded,
 }
 
-impl LpResult {
-    /// Converts the outcome into the workspace-wide [`Result`], mapping
-    /// [`LpResult::Infeasible`] and [`LpResult::Unbounded`] to their
-    /// [`SmartError`] counterparts.
-    ///
-    /// # Errors
-    ///
-    /// [`SmartError::Infeasible`] or [`SmartError::Unbounded`],
-    /// respectively.
-    pub fn into_result(self) -> Result<LpSolution> {
-        match self {
-            Self::Optimal(s) => Ok(s),
-            Self::Infeasible => Err(SmartError::infeasible("LP relaxation")),
-            Self::Unbounded => Err(SmartError::unbounded("LP relaxation")),
-        }
-    }
-}
-
 /// An optimal LP solution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
@@ -45,19 +29,6 @@ pub struct LpSolution {
     pub objective: f64,
     /// Values of the structural variables, in declaration order.
     pub values: Vec<f64>,
-}
-
-/// Like [`solve_relaxation`], but returns the workspace-wide [`Result`]
-/// instead of the three-way [`LpResult`]: use this at API boundaries where
-/// an infeasible or unbounded relaxation is an error rather than a signal
-/// to keep searching.
-///
-/// # Errors
-///
-/// [`SmartError::Infeasible`] when no feasible point exists and
-/// [`SmartError::Unbounded`] when the objective is unbounded.
-pub fn try_solve_relaxation(problem: &Problem, pins: &[Option<f64>]) -> Result<LpSolution> {
-    solve_relaxation(problem, pins).into_result()
 }
 
 /// Solves the LP relaxation of `problem` (integrality dropped), with extra
@@ -149,24 +120,22 @@ mod tests {
 
     #[test]
     fn try_solve_relaxation_reports_infeasible() {
-        // x <= 1 but x >= 2: empty feasible region -> SmartError, no panic.
+        // x <= 1 but x >= 2: empty feasible region -> Infeasible, no panic.
         let mut p = Problem::new(Sense::Maximize);
         let x = p.continuous("x", 0.0, 1.0);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0);
-        let err = try_solve_relaxation(&p, &[]).unwrap_err();
-        assert!(matches!(err, SmartError::Infeasible { .. }), "{err}");
+        assert_eq!(solve_relaxation(&p, &[]), LpResult::Infeasible);
     }
 
     #[test]
     fn try_solve_relaxation_reports_unbounded() {
-        // max x with x unbounded above: SmartError::Unbounded, no panic.
+        // max x with x unbounded above: Unbounded, no panic.
         let mut p = Problem::new(Sense::Maximize);
         let x = p.continuous("x", 0.0, f64::INFINITY);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 0.0);
-        let err = try_solve_relaxation(&p, &[]).unwrap_err();
-        assert!(matches!(err, SmartError::Unbounded { .. }), "{err}");
+        assert_eq!(solve_relaxation(&p, &[]), LpResult::Unbounded);
     }
 
     #[test]
@@ -175,7 +144,9 @@ mod tests {
         let x = p.continuous("x", 0.0, 3.0);
         p.set_objective(x, 2.0);
         p.add_constraint(&[(x, 1.0)], Relation::Le, 100.0);
-        let s = try_solve_relaxation(&p, &[]).expect("bounded and feasible");
+        let LpResult::Optimal(s) = solve_relaxation(&p, &[]) else {
+            panic!("bounded and feasible")
+        };
         assert!((s.objective - 6.0).abs() < 1e-6);
     }
 

@@ -7,8 +7,9 @@
 //! parent's optimal basis, so a child LP typically reoptimizes in a handful
 //! of pivots instead of a cold two-phase solve. A caller-supplied incumbent
 //! ([`Solver::with_incumbent`] — e.g. the compiler's greedy allocation)
-//! seeds the best-bound pruning from node zero, and an incumbent callback
-//! ([`Solver::solve_with_callback`]) observes every improvement.
+//! seeds the best-bound pruning from node zero. Every solve goes through a
+//! [`SolverContext`] ([`Solver::solve`]), which memoizes whole solutions,
+//! warm-starts root relaxations and counts the work.
 //!
 //! The node limit bounds runtime; if it is hit with an incumbent, the
 //! incumbent is returned flagged as near-optimal (the paper's compiler is
@@ -20,6 +21,7 @@
 use crate::context::{fingerprint, solution_key, SolverContext};
 use crate::problem::{Problem, Relation, Sense};
 use crate::revised::{Lp, SolveOutcome, SolveTrace, StandardForm, Warm};
+use smart_trace::Lane;
 use smart_units::{Result, SmartError};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -71,47 +73,6 @@ fn float_gcd(a: f64, b: f64) -> f64 {
         b = r;
     }
     0.0
-}
-
-/// Solver outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MipResult {
-    /// Proven-optimal integer solution.
-    Optimal(MipSolution),
-    /// Feasible but not proven optimal (node limit hit).
-    Feasible(MipSolution),
-    /// No feasible integer point exists.
-    Infeasible,
-    /// The relaxation is unbounded.
-    Unbounded,
-}
-
-impl MipResult {
-    /// The solution, if any.
-    #[must_use]
-    pub fn solution(&self) -> Option<&MipSolution> {
-        match self {
-            Self::Optimal(s) | Self::Feasible(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Converts the outcome into the workspace-wide [`Result`], mapping
-    /// [`MipResult::Infeasible`] and [`MipResult::Unbounded`] to their
-    /// [`SmartError`] counterparts. The optimal/feasible distinction is
-    /// preserved in [`MipSolution::proven_optimal`].
-    ///
-    /// # Errors
-    ///
-    /// [`SmartError::Infeasible`] or [`SmartError::Unbounded`],
-    /// respectively.
-    pub fn into_result(self) -> Result<MipSolution> {
-        match self {
-            Self::Optimal(s) | Self::Feasible(s) => Ok(s),
-            Self::Infeasible => Err(SmartError::infeasible("integer program")),
-            Self::Unbounded => Err(SmartError::unbounded("integer program relaxation")),
-        }
-    }
 }
 
 /// An integer-feasible solution.
@@ -196,107 +157,75 @@ impl Solver {
         self
     }
 
-    /// Like [`Solver::solve`], but returns the workspace-wide [`Result`]:
-    /// infeasible and unbounded programs become [`SmartError`] values
-    /// instead of enum variants the caller has to remember to match.
+    /// Solves the problem through `ctx`. An identical earlier solve (same
+    /// problem, seed, and configuration) replays from the context's
+    /// solution memo; otherwise the root relaxation warm-starts from the
+    /// basis of the last structurally identical problem, which makes
+    /// sweeps over right-hand sides (capacities, budgets) reoptimizations
+    /// instead of cold solves. One-off callers pass
+    /// `&SolverContext::new()`.
     ///
     /// # Errors
     ///
     /// [`SmartError::Infeasible`] when no integer-feasible point exists and
     /// [`SmartError::Unbounded`] when the relaxation is unbounded.
-    pub fn try_solve(&self, problem: &Problem) -> Result<MipSolution> {
-        self.solve(problem).into_result()
-    }
-
-    /// Like [`Solver::solve_with`], returning the workspace-wide
-    /// [`Result`].
-    ///
-    /// # Errors
-    ///
-    /// [`SmartError::Infeasible`] or [`SmartError::Unbounded`], as for
-    /// [`Solver::try_solve`].
-    pub fn try_solve_with(&self, problem: &Problem, ctx: &SolverContext) -> Result<MipSolution> {
-        self.solve_with(problem, ctx).into_result()
-    }
-
-    /// Solves the problem.
-    #[must_use]
-    pub fn solve(&self, problem: &Problem) -> MipResult {
-        self.solve_impl(problem, None, &mut |_| {})
-    }
-
-    /// Solves the problem, reusing (and contributing to) the context's
-    /// stored bases: the root relaxation warm-starts from the basis of the
-    /// last structurally-identical problem, which makes sweeps over
-    /// right-hand sides (capacities, budgets) reoptimizations instead of
-    /// cold solves.
-    #[must_use]
-    pub fn solve_with(&self, problem: &Problem, ctx: &SolverContext) -> MipResult {
-        self.solve_impl(problem, Some(ctx), &mut |_| {})
-    }
-
-    /// Like [`Solver::solve_with`], invoking `on_incumbent` for every
-    /// accepted incumbent (the validated seed first, if any, then each
-    /// strict improvement found by the search).
-    #[must_use]
-    pub fn solve_with_callback(
-        &self,
-        problem: &Problem,
-        ctx: Option<&SolverContext>,
-        on_incumbent: &mut dyn FnMut(&MipSolution),
-    ) -> MipResult {
-        self.solve_impl(problem, ctx, on_incumbent)
-    }
-
-    fn solve_impl(
-        &self,
-        problem: &Problem,
-        ctx: Option<&SolverContext>,
-        on_incumbent: &mut dyn FnMut(&MipSolution),
-    ) -> MipResult {
-        let int_vars = problem.integer_vars();
-        let sign = match problem.sense {
-            Sense::Maximize => 1.0,
-            Sense::Minimize => -1.0,
-        };
-
-        let form = StandardForm::build(problem);
-        let fp = ctx.map(|_| fingerprint(problem));
+    pub fn solve(&self, problem: &Problem, ctx: &SolverContext) -> Result<MipSolution> {
         // Exact-match solution memo: branch & bound is deterministic, so a
         // solve of an identical (problem, seed, config) triple replays the
         // stored solution verbatim — objective, values, node count, and
         // optimality flag included — without touching the tree. This is
         // the path that makes warm `--cache-dir` reruns of ILP-heavy
         // experiments near-free.
-        let memo_key = ctx.map(|_| {
-            solution_key(
-                problem,
-                self.seed.as_deref(),
-                self.node_limit,
-                self.warm_start,
-            )
-        });
-        if let (Some(c), Some(k)) = (ctx, memo_key) {
-            if let Some(sol) = c.solution_lookup(k) {
-                let sol = MipSolution::clone(&sol);
-                return if sol.proven_optimal {
-                    MipResult::Optimal(sol)
-                } else {
-                    MipResult::Feasible(sol)
-                };
-            }
+        let memo_key = solution_key(
+            problem,
+            self.seed.as_deref(),
+            self.node_limit,
+            self.warm_start,
+        );
+        if let Some(sol) = ctx.solution_lookup(memo_key) {
+            return Ok(MipSolution::clone(&sol));
         }
         // Per-solve trace lane, keyed by the solution memo key so
         // concurrent solves of distinct problems never interleave on one
         // lane. Virtual time is cumulative simplex pivots within this
         // solve; memo-hit replays above emit nothing (no pivots spent).
-        let lane = match (ctx.map(|c| c.tracer()), memo_key) {
-            (Some(t), Some(k)) if t.is_enabled() => Some(t.lane(&format!("ilp/{k:032x}"))),
-            _ => None,
-        };
+        let tracer = ctx.tracer();
+        let lane = tracer
+            .is_enabled()
+            .then(|| tracer.lane(&format!("ilp/{memo_key:032x}")));
         if let Some(l) = &lane {
             l.begin("solve", 0);
         }
+        let mut work = SolveTrace::default();
+        let mut nodes = 0usize;
+        let result = self.search(problem, ctx, lane.as_ref(), &mut work, &mut nodes);
+        ctx.note_search(work.pivots, work.refactorizations, nodes as u64);
+        if let Some(l) = &lane {
+            l.end("solve", work.pivots);
+        }
+        if let Ok(s) = &result {
+            ctx.solution_store(memo_key, Arc::new(s.clone()));
+        }
+        result
+    }
+
+    /// The branch & bound search behind [`Solver::solve`]; accumulates
+    /// its pivots and refactorizations into `work` and its explored node
+    /// count into `nodes`.
+    fn search(
+        &self,
+        problem: &Problem,
+        ctx: &SolverContext,
+        lane: Option<&Lane>,
+        work: &mut SolveTrace,
+        nodes: &mut usize,
+    ) -> Result<MipSolution> {
+        let int_vars = problem.integer_vars();
+        let sign = match problem.sense {
+            Sense::Maximize => 1.0,
+            Sense::Minimize => -1.0,
+        };
+        let form = StandardForm::build(problem);
         let granularity = objective_granularity(problem);
         // Pruning margin: a node whose bound cannot beat the incumbent by
         // at least one objective quantum (minus float slack) holds nothing
@@ -320,17 +249,14 @@ impl Solver {
                 nodes: 0,
                 proven_optimal: false,
             });
-        if let Some(inc) = &incumbent {
-            on_incumbent(inc);
-        }
 
         // Root relaxation, warm-started from the context when a basis for
         // this problem structure is stored. One LP workspace lives for the
         // whole search: dives into child nodes reuse its installed
         // factorization (`Warm::Live`).
         let mut lp = Lp::new(&form);
-        // lint:allow(panic_freedom, fp is Some whenever ctx is Some; both are derived from the same caller argument)
-        let stored = ctx.and_then(|c| c.lookup(fp.expect("fp set with ctx")));
+        let fp = fingerprint(problem);
+        let stored = ctx.lookup(fp);
         let mut trace = SolveTrace::default();
         let root_warm = stored.as_deref().map_or(Warm::Cold, Warm::Basis);
         let root_outcome = lp.solve(
@@ -341,17 +267,15 @@ impl Solver {
             &mut trace,
             true,
         );
-        if let Some(c) = ctx {
-            if trace.warm_used {
-                c.note_warm_hit();
-            } else {
-                c.note_cold();
-            }
+        if trace.warm_used {
+            ctx.note_warm_hit();
+        } else {
+            ctx.note_cold();
         }
-        let mut pivots_total = trace.pivots;
-        let mut refactors_total = trace.refactorizations;
-        if let Some(l) = &lane {
-            l.span("root relaxation", 0, pivots_total);
+        work.pivots += trace.pivots;
+        work.refactorizations += trace.refactorizations;
+        if let Some(l) = lane {
+            l.span("root relaxation", 0, work.pivots);
         }
         let (root_values, root_objective, root_basis) = match root_outcome {
             SolveOutcome::Optimal {
@@ -359,33 +283,15 @@ impl Solver {
                 objective,
                 basis,
             } => (values, objective, basis),
+            // A validated seed proves feasibility; trust it over a
+            // numerically confused relaxation.
             SolveOutcome::Infeasible => {
-                if let Some(c) = ctx {
-                    c.note_search(pivots_total, refactors_total, 0);
-                }
-                if let Some(l) = &lane {
-                    l.end("solve", pivots_total);
-                }
-                // A validated seed proves feasibility; trust it over a
-                // numerically confused relaxation.
-                return match incumbent {
-                    Some(s) => MipResult::Feasible(s),
-                    None => MipResult::Infeasible,
-                };
+                return incumbent.ok_or_else(|| SmartError::infeasible("integer program"))
             }
-            SolveOutcome::Unbounded => {
-                if let Some(c) = ctx {
-                    c.note_search(pivots_total, refactors_total, 0);
-                }
-                if let Some(l) = &lane {
-                    l.end("solve", pivots_total);
-                }
-                return MipResult::Unbounded;
-            }
+            SolveOutcome::Unbounded => return Err(unbounded()),
         };
-        let root_arc = root_basis.map(Arc::new);
-        if let (Some(c), Some(f), Some(b)) = (ctx, fp, root_arc.clone()) {
-            c.store(f, b);
+        if let Some(b) = root_basis {
+            ctx.store(fp, Arc::new(b));
         }
 
         // Reduced-cost fixing: with an incumbent in hand (the seed), any
@@ -444,12 +350,10 @@ impl Solver {
             pins: Vec::new(),
         });
 
-        let mut nodes = 0usize;
-
         // Check the limit before taking a node: discarding a popped-but-
         // unexplored node would leave the search empty and misclassify the
         // incumbent as proven optimal below.
-        while nodes < self.node_limit {
+        while *nodes < self.node_limit {
             let node = match dive.take() {
                 Some(node) => node,
                 None => match heap.pop() {
@@ -463,34 +367,26 @@ impl Solver {
                     continue;
                 }
             }
-            nodes += 1;
+            *nodes += 1;
             let warm = if self.warm_start && lp.live_available() {
                 Warm::Live
             } else {
                 Warm::Cold
             };
             let mut trace = SolveTrace::default();
-            let node_t0 = pivots_total;
+            let node_t0 = work.pivots;
             let outcome = lp.solve_pinned(problem, &fixed, &node.pins, warm, &mut trace, false);
-            pivots_total += trace.pivots;
-            refactors_total += trace.refactorizations;
-            if let Some(l) = &lane {
-                l.span(&format!("node {nodes}"), node_t0, pivots_total);
+            work.pivots += trace.pivots;
+            work.refactorizations += trace.refactorizations;
+            if let Some(l) = lane {
+                l.span(&format!("node {nodes}"), node_t0, work.pivots);
             }
             let (values, objective) = match outcome {
                 SolveOutcome::Optimal {
                     values, objective, ..
                 } => (values, objective),
                 SolveOutcome::Infeasible => continue,
-                SolveOutcome::Unbounded => {
-                    if let Some(c) = ctx {
-                        c.note_search(pivots_total, refactors_total, nodes as u64);
-                    }
-                    if let Some(l) = &lane {
-                        l.end("solve", pivots_total);
-                    }
-                    return MipResult::Unbounded;
-                }
+                SolveOutcome::Unbounded => return Err(unbounded()),
             };
             if let Some(inc) = &incumbent {
                 if objective * sign <= inc.objective * sign + prune_margin(inc.objective) {
@@ -524,14 +420,12 @@ impl Solver {
                         .as_ref()
                         .is_none_or(|inc| objective * sign > inc.objective * sign + INT_TOL);
                     if better {
-                        let s = MipSolution {
+                        incumbent = Some(MipSolution {
                             objective,
                             values,
-                            nodes,
+                            nodes: *nodes,
                             proven_optimal: false,
-                        };
-                        on_incumbent(&s);
-                        incumbent = Some(s);
+                        });
                     }
                 }
                 Some((v, _)) => {
@@ -559,35 +453,22 @@ impl Solver {
             }
         }
 
-        let exhausted = heap.is_empty() && dive.is_none();
-        let result = match incumbent {
+        match incumbent {
             Some(mut s) => {
-                s.nodes = nodes;
-                if exhausted {
-                    s.proven_optimal = true;
-                    MipResult::Optimal(s)
-                } else {
-                    MipResult::Feasible(s)
-                }
+                s.nodes = *nodes;
+                s.proven_optimal = heap.is_empty() && dive.is_none();
+                Ok(s)
             }
-            None => {
-                // Greedy fallback: round the root relaxation and check.
-                greedy_round(problem, &root_values, nodes)
-            }
-        };
-        if let Some(c) = ctx {
-            c.note_search(pivots_total, refactors_total, nodes as u64);
+            // Greedy fallback: round the root relaxation and check.
+            None => greedy_round(problem, &root_values, *nodes)
+                .ok_or_else(|| SmartError::infeasible("integer program")),
         }
-        if let Some(l) = &lane {
-            l.end("solve", pivots_total);
-        }
-        if let (Some(c), Some(k)) = (ctx, memo_key) {
-            if let MipResult::Optimal(s) | MipResult::Feasible(s) = &result {
-                c.solution_store(k, Arc::new(s.clone()));
-            }
-        }
-        result
     }
+}
+
+/// The error of an integer program whose relaxation is unbounded.
+fn unbounded() -> SmartError {
+    SmartError::unbounded("integer program relaxation")
 }
 
 impl Default for Solver {
@@ -635,8 +516,8 @@ fn validate_seed(problem: &Problem, values: &[f64]) -> Option<(f64, Vec<f64>)> {
 
 /// Rounds integer variables of an LP point and repairs feasibility by
 /// flipping binaries greedily (switching offenders to zero). Returns
-/// `Feasible` on success, `Infeasible` if the repair fails.
-fn greedy_round(problem: &Problem, lp_values: &[f64], nodes: usize) -> MipResult {
+/// `None` if the repair fails.
+fn greedy_round(problem: &Problem, lp_values: &[f64], nodes: usize) -> Option<MipSolution> {
     let mut values = lp_values.to_vec();
     for v in problem.integer_vars() {
         values[v.index()] = values[v.index()].round();
@@ -664,7 +545,7 @@ fn greedy_round(problem: &Problem, lp_values: &[f64], nodes: usize) -> MipResult
                 .enumerate()
                 .map(|(i, v)| v.objective * values[i])
                 .sum();
-            return MipResult::Feasible(MipSolution {
+            return Some(MipSolution {
                 objective,
                 values,
                 nodes,
@@ -687,18 +568,21 @@ fn greedy_round(problem: &Problem, lp_values: &[f64], nodes: usize) -> MipResult
                 }
             })
             .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()));
-        match candidate {
-            Some((v, _)) => values[v.index()] = if want_zero { 0.0 } else { 1.0 },
-            None => return MipResult::Infeasible,
-        }
+        let (v, _) = candidate?;
+        values[v.index()] = if want_zero { 0.0 } else { 1.0 };
     }
-    MipResult::Infeasible
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::{Problem, Relation, Sense};
+
+    /// Solves `p` with `solver` through a fresh context.
+    fn solve_once(solver: Solver, p: &Problem) -> Result<MipSolution> {
+        solver.solve(p, &SolverContext::new())
+    }
 
     #[test]
     fn knapsack_integer_optimum() {
@@ -713,8 +597,7 @@ mod tests {
         p.set_objective(b, 6.0);
         p.set_objective(c, 4.0);
         p.add_constraint(&[(a, 5.0), (b, 4.0), (c, 3.0)], Relation::Le, 7.0);
-        let r = Solver::new().solve(&p);
-        let s = r.solution().expect("solution");
+        let s = solve_once(Solver::new(), &p).expect("solution");
         assert!((s.objective - 10.0).abs() < 1e-6, "z = {}", s.objective);
         // Solution is integral.
         for v in &s.values {
@@ -734,10 +617,9 @@ mod tests {
         p.set_objective(b, 9.0);
         p.set_objective(c, 16.0);
         p.add_constraint(&[(a, 5.0), (b, 5.0), (c, 8.0)], Relation::Le, 10.0);
-        let r = Solver::new().solve(&p);
-        let s = r.solution().expect("solution");
+        let s = solve_once(Solver::new(), &p).expect("solution");
         assert!((s.objective - 18.0).abs() < 1e-6, "z = {}", s.objective);
-        assert!(matches!(r, MipResult::Optimal(_)));
+        assert!(s.proven_optimal);
     }
 
     #[test]
@@ -758,8 +640,7 @@ mod tests {
         for col in [[x00, x10], [x01, x11]] {
             p.add_constraint(&[(col[0], 1.0), (col[1], 1.0)], Relation::Eq, 1.0);
         }
-        let r = Solver::new().solve(&p);
-        let s = r.solution().expect("solution");
+        let s = solve_once(Solver::new(), &p).expect("solution");
         assert!((s.objective - 2.0).abs() < 1e-6);
         assert!((s.value(x00) - 1.0).abs() < 1e-6);
         assert!((s.value(x11) - 1.0).abs() < 1e-6);
@@ -778,7 +659,7 @@ mod tests {
         p.set_objective(b, 9.0);
         p.set_objective(c, 16.0);
         p.add_constraint(&[(a, 5.0), (b, 5.0), (c, 8.0)], Relation::Le, 10.0);
-        let s = Solver::new().try_solve(&p).expect("feasible knapsack");
+        let s = solve_once(Solver::new(), &p).expect("feasible knapsack");
         assert!((s.objective - 18.0).abs() < 1e-6, "z = {}", s.objective);
         assert!(s.proven_optimal);
         assert!(
@@ -791,40 +672,24 @@ mod tests {
     #[test]
     fn node_limit_never_claims_optimality_with_open_nodes() {
         // With a node limit too small to finish the search, the solver must
-        // not report Optimal / proven_optimal: open nodes remain on the
-        // heap (a popped-but-unexplored node must not be discarded).
-        let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        let c = p.binary("c");
-        p.set_objective(a, 9.0);
-        p.set_objective(b, 9.0);
-        p.set_objective(c, 16.0);
-        p.add_constraint(&[(a, 5.0), (b, 5.0), (c, 8.0)], Relation::Le, 10.0);
+        // not report proven optimality: open nodes remain on the heap (a
+        // popped-but-unexplored node must not be discarded).
+        let p = branchy_knapsack();
         for limit in 1..4 {
-            let r = Solver::new().with_node_limit(limit).solve(&p);
-            assert!(
-                !matches!(r, MipResult::Optimal(_)),
-                "limit {limit}: claimed optimal with open nodes"
-            );
-            if let Some(s) = r.solution() {
+            let r = solve_once(Solver::new().with_node_limit(limit), &p);
+            if let Ok(s) = r {
                 assert!(!s.proven_optimal, "limit {limit}");
             }
         }
         // A generous limit does prove optimality.
-        let s = Solver::new().try_solve(&p).expect("feasible");
+        let s = solve_once(Solver::new(), &p).expect("feasible");
         assert!(s.proven_optimal && (s.objective - 18.0).abs() < 1e-6);
     }
 
     #[test]
     fn try_solve_reports_infeasible() {
         // Two binaries cannot sum to 3: Err(Infeasible), not a panic.
-        let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        p.set_objective(a, 1.0);
-        p.add_constraint(&[(a, 1.0), (b, 1.0)], Relation::Ge, 3.0);
-        let err = Solver::new().try_solve(&p).unwrap_err();
+        let err = solve_once(Solver::new(), &unsatisfiable()).unwrap_err();
         assert!(matches!(err, SmartError::Infeasible { .. }), "{err}");
     }
 
@@ -838,18 +703,14 @@ mod tests {
         p.set_objective(a, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(a, 1.0), (y, 1.0)], Relation::Ge, 0.0);
-        let err = Solver::new().try_solve(&p).unwrap_err();
+        let err = solve_once(Solver::new(), &p).unwrap_err();
         assert!(matches!(err, SmartError::Unbounded { .. }), "{err}");
     }
 
     #[test]
     fn infeasible_integer_program() {
-        let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        p.set_objective(a, 1.0);
-        p.add_constraint(&[(a, 1.0), (b, 1.0)], Relation::Ge, 3.0);
-        assert_eq!(Solver::new().solve(&p), MipResult::Infeasible);
+        let err = solve_once(Solver::new(), &unsatisfiable()).unwrap_err();
+        assert!(matches!(err, SmartError::Infeasible { .. }), "{err}");
     }
 
     #[test]
@@ -862,8 +723,7 @@ mod tests {
         p.set_objective(a, 3.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(a, 1.0), (y, 1.0)], Relation::Le, 2.5);
-        let r = Solver::new().solve(&p);
-        let s = r.solution().expect("solution");
+        let s = solve_once(Solver::new(), &p).expect("solution");
         assert!((s.objective - 4.5).abs() < 1e-6, "z = {}", s.objective);
     }
 
@@ -878,8 +738,8 @@ mod tests {
         }
         let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         p.add_constraint(&terms, Relation::Le, 6.0);
-        let r = Solver::new().with_node_limit(1).solve(&p);
-        assert!(r.solution().is_some());
+        let r = solve_once(Solver::new().with_node_limit(1), &p);
+        assert!(r.is_ok(), "{r:?}");
     }
 
     #[test]
@@ -893,8 +753,7 @@ mod tests {
         for i in 0..19 {
             p.add_constraint(&[(vars[i], 1.0), (vars[i + 1], 1.0)], Relation::Ge, 1.0);
         }
-        let r = Solver::new().solve(&p);
-        let s = r.solution().expect("solution");
+        let s = solve_once(Solver::new(), &p).expect("solution");
         // A valid vertex cover of a path of 20 nodes needs >= 9 nodes.
         let chosen = s.values.iter().filter(|&&v| v > 0.5).count();
         assert!(chosen >= 9);
@@ -912,14 +771,22 @@ mod tests {
         p
     }
 
+    /// Two binaries that would have to sum to 3: even the relaxation is
+    /// infeasible.
+    fn unsatisfiable() -> Problem {
+        let mut p = Problem::new(Sense::Maximize);
+        let a = p.binary("a");
+        let b = p.binary("b");
+        p.set_objective(a, 1.0);
+        p.add_constraint(&[(a, 1.0), (b, 1.0)], Relation::Ge, 3.0);
+        p
+    }
+
     #[test]
     fn warm_and_cold_searches_agree() {
         let p = branchy_knapsack();
-        let warm = Solver::new().try_solve(&p).expect("warm");
-        let cold = Solver::new()
-            .with_warm_start(false)
-            .try_solve(&p)
-            .expect("cold");
+        let warm = solve_once(Solver::new(), &p).expect("warm");
+        let cold = solve_once(Solver::new().with_warm_start(false), &p).expect("cold");
         assert!((warm.objective - cold.objective).abs() < 1e-9);
         assert!(warm.proven_optimal && cold.proven_optimal);
     }
@@ -928,24 +795,22 @@ mod tests {
     fn seeded_incumbent_prunes_and_is_never_lost() {
         let p = branchy_knapsack();
         // Optimal seed: the search only has to prove it.
-        let s = Solver::new()
-            .with_incumbent(vec![1.0, 1.0, 0.0])
-            .try_solve(&p)
-            .expect("feasible");
+        let s =
+            solve_once(Solver::new().with_incumbent(vec![1.0, 1.0, 0.0]), &p).expect("feasible");
         assert!((s.objective - 18.0).abs() < 1e-9);
         assert!(s.proven_optimal);
         // Suboptimal seed: the search must still find the optimum.
-        let s = Solver::new()
-            .with_incumbent(vec![0.0, 0.0, 1.0])
-            .try_solve(&p)
-            .expect("feasible");
+        let s =
+            solve_once(Solver::new().with_incumbent(vec![0.0, 0.0, 1.0]), &p).expect("feasible");
         assert!((s.objective - 18.0).abs() < 1e-6);
         // With a 1-node limit and a seed, the seed survives.
-        let r = Solver::new()
-            .with_incumbent(vec![0.0, 0.0, 1.0])
-            .with_node_limit(1)
-            .solve(&p);
-        let s = r.solution().expect("seed survives");
+        let s = solve_once(
+            Solver::new()
+                .with_incumbent(vec![0.0, 0.0, 1.0])
+                .with_node_limit(1),
+            &p,
+        )
+        .expect("seed survives");
         assert!(s.objective >= 16.0 - 1e-9);
     }
 
@@ -959,10 +824,7 @@ mod tests {
             vec![1.0, 1.0],           // wrong arity
             vec![f64::NAN, 0.0, 0.0], // non-finite
         ] {
-            let s = Solver::new()
-                .with_incumbent(bad.clone())
-                .try_solve(&p)
-                .expect("solvable");
+            let s = solve_once(Solver::new().with_incumbent(bad.clone()), &p).expect("solvable");
             assert!(
                 (s.objective - 18.0).abs() < 1e-6,
                 "seed {bad:?} corrupted the search: {}",
@@ -972,20 +834,45 @@ mod tests {
     }
 
     #[test]
-    fn incumbent_callback_observes_seed_and_improvements() {
+    fn identical_solve_replays_from_the_memo() {
         let p = branchy_knapsack();
-        let mut seen: Vec<f64> = Vec::new();
-        let r = Solver::new()
+        let ctx = SolverContext::new();
+        let first = Solver::new().solve(&p, &ctx).expect("feasible");
+        let solved = ctx.stats();
+        assert!(solved.nodes > 0 && solved.pivots > 0, "{solved:?}");
+        let second = Solver::new().solve(&p, &ctx).expect("feasible");
+        assert_eq!(first, second);
+        let replayed = ctx.stats();
+        assert_eq!(replayed.solution_hits, solved.solution_hits + 1);
+        assert_eq!(replayed.nodes, solved.nodes, "no node explored");
+        assert_eq!(replayed.pivots, solved.pivots, "no pivot spent");
+        assert_eq!(replayed.cold_solves, solved.cold_solves, "no cold solve");
+
+        // The seed and the node limit are part of the key: either one
+        // changed is a different solve.
+        Solver::new()
             .with_incumbent(vec![0.0, 0.0, 1.0])
-            .solve_with_callback(&p, None, &mut |s| seen.push(s.objective));
-        assert!(matches!(r, MipResult::Optimal(_)));
-        assert!(seen.len() >= 2, "seed + at least one improvement: {seen:?}");
-        assert!((seen[0] - 16.0).abs() < 1e-9, "first is the seed");
-        assert!(
-            seen.windows(2).all(|w| w[1] > w[0]),
-            "monotone improvements: {seen:?}"
-        );
-        assert!((seen.last().unwrap() - 18.0).abs() < 1e-6);
+            .solve(&p, &ctx)
+            .expect("feasible");
+        Solver::new()
+            .with_node_limit(1)
+            .solve(&p, &ctx)
+            .expect("greedy repair");
+        let missed = ctx.stats();
+        assert_eq!(missed.solution_hits, replayed.solution_hits);
+        assert_eq!(missed.stored_solutions, 3);
+        assert!(missed.nodes > replayed.nodes, "{missed:?}");
+
+        // An infeasible problem stores nothing, so a retry solves again.
+        let ctx = SolverContext::new();
+        for _ in 0..2 {
+            let err = Solver::new().solve(&unsatisfiable(), &ctx).unwrap_err();
+            assert!(matches!(err, SmartError::Infeasible { .. }), "{err}");
+        }
+        let stats = ctx.stats();
+        assert_eq!(stats.stored_solutions, 0, "{stats:?}");
+        assert_eq!(stats.solution_hits, 0, "{stats:?}");
+        assert_eq!(stats.cold_solves, 2, "{stats:?}");
     }
 
     #[test]
@@ -995,15 +882,9 @@ mod tests {
         let ctx = SolverContext::new();
         let mut objectives = Vec::new();
         for cap in [10.0, 9.0, 8.0, 7.0] {
-            let mut p = Problem::new(Sense::Maximize);
-            let a = p.binary("a");
-            let b = p.binary("b");
-            let c = p.binary("c");
-            p.set_objective(a, 9.0);
-            p.set_objective(b, 9.0);
-            p.set_objective(c, 16.0);
-            p.add_constraint(&[(a, 5.0), (b, 5.0), (c, 8.0)], Relation::Le, cap);
-            let s = Solver::new().try_solve_with(&p, &ctx).expect("feasible");
+            let mut p = branchy_knapsack();
+            p.constraints[0].rhs = cap;
+            let s = Solver::new().solve(&p, &ctx).expect("feasible");
             objectives.push(s.objective);
         }
         // cap 10: a+b = 18; caps 9 and 8: c = 16; cap 7: a alone = 9.
@@ -1023,19 +904,15 @@ mod tests {
         for cap in [10.0, 7.0, 12.0, 5.0] {
             let mut p = branchy_knapsack();
             p.constraints[0].rhs = cap;
-            let with_ctx = Solver::new().solve_with(&p, &ctx);
-            let without = Solver::new().solve(&p);
-            match (&with_ctx, &without) {
-                (MipResult::Optimal(a), MipResult::Optimal(b)) => {
-                    assert!(
-                        (a.objective - b.objective).abs() < 1e-9,
-                        "cap {cap}: {} vs {}",
-                        a.objective,
-                        b.objective
-                    );
-                }
-                _ => assert_eq!(with_ctx, without, "cap {cap}"),
-            }
+            let shared = Solver::new().solve(&p, &ctx).expect("feasible");
+            let fresh = solve_once(Solver::new(), &p).expect("feasible");
+            assert!(
+                (shared.objective - fresh.objective).abs() < 1e-9,
+                "cap {cap}: {} vs {}",
+                shared.objective,
+                fresh.objective
+            );
+            assert_eq!(shared.proven_optimal, fresh.proven_optimal, "cap {cap}");
         }
     }
 }

@@ -58,17 +58,17 @@ fn the_layering_rule_would_catch_an_undocumented_edge() {
     let readme = std::fs::read_to_string(root().join("README.md")).expect("README");
     let mut map = workspace::parse_layer_map(&readme);
     for entry in &mut map {
-        if entry.name == "smart-core" {
-            // Pretend the README forgot core's compiler edge again (the
-            // drift this rule was built to catch).
+        if entry.name == "smart-timing" {
+            // Pretend the README forgot timing's compiler edge (the kind
+            // of drift this rule was built to catch).
             entry.deps.retain(|d| d != "smart-compiler");
         }
     }
     let findings = smart_lint::rules::layering::check(&crates, &map, "README.md");
     assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("omits the real dependency `smart-core`")),
+        findings.iter().any(|f| f
+            .message
+            .contains("omits the real dependency `smart-timing`")),
         "{findings:?}"
     );
 }

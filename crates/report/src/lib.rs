@@ -9,14 +9,13 @@
 //! [`ResultTable::to_json`] feed scripts and plots — so the data can be
 //! asserted in tests instead of string-matched.
 //!
-//! Three things live here:
+//! Two things live here:
 //!
 //! * [`table`] — [`ResultTable`], [`ColumnSpec`], and the typed [`Value`] /
 //!   [`Unit`] cell model with the three renderers,
-//! * [`scenario`] — [`Scenario`], a named sweep over typed points that runs
-//!   its points through a worker pool,
 //! * [`pool`] — [`parallel_map`], an order-preserving `std::thread::scope`
-//!   worker pool (no dependencies, no unsafe).
+//!   worker pool (no dependencies, no unsafe) that every sweep runs its
+//!   points through.
 //!
 //! # Examples
 //!
@@ -41,9 +40,7 @@
 #![warn(clippy::all)]
 
 pub mod pool;
-pub mod scenario;
 pub mod table;
 
 pub use pool::parallel_map;
-pub use scenario::Scenario;
 pub use table::{Align, ColumnSpec, ResultTable, Unit, Value};

@@ -25,12 +25,12 @@
 
 use crate::pareto::{epsilon_survivors, pareto_frontier, Objectives};
 use crate::space::SearchSpace;
+use smart_compiler::SolverContext;
 use smart_core::area::ChipArea;
 use smart_core::cache::EvalCache;
 use smart_core::eval::evaluate;
 use smart_core::geometry::GeometryParams;
 use smart_core::scheme::Scheme;
-use smart_core::SolverContext;
 use smart_report::pool::parallel_map;
 use smart_systolic::models::ModelId;
 use smart_timing::{compile_scheme_layer, simulate_scheme, TimingCache, TimingConfig};

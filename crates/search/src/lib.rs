@@ -8,7 +8,7 @@
 //! * [`SearchSpace`] enumerates a geometry grid in **neighbor order** —
 //!   capacity axes innermost — so consecutive design points differ only in
 //!   the right-hand sides of their allocation ILPs and the shared
-//!   [`SolverContext`](smart_core::SolverContext) warm-starts each config
+//!   [`SolverContext`](smart_compiler::SolverContext) warm-starts each config
 //!   from an adjacent basis (technology axes outermost reuse solutions
 //!   verbatim through the exact-match memo: the memory *kind* never enters
 //!   the formulation).

@@ -12,7 +12,7 @@ const MB: u64 = 1024 * 1024;
 /// capacity axes **innermost**: consecutive points differ only in SHIFT /
 /// RANDOM capacities, which enter the allocation ILP purely as constraint
 /// right-hand sides, so a shared
-/// [`SolverContext`](smart_core::SolverContext) warm-starts each point's
+/// [`SolverContext`](smart_compiler::SolverContext) warm-starts each point's
 /// solve from its neighbor's basis. The technology axis sits *outside* the
 /// capacity axes: the memory kind never enters the ILP formulation, so a
 /// second technology revisits byte-identical problems and is answered

@@ -54,7 +54,7 @@ pub mod report;
 pub mod sim;
 pub mod workload;
 
-pub use profile::TenantProfile;
+pub use profile::{mix_capacity_rps, TenantProfile};
 pub use report::{ServingReport, TenantServingStats};
 pub use sim::{simulate, simulate_traced, ServingConfig};
 pub use workload::{ArrivalModel, Request, Tenant, Workload};

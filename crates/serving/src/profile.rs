@@ -30,6 +30,7 @@
 
 // lint:allow-file(index, batch buckets are indexed by positions found in the same slice)
 
+use crate::workload::Tenant;
 use smart_core::scheme::Scheme;
 use smart_systolic::models::ModelId;
 use smart_timing::{compile_scheme_layer, hetero_spm, RandomCosts, TimingCache, TimingConfig};
@@ -153,6 +154,22 @@ impl TenantProfile {
     pub fn standalone_rps(&self) -> f64 {
         self.clock.as_si() / self.standalone_cycles().max(1) as f64
     }
+}
+
+/// Aggregate single-stream capacity of a tenant mix in requests per
+/// second: the harmonic combination of the tenants' stand-alone rates
+/// under their traffic shares (the load at which a work-conserving
+/// server with no switch cost saturates). `profiles` and `tenants` pair
+/// up by position.
+#[must_use]
+pub fn mix_capacity_rps(profiles: &[TenantProfile], tenants: &[Tenant]) -> f64 {
+    let total: f64 = tenants.iter().map(|t| t.weight.max(0.0)).sum();
+    let mean_service_s: f64 = profiles
+        .iter()
+        .zip(tenants)
+        .map(|(p, t)| (t.weight.max(0.0) / total) / p.standalone_rps())
+        .sum();
+    1.0 / mean_service_s
 }
 
 #[cfg(test)]

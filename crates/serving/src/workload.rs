@@ -106,6 +106,12 @@ impl Workload {
     /// cycles). Deterministic in `(self, n, clock)`; arrivals are
     /// non-decreasing.
     ///
+    /// The seconds-to-cycles conversion saturates: an arrival later than
+    /// `u64::MAX` cycles (about 11 years at 52.6 GHz) is reported at
+    /// `u64::MAX`, so at a low enough rate every later arrival piles onto
+    /// that one cycle. A caller that takes the rate from user input
+    /// checks the last arrival before simulating.
+    ///
     /// # Panics
     ///
     /// Panics when the workload is degenerate: no tenants, more than

@@ -68,6 +68,5 @@ pub use report::{ModelTimingReport, TimingReport};
 pub use trace::trace_model_replay;
 pub use validate::{
     compile_scheme_layer, hetero_spm, max_layer_deviation, params_for, prefetch_window,
-    prepare_model, prepare_model_ctx, simulate_scheme, stall_free_variant, LayerCompilation,
-    ModelPrepass,
+    prepare_model_ctx, simulate_scheme, stall_free_variant, LayerCompilation, ModelPrepass,
 };

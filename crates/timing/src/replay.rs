@@ -616,7 +616,8 @@ pub fn replay_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smart_compiler::formulation::{compile_layer, FormulationParams};
+    use smart_compiler::formulation::{compile_layer_ctx, FormulationParams};
+    use smart_compiler::SolverContext;
     use smart_systolic::layer::ConvLayer;
     use smart_systolic::mapping::ArrayShape;
 
@@ -633,7 +634,8 @@ mod tests {
         let mapping = LayerMapping::map(&layer, ArrayShape::new(64, 256), 1);
         let demand = LayerDemand::derive(&layer, &mapping);
         let dag = LayerDag::build(&mapping, cfg.max_iterations);
-        let schedule = compile_layer(&dag, &FormulationParams::smart_default());
+        let params = FormulationParams::smart_default();
+        let schedule = compile_layer_ctx(&dag, &params, &SolverContext::new());
         Compiled {
             layer,
             mapping,

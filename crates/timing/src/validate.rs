@@ -157,7 +157,7 @@ fn compile_layer_for(
 /// The compiled, config-independent half of a whole-model simulation: one
 /// [`LayerPrepass`] per layer, plus the scheme context the finish passes
 /// need ([`Self::replay`] prices each config against the captured SPM and
-/// clock). Built once by [`prepare_model`] — which pays the ILP compile —
+/// clock). Built once by [`prepare_model_ctx`] — which pays the ILP compile —
 /// and replayed per [`TimingConfig`], so a sweep compiles each layer once
 /// instead of once per point.
 #[derive(Debug, Clone)]
@@ -205,27 +205,13 @@ impl ModelPrepass {
 
 /// Compiles every layer of `model` on `scheme` (the ILP plus the
 /// config-independent replay prepass), without replaying anything. Layers
-/// run sequentially through one shared [`SolverContext`] so adjacent
-/// compilations warm-start, and the whole function is deterministic.
-///
-/// # Errors
-///
-/// [`SmartError::InvalidInput`] when the scheme's SPM is not
-/// heterogeneous.
-pub fn prepare_model(
-    scheme: &Scheme,
-    model: &CnnModel,
-    max_iterations: u32,
-) -> Result<ModelPrepass> {
-    prepare_model_ctx(scheme, model, max_iterations, &SolverContext::new())
-}
-
-/// Like [`prepare_model`], threading a caller-owned [`SolverContext`]
-/// through every layer compilation, so bases warm-start across models and
-/// — through the context's persisted basis store — across processes.
-/// Warm starts never change the optimum (the simplex refactorizes and
-/// falls back cold when a stored basis does not fit), so results are
-/// identical to [`prepare_model`]'s.
+/// run sequentially through the caller's [`SolverContext`], so bases
+/// warm-start across layers and models and — through the context's
+/// persisted store — across processes; a one-off prepass passes
+/// `&SolverContext::new()`. Warm starts never change the optimum (the
+/// simplex refactorizes and falls back cold when a stored basis does not
+/// fit), so the result is the same for any context, and the whole function
+/// is deterministic.
 ///
 /// # Errors
 ///
@@ -261,8 +247,10 @@ pub fn prepare_model_ctx(
 }
 
 /// Compiles and replays every layer of `model` on `scheme`: exactly
-/// [`prepare_model`] followed by [`ModelPrepass::replay`], which is what
-/// makes delta replay equivalent to full simulation by construction.
+/// [`prepare_model_ctx`] on a fresh [`SolverContext`] followed by
+/// [`ModelPrepass::replay`], which is what makes delta replay equivalent
+/// to full simulation by construction. This is the full-simulation
+/// reference of the delta-replay tests and of the naive search.
 ///
 /// # Errors
 ///
@@ -273,7 +261,7 @@ pub fn simulate_scheme(
     model: &CnnModel,
     cfg: &TimingConfig,
 ) -> Result<ModelTimingReport> {
-    Ok(prepare_model(scheme, model, cfg.max_iterations)?.replay(cfg))
+    Ok(prepare_model_ctx(scheme, model, cfg.max_iterations, &SolverContext::new())?.replay(cfg))
 }
 
 /// The validation twin of a scheme: same SPM geometry with an idealized
@@ -374,7 +362,13 @@ mod tests {
         let scheme = Scheme::smart();
         let model = ModelId::AlexNet.build();
         let nominal = TimingConfig::nominal();
-        let prepass = prepare_model(&scheme, &model, nominal.max_iterations).expect("prepares");
+        let prepass = prepare_model_ctx(
+            &scheme,
+            &model,
+            nominal.max_iterations,
+            &SolverContext::new(),
+        )
+        .expect("prepares");
         for cfg in [
             nominal,
             nominal.with_depth(1),
@@ -390,7 +384,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_iterations")]
     fn replaying_a_foreign_dag_depth_is_rejected() {
-        let prepass = prepare_model(&Scheme::smart(), &ModelId::AlexNet.build(), 6).expect("ok");
+        let model = ModelId::AlexNet.build();
+        let prepass =
+            prepare_model_ctx(&Scheme::smart(), &model, 6, &SolverContext::new()).expect("ok");
         let mut cfg = TimingConfig::nominal();
         cfg.max_iterations = 4;
         let _ = prepass.replay(&cfg);

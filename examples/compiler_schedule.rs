@@ -5,10 +5,11 @@
 //! cargo run --release --example compiler_schedule
 //! ```
 
-use smart::compiler::formulation::{compile_layer, FormulationParams};
+use smart::compiler::formulation::{compile_layer_ctx, FormulationParams};
 use smart::compiler::greedy::allocate;
 use smart::compiler::lifespan::analyze;
 use smart::compiler::schedule::Location;
+use smart::compiler::SolverContext;
 use smart::systolic::dag::LayerDag;
 use smart::systolic::mapping::{ArrayShape, LayerMapping};
 use smart::systolic::models::ModelId;
@@ -31,7 +32,7 @@ fn main() {
     for layer in &model.layers {
         let mapping = LayerMapping::map(layer, shape, 1);
         let dag = LayerDag::build(&mapping, 6);
-        let schedule = compile_layer(&dag, &params);
+        let schedule = compile_layer_ctx(&dag, &params, &SolverContext::new());
         let (shift, random, dram) = schedule.bytes_by_location(&dag);
         println!(
             "{:<8} {:>6} {:>10} {:>10} {:>9} {:>8.0}% {:>11?}",
@@ -49,7 +50,7 @@ fn main() {
     let layer = &model.layers[1]; // conv2
     let mapping = LayerMapping::map(layer, shape, 1);
     let dag = LayerDag::build(&mapping, 6);
-    let ilp = compile_layer(&dag, &params);
+    let ilp = compile_layer_ctx(&dag, &params, &SolverContext::new());
     let greedy = allocate(&dag, &params, analyze(&dag, params.prefetch_window));
     println!("\nconv2 head-to-head (objective = modeled time saving):");
     println!("  ILP    objective = {:.0}", ilp.objective);

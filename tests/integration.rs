@@ -1,8 +1,9 @@
 //! Cross-crate integration tests: the device models, circuit simulator,
 //! memory models, compiler, and evaluator working together.
 
-use smart::compiler::formulation::{compile_layer, FormulationParams};
+use smart::compiler::formulation::{compile_layer_ctx, FormulationParams};
 use smart::compiler::schedule::{Location, ScheduleSource};
+use smart::compiler::SolverContext;
 use smart::core::eval::evaluate;
 use smart::core::scheme::Scheme;
 use smart::cryomem::array::{RandomArray, RandomArrayKind};
@@ -45,7 +46,7 @@ fn ilp_compiler_handles_all_models() {
         for layer in &model.layers {
             let mapping = LayerMapping::map(layer, shape, 1);
             let dag = LayerDag::build(&mapping, 4);
-            let schedule = compile_layer(&dag, &params);
+            let schedule = compile_layer_ctx(&dag, &params, &SolverContext::new());
             assert!(
                 matches!(
                     schedule.source,

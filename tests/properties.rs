@@ -1,9 +1,10 @@
 //! Property-based tests over the core data structures and invariants.
 
 use proptest::prelude::*;
-use smart::compiler::formulation::{compile_layer, FormulationParams};
+use smart::compiler::formulation::{compile_layer_ctx, FormulationParams};
 use smart::compiler::lifespan::analyze;
 use smart::compiler::schedule::Location;
+use smart::compiler::SolverContext;
 use smart::ilp::problem::{Problem, Relation, Sense};
 use smart::ilp::solver::Solver;
 use smart::sfq::ptl::PtlGeometry;
@@ -133,7 +134,7 @@ proptest! {
         let mut params = FormulationParams::smart_default();
         params.shift_capacity = shift_kb * 1024;
         params.random_capacity = random_kb * 1024;
-        let s = compile_layer(&dag, &params);
+        let s = compile_layer_ctx(&dag, &params, &SolverContext::new());
         for edge in 0..dag.edges.len() as u32 {
             let resident: u64 = dag
                 .objects
@@ -165,8 +166,10 @@ proptest! {
         let terms: Vec<_> = (0..n).map(|i| (vars[i], f64::from(weights[i]))).collect();
         p.add_constraint(&terms, Relation::Le, f64::from(cap));
 
-        let result = Solver::new().solve(&p);
-        let got = result.solution().expect("knapsack always feasible").objective;
+        let got = Solver::new()
+            .solve(&p, &SolverContext::new())
+            .expect("knapsack always feasible")
+            .objective;
 
         // Brute force.
         let mut best = 0u32;
@@ -305,7 +308,7 @@ proptest! {
     ) {
         use smart::core::scheme::Scheme;
         use smart::systolic::layer::{CnnModel, ConvLayer};
-        use smart::timing::{prepare_model, simulate_scheme, TimingConfig};
+        use smart::timing::{prepare_model_ctx, simulate_scheme, TimingConfig};
 
         let layer = ConvLayer::conv("p", hw, hw, in_c, out_c, kernel, 1, 1);
         let model = CnnModel::new("p", vec![layer]);
@@ -314,7 +317,8 @@ proptest! {
             .map(|d| TimingConfig::nominal().with_depth(d).with_bandwidth_pct(pct))
             .collect();
         let scheme = Scheme::smart();
-        let prepass = prepare_model(&scheme, &model, cfgs[0].max_iterations).expect("heterogeneous");
+        let prepass = prepare_model_ctx(&scheme, &model, cfgs[0].max_iterations, &SolverContext::new())
+            .expect("heterogeneous");
         for cfg in &cfgs {
             let full = simulate_scheme(&scheme, &model, cfg).expect("heterogeneous");
             prop_assert_eq!(&prepass.replay(cfg), &full);
@@ -517,12 +521,10 @@ proptest! {
             f64::from(pair_cap),
         );
 
-        let warm = Solver::new().solve(&p);
-        let cold = Solver::new().with_warm_start(false).solve(&p);
-        let w = warm.solution();
-        let c = cold.solution();
-        prop_assert!(w.is_some() && c.is_some(), "knapsack must be feasible");
-        let (w, c) = (w.unwrap(), c.unwrap());
+        let warm = Solver::new().solve(&p, &SolverContext::new());
+        let cold = Solver::new().with_warm_start(false).solve(&p, &SolverContext::new());
+        prop_assert!(warm.is_ok() && cold.is_ok(), "knapsack must be feasible");
+        let (w, c) = (warm.unwrap(), cold.unwrap());
         prop_assert!(
             (w.objective - c.objective).abs() < 1e-6,
             "warm {} vs cold {}",
@@ -540,8 +542,6 @@ proptest! {
         weights in prop::collection::vec(1u32..15, 3..7),
         caps in prop::collection::vec(5u32..50, 2..5),
     ) {
-        use smart::ilp::SolverContext;
-
         let n = values.len().min(weights.len());
         let ctx = SolverContext::new();
         for &cap in &caps {
@@ -553,16 +553,16 @@ proptest! {
             let terms: Vec<_> = (0..n).map(|i| (vars[i], f64::from(weights[i]))).collect();
             p.add_constraint(&terms, Relation::Le, f64::from(cap));
 
-            let with_ctx = Solver::new().solve_with(&p, &ctx);
-            let fresh = Solver::new().solve(&p);
-            match (with_ctx.solution(), fresh.solution()) {
-                (Some(a), Some(b)) => prop_assert!(
+            let with_ctx = Solver::new().solve(&p, &ctx);
+            let fresh = Solver::new().solve(&p, &SolverContext::new());
+            match (with_ctx, fresh) {
+                (Ok(a), Ok(b)) => prop_assert!(
                     (a.objective - b.objective).abs() < 1e-6,
                     "cap {cap}: ctx {} vs fresh {}",
                     a.objective,
                     b.objective
                 ),
-                (a, b) => prop_assert!(a.is_some() == b.is_some(), "cap {cap}"),
+                (a, b) => prop_assert!(a.is_ok() == b.is_ok(), "cap {cap}"),
             }
         }
     }
@@ -736,8 +736,7 @@ proptest! {
             .collect();
         let got = Solver::new()
             .with_incumbent(seed)
-            .solve(&p)
-            .solution()
+            .solve(&p, &SolverContext::new())
             .expect("knapsack feasible")
             .objective;
 
