@@ -176,6 +176,8 @@ impl ExperimentContext {
         reg.add("ilp.pivots", solver.pivots);
         reg.add("ilp.refactorizations", solver.refactorizations);
         reg.add("ilp.nodes", solver.nodes);
+        reg.add("ilp.rows", solver.rows);
+        reg.add("ilp.rows_kept", solver.rows_kept);
         reg.set_gauge("ilp.stored_bases", solver.stored_bases as u64);
         reg.set_gauge("ilp.stored_solutions", solver.stored_solutions as u64);
         let mut snap = reg.snapshot();

@@ -66,6 +66,24 @@ pub struct SolverContextStats {
     pub refactorizations: u64,
     /// Branch & bound nodes explored across every solve.
     pub nodes: u64,
+    /// Constraint rows of every searched problem (memo hits excluded).
+    pub rows: u64,
+    /// LP rows the presolve kept of those `rows`; the rest could never
+    /// bind and were dropped.
+    pub rows_kept: u64,
+}
+
+/// The work one branch & bound search performed, folded into the
+/// context's counters by [`SolverContext::note_search`].
+#[derive(Debug, Default)]
+pub(crate) struct SearchWork {
+    pub pivots: u64,
+    pub refactorizations: u64,
+    pub nodes: usize,
+    /// Constraint rows of the searched problem.
+    pub rows: usize,
+    /// LP rows its presolved form kept.
+    pub rows_kept: usize,
 }
 
 /// Shared warm-start state, solution memo and work counters: the one
@@ -86,6 +104,8 @@ pub struct SolverContext {
     pivots: AtomicU64,
     refactorizations: AtomicU64,
     nodes: AtomicU64,
+    rows: AtomicU64,
+    rows_kept: AtomicU64,
     /// Span sink for per-node solver instrumentation; disabled (free)
     /// unless a driver installs an enabled tracer.
     tracer: Mutex<Tracer>,
@@ -111,6 +131,8 @@ impl SolverContext {
             pivots: self.pivots.load(Ordering::Relaxed),
             refactorizations: self.refactorizations.load(Ordering::Relaxed),
             nodes: self.nodes.load(Ordering::Relaxed),
+            rows: self.rows.load(Ordering::Relaxed),
+            rows_kept: self.rows_kept.load(Ordering::Relaxed),
         }
     }
 
@@ -128,11 +150,14 @@ impl SolverContext {
     }
 
     /// Folds one finished search's work counters into the context.
-    pub(crate) fn note_search(&self, pivots: u64, refactorizations: u64, nodes: u64) {
-        self.pivots.fetch_add(pivots, Ordering::Relaxed);
+    pub(crate) fn note_search(&self, work: &SearchWork) {
+        self.pivots.fetch_add(work.pivots, Ordering::Relaxed);
         self.refactorizations
-            .fetch_add(refactorizations, Ordering::Relaxed);
-        self.nodes.fetch_add(nodes, Ordering::Relaxed);
+            .fetch_add(work.refactorizations, Ordering::Relaxed);
+        self.nodes.fetch_add(work.nodes as u64, Ordering::Relaxed);
+        self.rows.fetch_add(work.rows as u64, Ordering::Relaxed);
+        self.rows_kept
+            .fetch_add(work.rows_kept as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn lookup(&self, fp: u64) -> Option<Arc<Basis>> {
@@ -419,7 +444,9 @@ pub(crate) fn solution_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Problem, Relation, Sense};
+    use crate::problem::{Problem, Relation, Sense, VarId};
+    use crate::revised::StandardForm;
+    use crate::solver::Solver;
 
     fn knapsack(rhs: f64, weight: f64) -> Problem {
         let mut p = Problem::new(Sense::Maximize);
@@ -510,6 +537,42 @@ mod tests {
             matches!(err, smart_units::SmartError::Store { .. }),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn malformed_stored_bases_fall_back_cold_instead_of_panicking() {
+        // Each basis passes the store's length checks. The first, on a
+        // two-variable knapsack, made `Solver::solve` index past the
+        // artificial columns ("the len is 0 but the index is 996").
+        let one_row = knapsack(2.0, 1.0);
+        let mut two_rows = one_row.clone();
+        two_rows.add_constraint(&[(VarId(0), 2.0), (VarId(1), 1.0)], Relation::Le, 2.0);
+        let (b, l) = (Status::Basic, Status::Lower);
+        let cases = [
+            (&one_row, vec![999], vec![l, l, b]),      // out of range
+            (&two_rows, vec![2, 2], vec![l, l, b, l]), // repeated
+            (&two_rows, vec![0, 3], vec![l, l, b, b]), // not marked basic
+            (&two_rows, vec![2, 3], vec![b, l, b, b]), // a third basic column
+        ];
+        for (p, basic, status) in cases {
+            let basis = Basis { basic, status };
+            assert_eq!(StandardForm::build(p, None).restrict(&basis), None);
+            let expected = Solver::new()
+                .solve(p, &SolverContext::new())
+                .expect("feasible");
+            let writer = SolverContext::new();
+            writer.store(fingerprint(p), Arc::new(basis));
+            let ctx = SolverContext::new();
+            assert_eq!(ctx.load_bytes(&writer.to_bytes()), 1, "the store loads");
+            let s = Solver::new().solve(p, &ctx).expect("solves cold");
+            assert_eq!(s, expected);
+            let stats = ctx.stats();
+            assert_eq!(
+                (stats.warm_attempts, stats.warm_hits, stats.cold_solves),
+                (1, 0, 1),
+                "a rejected basis is a warm attempt that solves cold: {stats:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! this crate is the reproduction's substitute. The hot path is a *sparse
 //! revised simplex* over a compressed-sparse-column standard form
 //! ([`revised`]) — bounded variables handled implicitly (no upper-bound
-//! rows), an `m x m` basis inverse instead of a full tableau, and
-//! warm-startable bases — under best-first branch & bound ([`solver`]) that
-//! reoptimizes every child node from its parent's basis with a few dual
-//! simplex pivots, prunes against a caller-seeded incumbent, and falls back
-//! to greedy rounding so compilation always terminates. A [`SolverContext`]
+//! rows), rows that can never bind presolved away, an `m x m` basis
+//! inverse instead of a full tableau, and warm-startable bases — under
+//! best-first branch & bound ([`solver`]) that reoptimizes every child node
+//! from its parent's basis with a few dual simplex pivots, prunes against a
+//! caller-seeded incumbent, and falls back to greedy rounding so
+//! compilation always terminates. A [`SolverContext`]
 //! carries optimal bases *between* solves, so sweeps over capacities or
 //! budgets (same constraint structure, different right-hand sides) become
 //! cheap reoptimizations. [`Solver::solve`] is the one entry point: every

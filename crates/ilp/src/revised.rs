@@ -11,6 +11,15 @@
 //! its largest coefficient, so absolute tolerances are meaningful even for
 //! byte-sized formulation coefficients.
 //!
+//! A presolve drops every inequality row that cannot bind anywhere inside
+//! the variable bounds (its largest `Le` activity, or smallest `Ge`
+//! activity, clears the right-hand side by a strict relative margin): its
+//! slack would stay basic all search long, yet every pivot would still
+//! pay for it in the inverse, pricing and ratio tests. Stored [`Basis`]es
+//! stay in *problem* coordinates ([`StandardForm::expand`] /
+//! [`StandardForm::restrict`]), so warm starts and the persisted store do
+//! not depend on which rows a form dropped.
+//!
 //! Only an `m x m` basis inverse is maintained (product-form updates with
 //! periodic refactorization); pricing walks the sparse columns. An `Lp`
 //! workspace is long-lived — branch & bound keeps one per search — and a
@@ -33,7 +42,7 @@
 
 // lint:allow-file(index, revised simplex kernel; basis and factor indices are maintained invariants of the algorithm, exercised by the property tests)
 
-use crate::problem::{Problem, Relation, Sense};
+use crate::problem::{Constraint, Problem, Relation, Sense};
 use crate::simplex::{LpResult, LpSolution};
 
 /// Primal feasibility tolerance (on row-scaled values).
@@ -42,6 +51,11 @@ const FEAS_TOL: f64 = 1e-7;
 const DUAL_TOL: f64 = 1e-7;
 /// Smallest acceptable pivot magnitude.
 const PIVOT_TOL: f64 = 1e-8;
+/// Relative margin (of the larger of `|rhs|` and the row's largest
+/// coefficient) by which a row's extreme activity must clear its
+/// right-hand side for the presolve to drop it: ten times the feasibility
+/// tolerance, so a dropped slack could never have tied in a ratio test.
+const PRESOLVE_MARGIN: f64 = 1e-6;
 /// Iteration cap per simplex phase (anti-runaway).
 const MAX_ITERS: usize = 50_000;
 /// Basis-inverse refactorization interval (bounds drift).
@@ -63,53 +77,106 @@ pub(crate) enum Status {
 /// A simplex basis: the basic column of every row plus each column's bound
 /// status. It is small (O(rows + columns) integers), cheap to clone, and
 /// the unit of warm-start reuse — between branch & bound nodes and, through
-/// [`crate::context::SolverContext`], between whole solves.
+/// [`crate::context::SolverContext`], between whole solves. A basis a
+/// context stores is in problem coordinates (one slack per constraint
+/// row); an LP workspace works in its [`StandardForm`]'s coordinates,
+/// which lack the slacks of the rows the presolve dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     pub(crate) basic: Vec<usize>,
     pub(crate) status: Vec<Status>,
 }
 
-/// Standard-form LP: CSC structural columns, implicit unit slack columns,
-/// row/objective scaling, and default (node-independent) bounds.
+/// The presolved, scaled standard-form LP of a [`Problem`]: CSC structural
+/// columns, implicit unit slack columns for the rows that can bind, and
+/// default (node-independent) bounds. Branch & bound builds one per
+/// search; [`StandardForm::relaxation`] solves it once.
 #[derive(Debug, Clone)]
-pub(crate) struct StandardForm {
-    pub m: usize,
-    pub n_struct: usize,
+pub struct StandardForm {
+    /// LP rows: the problem rows the presolve kept.
+    pub(crate) m: usize,
+    pub(crate) n_struct: usize,
     /// Structural + slack columns.
-    pub n_total: usize,
+    pub(crate) n_total: usize,
+    /// The problem row behind each LP row (ascending).
+    rows: Vec<usize>,
+    /// Constraint rows of the problem, dropped ones included.
+    problem_rows: usize,
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
     val: Vec<f64>,
     /// Row-scaled right-hand sides.
-    pub rhs: Vec<f64>,
+    pub(crate) rhs: Vec<f64>,
     /// Internal objective: max-sense, divided by the largest |coefficient|.
-    pub obj: Vec<f64>,
+    pub(crate) obj: Vec<f64>,
     /// Default lower bounds, length `n_total`.
-    pub lower: Vec<f64>,
+    pub(crate) lower: Vec<f64>,
     /// Default upper bounds, length `n_total`.
-    pub upper: Vec<f64>,
+    pub(crate) upper: Vec<f64>,
     /// The factor the internal objective was divided by (for mapping
     /// reduced costs back to original units).
-    pub obj_scale: f64,
+    pub(crate) obj_scale: f64,
+}
+
+/// Whether a constraint can never bind inside the variable bounds: a `Le`
+/// row whose largest activity, or a `Ge` row whose smallest activity,
+/// clears the right-hand side by [`PRESOLVE_MARGIN`]. A row with an
+/// infinite or NaN extreme activity, and every `Eq` row, may bind.
+fn never_binds(p: &Problem, c: &Constraint) -> bool {
+    let extreme = |largest: bool| -> f64 {
+        c.terms
+            .iter()
+            .map(|&(v, k)| {
+                let var = &p.variables[v.index()];
+                let at_upper = if largest { k > 0.0 } else { k < 0.0 };
+                k * if at_upper { var.upper } else { var.lower }
+            })
+            .sum()
+    };
+    let scale = c.terms.iter().map(|(_, k)| k.abs()).fold(0.0f64, f64::max);
+    let margin = PRESOLVE_MARGIN * c.rhs.abs().max(scale);
+    match c.relation {
+        Relation::Le => {
+            let act = extreme(true);
+            act.is_finite() && act < c.rhs - margin
+        }
+        Relation::Ge => {
+            let act = extreme(false);
+            act.is_finite() && act > c.rhs + margin
+        }
+        Relation::Eq => false,
+    }
 }
 
 impl StandardForm {
-    /// Builds the scaled standard form of a [`Problem`].
-    pub(crate) fn build(p: &Problem) -> Self {
+    /// Builds the presolved standard form of `p`. An inequality row is
+    /// dropped when its extreme activity over the variable bounds is
+    /// finite and clears the right-hand side by a strict relative margin,
+    /// so it can never bind; `Eq` rows always stay. A droppable row also
+    /// stays when `stored`, the basis a warm start will
+    /// [restrict](StandardForm::restrict), has its slack nonbasic: the row
+    /// bound at the stored optimum, and keeping it keeps that basis usable.
+    #[must_use]
+    pub fn build(p: &Problem, stored: Option<&Basis>) -> Self {
         let n = p.variables.len();
-        let m = p.constraints.len();
+        let rows: Vec<usize> = (0..p.constraints.len())
+            .filter(|&i| {
+                !never_binds(p, &p.constraints[i])
+                    || stored.is_some_and(|b| b.status.get(n + i) != Some(&Status::Basic))
+            })
+            .collect();
+        let m = rows.len();
         let sign = match p.sense {
             Sense::Maximize => 1.0,
             Sense::Minimize => -1.0,
         };
 
         // Row scales: largest |coefficient| per row.
-        let row_scale: Vec<f64> = p
-            .constraints
+        let row_scale: Vec<f64> = rows
             .iter()
-            .map(|c| {
-                c.terms
+            .map(|&i| {
+                p.constraints[i]
+                    .terms
                     .iter()
                     .map(|(_, k)| k.abs())
                     .fold(0.0f64, f64::max)
@@ -119,9 +186,9 @@ impl StandardForm {
 
         // Gather per-column entries (accumulating duplicates).
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for (i, c) in p.constraints.iter().enumerate() {
-            for &(v, k) in &c.terms {
-                cols[v.index()].push((i, k / row_scale[i]));
+        for (r, &i) in rows.iter().enumerate() {
+            for &(v, k) in &p.constraints[i].terms {
+                cols[v.index()].push((r, k / row_scale[r]));
             }
         }
         let mut col_ptr = Vec::with_capacity(n + 1);
@@ -160,8 +227,9 @@ impl StandardForm {
             obj.push(sign * v.objective / obj_scale);
         }
         let mut rhs = Vec::with_capacity(m);
-        for (i, c) in p.constraints.iter().enumerate() {
-            rhs.push(c.rhs / row_scale[i]);
+        for (&i, scale) in rows.iter().zip(&row_scale) {
+            let c = &p.constraints[i];
+            rhs.push(c.rhs / scale);
             let (lo, up) = match c.relation {
                 Relation::Le => (0.0, f64::INFINITY),
                 Relation::Ge => (f64::NEG_INFINITY, 0.0),
@@ -176,6 +244,8 @@ impl StandardForm {
             m,
             n_struct: n,
             n_total: n + m,
+            rows,
+            problem_rows: p.constraints.len(),
             col_ptr,
             row_idx,
             val,
@@ -185,6 +255,93 @@ impl StandardForm {
             upper,
             obj_scale,
         }
+    }
+
+    /// The problem row behind each LP row: the rows the presolve kept, in
+    /// ascending order.
+    #[must_use]
+    pub fn rows(&self) -> &[usize] {
+        &self.rows
+    }
+
+    /// The LP column of every problem column: a structural column maps to
+    /// itself, a kept row's slack to its LP slack, a dropped row's slack to
+    /// `None`.
+    fn lp_columns(&self) -> Vec<Option<usize>> {
+        let n = self.n_struct;
+        let mut map: Vec<Option<usize>> = (0..n).map(Some).collect();
+        map.resize(n + self.problem_rows, None);
+        for (k, &i) in self.rows.iter().enumerate() {
+            map[n + i] = Some(n + k);
+        }
+        map
+    }
+
+    /// Maps a basis of this form to problem coordinates: the LP's basic
+    /// columns, renumbered, followed by the slacks of the dropped rows,
+    /// which are basic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lp` is not a basis of this form.
+    #[must_use]
+    pub fn expand(&self, lp: &Basis) -> Basis {
+        let n = self.n_struct;
+        let lp_columns = self.lp_columns();
+        let status = lp_columns
+            .iter()
+            .map(|c| c.map_or(Status::Basic, |c| lp.status[c]))
+            .collect();
+        let column = |j: usize| if j < n { j } else { n + self.rows[j - n] };
+        let dropped = (0..lp_columns.len()).filter(|&j| lp_columns[j].is_none());
+        let basic = lp.basic.iter().map(|&j| column(j)).chain(dropped).collect();
+        Basis { basic, status }
+    }
+
+    /// Maps a basis in problem coordinates (as a
+    /// [`crate::context::SolverContext`] stores it) into this form, the
+    /// inverse of [`StandardForm::expand`]. `None` unless the basis is
+    /// well formed — one basic column per problem row, each in range,
+    /// distinct and marked `Basic`, no other column marked `Basic` — and
+    /// every dropped row's slack is basic.
+    #[must_use]
+    pub fn restrict(&self, stored: &Basis) -> Option<Basis> {
+        let lp_columns = self.lp_columns();
+        let total = lp_columns.len();
+        if stored.basic.len() != self.problem_rows || stored.status.len() != total {
+            return None;
+        }
+        let mut listed = vec![false; total];
+        for &j in &stored.basic {
+            if j >= total || std::mem::replace(&mut listed[j], true) {
+                return None;
+            }
+        }
+        // The listed columns are exactly the `Basic` ones, and they include
+        // every dropped row's slack.
+        let consistent = (0..total).all(|j| {
+            (stored.status[j] == Status::Basic) == listed[j]
+                && (listed[j] || lp_columns[j].is_some())
+        });
+        if !consistent {
+            return None;
+        }
+        Some(Basis {
+            basic: stored.basic.iter().filter_map(|&j| lp_columns[j]).collect(),
+            status: (0..total)
+                .filter(|&j| lp_columns[j].is_some())
+                .map(|j| stored.status[j])
+                .collect(),
+        })
+    }
+
+    /// One cold solve of this form's LP relaxation of `p` (the problem it
+    /// was built from) under pins `x[i] = v` (`None` is free; an empty
+    /// slice pins nothing), with the optimal basis in this form's
+    /// coordinates when one is storable.
+    #[must_use]
+    pub fn relaxation(&self, p: &Problem, pins: &[Option<f64>]) -> (LpResult, Option<Basis>) {
+        solve_with_pins(self, p, pins, None, &mut SolveTrace::default())
     }
 
     /// Effective bounds under branch & bound pins (`x[i] = v`).
@@ -238,8 +395,9 @@ pub(crate) struct SolveTrace {
     pub refactorizations: u64,
 }
 
-/// One-shot relaxation solve used by the public `solve_relaxation` API and
-/// unit tests: fresh workspace, bounds from pins, mapped to [`LpResult`].
+/// One-shot relaxation solve behind [`StandardForm::relaxation`] and the
+/// warm-start unit tests: fresh workspace, bounds from pins, mapped to
+/// [`LpResult`].
 pub(crate) fn solve_with_pins(
     form: &StandardForm,
     p: &Problem,
@@ -1243,8 +1401,7 @@ mod tests {
     use crate::problem::{Problem, Relation, Sense};
 
     fn solve(p: &Problem, pins: &[Option<f64>]) -> LpResult {
-        let form = StandardForm::build(p);
-        solve_with_pins(&form, p, pins, None, &mut SolveTrace::default()).0
+        StandardForm::build(p, None).relaxation(p, pins).0
     }
 
     #[test]
@@ -1332,7 +1489,7 @@ mod tests {
         let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         p.add_constraint(&terms, Relation::Le, 4.0);
 
-        let form = StandardForm::build(&p);
+        let form = StandardForm::build(&p, None);
         let mut trace = SolveTrace::default();
         let (res, basis) = solve_with_pins(&form, &p, &[], None, &mut trace);
         let LpResult::Optimal(cold) = res else {
@@ -1343,7 +1500,7 @@ mod tests {
 
         let mut tighter = p.clone();
         tighter.constraints[0].rhs = 2.0;
-        let tight_form = StandardForm::build(&tighter);
+        let tight_form = StandardForm::build(&tighter, None);
         let mut warm_trace = SolveTrace::default();
         let (warm_res, _) =
             solve_with_pins(&tight_form, &tighter, &[], Some(&basis), &mut warm_trace);
@@ -1377,7 +1534,7 @@ mod tests {
         p.set_objective(c, 16.0);
         p.add_constraint(&[(a, 5.0), (b, 5.0), (c, 8.0)], Relation::Le, 10.0);
 
-        let form = StandardForm::build(&p);
+        let form = StandardForm::build(&p, None);
         let (root, basis) = solve_with_pins(&form, &p, &[], None, &mut SolveTrace::default());
         let LpResult::Optimal(_) = root else {
             panic!("root failed")
@@ -1413,7 +1570,7 @@ mod tests {
         p.set_objective(b, 9.0);
         p.set_objective(c, 16.0);
         p.add_constraint(&[(a, 5.0), (b, 5.0), (c, 8.0)], Relation::Le, 10.0);
-        let form = StandardForm::build(&p);
+        let form = StandardForm::build(&p, None);
 
         let mut lp = Lp::new(&form);
         let root = lp.solve(
@@ -1493,5 +1650,111 @@ mod tests {
             s.objective,
             d.objective
         );
+    }
+
+    /// Relaxation objectives of the presolved form and the dense oracle
+    /// agree.
+    fn assert_matches_dense(p: &Problem) {
+        let (LpResult::Optimal(s), LpResult::Optimal(d)) =
+            (solve(p, &[]), crate::dense::solve_relaxation_dense(p, &[]))
+        else {
+            panic!("both solves must be optimal")
+        };
+        assert!(
+            (s.objective - d.objective).abs() < 1e-9,
+            "presolved {} vs dense {}",
+            s.objective,
+            d.objective
+        );
+    }
+
+    #[test]
+    fn presolve_drops_only_rows_that_can_never_bind() {
+        let mut p = Problem::new(Sense::Maximize);
+        let a = p.binary("a");
+        let b = p.binary("b");
+        let y = p.continuous("y", 0.0, f64::INFINITY);
+        p.set_objective(a, 3.0);
+        p.set_objective(b, 2.0);
+        p.set_objective(y, 1.0);
+        let ab = [(a, 1.0), (b, 1.0)];
+        // 0: largest activity 2 is below the rhs: dropped.
+        p.add_constraint(&ab, Relation::Le, 3.0);
+        // 1: largest activity equals the rhs: kept.
+        p.add_constraint(&ab, Relation::Le, 2.0);
+        // 2: smallest activity 0 is above the rhs: dropped.
+        p.add_constraint(&ab, Relation::Ge, -1.0);
+        // 3: smallest activity equals the rhs: kept.
+        p.add_constraint(&ab, Relation::Ge, 0.0);
+        // 4: an Eq row is never dropped.
+        p.add_constraint(&ab, Relation::Eq, 1.0);
+        // 5: infinite largest activity (y has no upper bound): kept.
+        p.add_constraint(&[(y, 1.0), (a, 1.0)], Relation::Le, 10.0);
+        // 6: infinite smallest activity: kept.
+        p.add_constraint(&[(y, -1.0), (b, 1.0)], Relation::Ge, -20.0);
+        // 7: y only loosens the row, whose largest activity is 1: dropped.
+        p.add_constraint(&[(y, -1.0), (a, 1.0)], Relation::Le, 5.0);
+        // 8: largest activity below the rhs by less than the margin: kept.
+        p.add_constraint(&ab, Relation::Le, 2.0 + 1e-9);
+        let form = StandardForm::build(&p, None);
+        assert_eq!(form.rows(), &[1, 3, 4, 5, 6, 8]);
+        assert_eq!((form.m, form.n_total), (6, 9));
+        assert_matches_dense(&p);
+
+        // Every row can be dropped: the LP then has no rows at all.
+        let mut p = Problem::new(Sense::Minimize);
+        let a = p.binary("a");
+        let b = p.binary("b");
+        p.set_objective(a, 1.0);
+        p.set_objective(b, -2.0);
+        p.add_constraint(&[(a, 4.0), (b, 4.0)], Relation::Le, 9.0);
+        assert_eq!(StandardForm::build(&p, None).rows(), &[] as &[usize]);
+        assert_matches_dense(&p);
+
+        // An Eq row stays even when its largest activity is below the rhs:
+        // dropping it would hide that the problem is infeasible.
+        let mut p = Problem::new(Sense::Maximize);
+        let a = p.binary("a");
+        p.set_objective(a, 1.0);
+        p.add_constraint(&[(a, 1.0)], Relation::Eq, 3.0);
+        assert_eq!(StandardForm::build(&p, None).rows(), &[0]);
+        assert_eq!(solve(&p, &[]), LpResult::Infeasible);
+    }
+
+    #[test]
+    fn bases_map_between_problem_and_presolved_coordinates() {
+        use Status::{Basic as B, Lower as L, Upper as U};
+        // Row 0 never binds; at the optimum (a = 1, b = 0.5) row 1 binds
+        // and row 2 does not, so row 2's slack is basic.
+        let mut p = Problem::new(Sense::Maximize);
+        let a = p.binary("a");
+        let b = p.binary("b");
+        p.set_objective(a, 3.0);
+        p.set_objective(b, 2.0);
+        p.add_constraint(&[(a, 1.0), (b, 3.0)], Relation::Le, 5.0);
+        p.add_constraint(&[(a, 2.0), (b, 2.0)], Relation::Le, 3.0);
+        p.add_constraint(&[(a, 1.0), (b, 1.0)], Relation::Le, 1.8);
+        let form = StandardForm::build(&p, None);
+        assert_eq!(form.rows(), &[1, 2]);
+        let (LpResult::Optimal(_), Some(lp)) = form.relaxation(&p, &[]) else {
+            panic!("optimal with a storable basis")
+        };
+        // Problem columns: a, b, then the slacks of rows 0, 1 and 2. The
+        // dropped row's slack follows the LP's basic columns.
+        let stored = form.expand(&lp);
+        assert_eq!(stored.basic, vec![1, 4, 2]);
+        assert_eq!(stored.status, vec![U, B, B, L, B]);
+        assert_eq!(form.restrict(&stored), Some(lp));
+
+        // A stored basis with row 0's slack nonbasic keeps the row ...
+        let bound = Basis {
+            basic: vec![1, 0, 4],
+            status: vec![B, B, L, L, B],
+        };
+        let keeping = StandardForm::build(&p, Some(&bound));
+        assert_eq!(keeping.rows(), &[0, 1, 2]);
+        assert!(keeping.restrict(&bound).is_some());
+        // ... and a form that dropped the row rejects it.
+        assert_eq!(form.restrict(&bound), None);
     }
 }

@@ -9,7 +9,7 @@
 //! [`crate::solver::Solver::solve`].
 
 use crate::problem::Problem;
-use crate::revised::{solve_with_pins, SolveTrace, StandardForm};
+use crate::revised::StandardForm;
 
 /// LP outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,9 +34,9 @@ pub struct LpSolution {
 /// Solves the LP relaxation of `problem` (integrality dropped), with extra
 /// pinned bounds `x[i] = v` from branch & bound (pass `None` for free).
 ///
-/// One-shot: builds the sparse standard form, cold-solves, and discards the
-/// basis. Callers that re-solve related LPs (branch & bound, sweeps) should
-/// go through [`crate::solver::Solver`] with a
+/// One-shot: builds the presolved sparse standard form, cold-solves, and
+/// discards the basis. Callers that re-solve related LPs (branch & bound,
+/// sweeps) should go through [`crate::solver::Solver`] with a
 /// [`crate::context::SolverContext`] instead, which reuses bases between
 /// solves.
 ///
@@ -50,8 +50,9 @@ pub fn solve_relaxation(problem: &Problem, pins: &[Option<f64>]) -> LpResult {
         pins.len() == problem.num_vars() || pins.is_empty(),
         "pin vector length mismatch"
     );
-    let form = StandardForm::build(problem);
-    solve_with_pins(&form, problem, pins, None, &mut SolveTrace::default()).0
+    StandardForm::build(problem, None)
+        .relaxation(problem, pins)
+        .0
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Branch & bound over the LP relaxation, with warm-started node solves,
 //! incumbent seeding, and a greedy-rounding fallback.
 //!
-//! Best-first search on the most-fractional integer variable. The sparse
-//! standard form is built **once** per solve; each node only overrides
+//! Best-first search on the most-fractional integer variable. The presolved
+//! sparse standard form is built **once** per solve; each node only overrides
 //! variable bounds (its pins) and warm-starts the dual simplex from its
 //! parent's optimal basis, so a child LP typically reoptimizes in a handful
 //! of pivots instead of a cold two-phase solve. A caller-supplied incumbent
@@ -18,7 +18,7 @@
 
 // lint:allow-file(index, branch-and-bound indexes variable arrays sized by the formulation)
 
-use crate::context::{fingerprint, solution_key, SolverContext};
+use crate::context::{fingerprint, solution_key, SearchWork, SolverContext};
 use crate::problem::{Problem, Relation, Sense};
 use crate::revised::{Lp, SolveOutcome, SolveTrace, StandardForm, Warm};
 use smart_trace::Lane;
@@ -196,10 +196,9 @@ impl Solver {
         if let Some(l) = &lane {
             l.begin("solve", 0);
         }
-        let mut work = SolveTrace::default();
-        let mut nodes = 0usize;
-        let result = self.search(problem, ctx, lane.as_ref(), &mut work, &mut nodes);
-        ctx.note_search(work.pivots, work.refactorizations, nodes as u64);
+        let mut work = SearchWork::default();
+        let result = self.search(problem, ctx, lane.as_ref(), &mut work);
+        ctx.note_search(&work);
         if let Some(l) = &lane {
             l.end("solve", work.pivots);
         }
@@ -209,23 +208,20 @@ impl Solver {
         result
     }
 
-    /// The branch & bound search behind [`Solver::solve`]; accumulates
-    /// its pivots and refactorizations into `work` and its explored node
-    /// count into `nodes`.
+    /// The branch & bound search behind [`Solver::solve`]; records its
+    /// pivots, refactorizations, explored nodes and rows in `work`.
     fn search(
         &self,
         problem: &Problem,
         ctx: &SolverContext,
         lane: Option<&Lane>,
-        work: &mut SolveTrace,
-        nodes: &mut usize,
+        work: &mut SearchWork,
     ) -> Result<MipSolution> {
         let int_vars = problem.integer_vars();
         let sign = match problem.sense {
             Sense::Maximize => 1.0,
             Sense::Minimize => -1.0,
         };
-        let form = StandardForm::build(problem);
         let granularity = objective_granularity(problem);
         // Pruning margin: a node whose bound cannot beat the incumbent by
         // at least one objective quantum (minus float slack) holds nothing
@@ -251,14 +247,19 @@ impl Solver {
             });
 
         // Root relaxation, warm-started from the context when a basis for
-        // this problem structure is stored. One LP workspace lives for the
-        // whole search: dives into child nodes reuse its installed
-        // factorization (`Warm::Live`).
-        let mut lp = Lp::new(&form);
+        // this problem structure is stored. The form is presolved after the
+        // lookup, so it keeps every row the stored basis has bound; a
+        // stored basis that does not fit is rejected and the root solves
+        // cold. One LP workspace lives for the whole search: dives into
+        // child nodes reuse its installed factorization (`Warm::Live`).
         let fp = fingerprint(problem);
         let stored = ctx.lookup(fp);
+        let form = StandardForm::build(problem, stored.as_deref());
+        (work.rows, work.rows_kept) = (problem.num_constraints(), form.m);
+        let mut lp = Lp::new(&form);
         let mut trace = SolveTrace::default();
-        let root_warm = stored.as_deref().map_or(Warm::Cold, Warm::Basis);
+        let restricted = stored.and_then(|b| form.restrict(&b));
+        let root_warm = restricted.as_ref().map_or(Warm::Cold, Warm::Basis);
         let root_outcome = lp.solve(
             problem,
             form.lower.clone(),
@@ -291,7 +292,7 @@ impl Solver {
             SolveOutcome::Unbounded => return Err(unbounded()),
         };
         if let Some(b) = root_basis {
-            ctx.store(fp, Arc::new(b));
+            ctx.store(fp, Arc::new(form.expand(&b)));
         }
 
         // Reduced-cost fixing: with an incumbent in hand (the seed), any
@@ -353,7 +354,7 @@ impl Solver {
         // Check the limit before taking a node: discarding a popped-but-
         // unexplored node would leave the search empty and misclassify the
         // incumbent as proven optimal below.
-        while *nodes < self.node_limit {
+        while work.nodes < self.node_limit {
             let node = match dive.take() {
                 Some(node) => node,
                 None => match heap.pop() {
@@ -367,7 +368,7 @@ impl Solver {
                     continue;
                 }
             }
-            *nodes += 1;
+            work.nodes += 1;
             let warm = if self.warm_start && lp.live_available() {
                 Warm::Live
             } else {
@@ -379,7 +380,7 @@ impl Solver {
             work.pivots += trace.pivots;
             work.refactorizations += trace.refactorizations;
             if let Some(l) = lane {
-                l.span(&format!("node {nodes}"), node_t0, work.pivots);
+                l.span(&format!("node {}", work.nodes), node_t0, work.pivots);
             }
             let (values, objective) = match outcome {
                 SolveOutcome::Optimal {
@@ -423,7 +424,7 @@ impl Solver {
                         incumbent = Some(MipSolution {
                             objective,
                             values,
-                            nodes: *nodes,
+                            nodes: work.nodes,
                             proven_optimal: false,
                         });
                     }
@@ -455,12 +456,12 @@ impl Solver {
 
         match incumbent {
             Some(mut s) => {
-                s.nodes = *nodes;
+                s.nodes = work.nodes;
                 s.proven_optimal = heap.is_empty() && dive.is_none();
                 Ok(s)
             }
             // Greedy fallback: round the root relaxation and check.
-            None => greedy_round(problem, &root_values, *nodes)
+            None => greedy_round(problem, &root_values, work.nodes)
                 .ok_or_else(|| SmartError::infeasible("integer program")),
         }
     }
@@ -577,7 +578,7 @@ fn greedy_round(problem: &Problem, lp_values: &[f64], nodes: usize) -> Option<Mi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Problem, Relation, Sense};
+    use crate::problem::{Problem, Relation, Sense, VarId};
 
     /// Solves `p` with `solver` through a fresh context.
     fn solve_once(solver: Solver, p: &Problem) -> Result<MipSolution> {
@@ -896,6 +897,32 @@ mod tests {
             "later sweep points warm-start: {stats:?}"
         );
         assert!(stats.warm_hits >= 1, "{stats:?}");
+    }
+
+    #[test]
+    fn sweep_across_a_row_that_stops_binding_warm_starts_every_point() {
+        // The capacity row binds below 18 (= 5 + 5 + 8) and can never bind
+        // above it, so the presolve keeps or drops it from point to point;
+        // the stored basis, in problem coordinates, fits every form.
+        let ctx = SolverContext::new();
+        let caps = [10.0, 20.0, 25.0, 9.0, 30.0, 40.0, 7.0];
+        for cap in caps {
+            let mut p = branchy_knapsack();
+            p.constraints[0].rhs = cap;
+            p.add_constraint(&[(VarId(0), 1.0), (VarId(1), 1.0)], Relation::Le, 1.0);
+            let shared = Solver::new().solve(&p, &ctx).expect("feasible");
+            let fresh = solve_once(Solver::new(), &p).expect("feasible");
+            assert_eq!(shared.objective, fresh.objective, "cap {cap}");
+        }
+        let stats = ctx.stats();
+        let later = caps.len() as u64 - 1;
+        assert_eq!(stats.cold_solves, 1, "{stats:?}");
+        assert_eq!((stats.warm_attempts, stats.warm_hits), (later, later));
+        assert_eq!(stats.rows, 2 * caps.len() as u64);
+        assert!(
+            stats.rows_kept < stats.rows,
+            "the row was dropped: {stats:?}"
+        );
     }
 
     #[test]

@@ -750,6 +750,92 @@ proptest! {
         }
         prop_assert!((got - f64::from(best)).abs() < 1e-6, "seeded {got} vs brute {best}");
     }
+
+    /// The presolve never changes a result. On random small 0/1 programs
+    /// that mix never-binding rows (`Le` above the coefficient sum, `Ge`
+    /// below zero) with tight ones, the presolved form keeps exactly the
+    /// rows that can bind, branch & bound matches brute force, the
+    /// relaxation matches the dense oracle, and the root basis survives the
+    /// round trip through problem coordinates.
+    #[test]
+    fn presolve_keeps_results_and_round_trips_the_root_basis(
+        values in prop::collection::vec(1u32..40, 3..8),
+        coefs in prop::collection::vec(1u32..12, 8..40),
+        picks in prop::collection::vec(0u32..6, 2..6),
+    ) {
+        use smart::ilp::dense::solve_relaxation_dense;
+        use smart::ilp::revised::StandardForm;
+        use smart::ilp::simplex::solve_relaxation;
+        use smart::ilp::LpResult;
+
+        let n = values.len();
+        let mut p = Problem::new(Sense::Maximize);
+        let vars: Vec<_> = (0..n).map(|i| p.binary(&format!("x{i}"))).collect();
+        for i in 0..n {
+            p.set_objective(vars[i], f64::from(values[i]));
+        }
+        let mut rows = Vec::new();
+        let mut binding = Vec::new();
+        for (r, &pick) in picks.iter().enumerate() {
+            let row: Vec<i64> = (0..n).map(|i| i64::from(coefs[(r * n + i) % coefs.len()])).collect();
+            let sum: i64 = row.iter().sum();
+            let (relation, rhs, can_bind) = match pick {
+                0 => (Relation::Le, sum + 1 + r as i64, false),
+                1 => (Relation::Ge, -1 - r as i64, false),
+                2 => (Relation::Le, sum, true), // largest activity equals the rhs
+                3 => (Relation::Ge, 1, true),
+                _ => (Relation::Le, sum / 2, true),
+            };
+            let terms: Vec<_> = (0..n).map(|i| (vars[i], row[i] as f64)).collect();
+            p.add_constraint(&terms, relation, rhs as f64);
+            if can_bind {
+                binding.push(r);
+            }
+            rows.push((row, relation, rhs));
+        }
+
+        let form = StandardForm::build(&p, None);
+        prop_assert_eq!(form.rows(), &binding[..]);
+
+        let mut best: Option<i64> = None;
+        for mask in 0u32..(1 << n) {
+            let activity = |row: &[i64]| -> i64 {
+                (0..n).filter(|&i| mask >> i & 1 == 1).map(|i| row[i]).sum()
+            };
+            let feasible = rows.iter().all(|(row, relation, rhs)| match relation {
+                Relation::Le => activity(row) <= *rhs,
+                _ => activity(row) >= *rhs,
+            });
+            if feasible {
+                let v: i64 = (0..n).filter(|&i| mask >> i & 1 == 1).map(|i| i64::from(values[i])).sum();
+                best = best.max(Some(v));
+            }
+        }
+        match (Solver::new().solve(&p, &SolverContext::new()), best) {
+            (Ok(s), Some(best)) => prop_assert!(
+                (s.objective - best as f64).abs() < 1e-6,
+                "ilp {} vs brute {best}",
+                s.objective
+            ),
+            (Err(_), None) => {}
+            (s, best) => prop_assert!(false, "ilp {s:?} vs brute {best:?}"),
+        }
+
+        match (solve_relaxation(&p, &[]), solve_relaxation_dense(&p, &[])) {
+            (LpResult::Optimal(s), LpResult::Optimal(d)) => prop_assert!(
+                (s.objective - d.objective).abs() < 1e-6 * d.objective.abs().max(1.0),
+                "presolved {} vs dense {}",
+                s.objective,
+                d.objective
+            ),
+            (LpResult::Infeasible, LpResult::Infeasible) => {}
+            (s, d) => prop_assert!(false, "outcome mismatch: presolved {s:?} vs dense {d:?}"),
+        }
+
+        if let (LpResult::Optimal(_), Some(root)) = form.relaxation(&p, &[]) {
+            prop_assert_eq!(form.restrict(&form.expand(&root)), Some(root));
+        }
+    }
 }
 
 proptest! {
