@@ -13,24 +13,30 @@
 //! produce different fingerprints and simply solve cold — reuse never
 //! risks a stale basis.
 //!
-//! Alongside the basis store sits an exact-match **solution memo**: full
-//! MIP solutions keyed by a 128-bit content hash over the *complete*
-//! problem (matrix, bounds, objective, right-hand sides), the incumbent
-//! seed, and the solver configuration. The branch & bound search is
-//! deterministic, so an identical solve replays the stored
-//! [`MipSolution`] verbatim — same objective, values, node count, and
-//! optimality flag — and skips the search entirely. This is what makes a
-//! warm `--cache-dir` rerun of the ILP ablation near-free: the root-basis
-//! warm start only shortcuts the root relaxation, while the memo
-//! shortcuts the whole tree.
+//! Alongside the basis store sits a **solution memo**: full MIP solutions
+//! keyed by a 128-bit content hash over what the search sees — the
+//! variables and objective, every row that can bind (relation, terms and
+//! right-hand side), the validated incumbent seed, and the solver
+//! configuration. A row that can never bind inside the variable bounds is
+//! left out of the key exactly as the presolve leaves it out of the LP
+//! (one predicate, `revised::never_binds`, decides both): it cannot change
+//! the feasible set, so problems that differ only in such rows (design
+//! points whose RANDOM bank count or capacity no allocation can exhaust,
+//! say) share one answer. The branch & bound search is deterministic, so
+//! such a solve replays the stored [`MipSolution`] — same objective,
+//! values, and optimality flag, and the node count of the search it
+//! replays — and skips the search entirely. This is what makes a warm
+//! `--cache-dir` rerun of the ILP ablation near-free: the root-basis warm
+//! start only shortcuts the root relaxation, while the memo shortcuts the
+//! whole tree.
 //!
 //! The context is `Sync`: one instance can be shared across the experiment
 //! runner's worker threads (the map is mutex-guarded, the counters are
 //! atomic), matching how `smart_report::parallel_map` fans sweep points
 //! out.
 
-use crate::problem::Problem;
-use crate::revised::{Basis, Status};
+use crate::problem::{Constraint, Problem};
+use crate::revised::{never_binds, Basis, Status};
 use crate::solver::MipSolution;
 use smart_trace::Tracer;
 use smart_units::codec::content_hash;
@@ -234,8 +240,10 @@ impl SolverContext {
     /// unchanged — the fall-back-to-cold path). A reloaded basis is only
     /// ever *attempted*: the simplex refactorizes and falls back to a cold
     /// solve if it does not fit its problem. A reloaded solution is keyed
-    /// by a content hash of the complete problem plus solver
-    /// configuration, so a stale file simply never matches.
+    /// by a content hash of the problem its search saw plus the solver
+    /// configuration, so a stale entry simply never matches; a file
+    /// written under another key definition carries another store version
+    /// and loads nothing.
     ///
     /// Returns the total number of entries (bases plus solutions) now
     /// stored.
@@ -344,8 +352,9 @@ impl SolverContext {
 /// Store tag of the warm-start basis file.
 const BASIS_TAG: &str = "smart-ilp-bases";
 
-/// Bump when the serialized basis/solution layout changes.
-const BASIS_VERSION: u32 = 2;
+/// Bump when the serialized basis/solution layout or the meaning of a
+/// stored key changes (3: solution keys leave out never-binding rows).
+const BASIS_VERSION: u32 = 3;
 
 /// File name of the basis store inside a `--cache-dir`.
 pub const BASIS_FILE_NAME: &str = "ilp-bases.bin";
@@ -378,12 +387,18 @@ pub(crate) fn fingerprint(p: &Problem) -> u64 {
 }
 
 /// Hashable view of everything that determines a deterministic solve's
-/// outcome: the complete problem (including right-hand sides, which the
-/// structural [`fingerprint`] deliberately skips), the incumbent seed, and
-/// the solver configuration. Variable names are excluded — they never
-/// influence the search.
+/// outcome: the variables and objective, every row the search can see with
+/// its right-hand side (which the structural [`fingerprint`] deliberately
+/// skips), the validated incumbent seed, and the solver configuration.
+/// Rows that [`never_binds`] holds are left out: they hold everywhere
+/// inside the variable bounds, so they change neither the feasible set nor
+/// the presolved LP, and a problem that differs from an earlier one only in
+/// such rows replays the earlier search. Variable names are excluded — they
+/// never influence the search.
 struct SolveKey<'a> {
     problem: &'a Problem,
+    /// The rows the search sees, in problem order.
+    rows: Vec<&'a Constraint>,
     seed: Option<&'a [f64]>,
     node_limit: usize,
     warm_start: bool,
@@ -393,7 +408,6 @@ impl Hash for SolveKey<'_> {
     fn hash<H: Hasher>(&self, h: &mut H) {
         let p = self.problem;
         (p.num_vars() as u64).hash(h);
-        (p.num_constraints() as u64).hash(h);
         matches!(p.sense, crate::problem::Sense::Maximize).hash(h);
         for v in &p.variables {
             v.lower.to_bits().hash(h);
@@ -401,7 +415,8 @@ impl Hash for SolveKey<'_> {
             v.integer.hash(h);
             v.objective.to_bits().hash(h);
         }
-        for c in &p.constraints {
+        (self.rows.len() as u64).hash(h);
+        for c in &self.rows {
             (c.relation as u8).hash(h);
             c.rhs.to_bits().hash(h);
             (c.terms.len() as u64).hash(h);
@@ -425,7 +440,9 @@ impl Hash for SolveKey<'_> {
     }
 }
 
-/// 128-bit exact-solve key for the solution memo (see [`SolveKey`]).
+/// 128-bit solve key for the solution memo (see [`SolveKey`]); `seed` is
+/// the incumbent seed after validation, `None` when there is none or it
+/// was rejected.
 #[must_use]
 pub(crate) fn solution_key(
     problem: &Problem,
@@ -433,8 +450,14 @@ pub(crate) fn solution_key(
     node_limit: usize,
     warm_start: bool,
 ) -> u128 {
+    let rows = problem
+        .constraints
+        .iter()
+        .filter(|c| !never_binds(problem, c))
+        .collect();
     content_hash(&SolveKey {
         problem,
+        rows,
         seed,
         node_limit,
         warm_start,

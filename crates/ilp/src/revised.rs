@@ -121,8 +121,10 @@ pub struct StandardForm {
 /// Whether a constraint can never bind inside the variable bounds: a `Le`
 /// row whose largest activity, or a `Ge` row whose smallest activity,
 /// clears the right-hand side by [`PRESOLVE_MARGIN`]. A row with an
-/// infinite or NaN extreme activity, and every `Eq` row, may bind.
-fn never_binds(p: &Problem, c: &Constraint) -> bool {
+/// infinite or NaN extreme activity, and every `Eq` row, may bind. The
+/// presolve drops these rows and the solution memo's key leaves them out
+/// ([`crate::context`]), so both always agree on which rows a search sees.
+pub(crate) fn never_binds(p: &Problem, c: &Constraint) -> bool {
     let extreme = |largest: bool| -> f64 {
         c.terms
             .iter()

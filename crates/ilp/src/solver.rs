@@ -27,13 +27,19 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 const INT_TOL: f64 = 1e-6;
+/// Float rounding, relative to the magnitude at hand: a few units in the
+/// last place.
+const ROUNDING: f64 = 4.0 * f64::EPSILON;
 
 /// Objective granularity for pure-integer objectives: when every variable
-/// with a nonzero objective coefficient is integer, any feasible objective
-/// is an integer combination of the coefficients, so improving solutions
-/// are at least `gcd(coefficients)` apart and nodes inside that window of
-/// the incumbent can be pruned *exactly*. Returns 0.0 when no useful
-/// granularity exists (continuous objective terms, or a vanishing gcd).
+/// with a nonzero objective coefficient is integer and a quantum `g`
+/// divides every coefficient, any feasible objective is an integer multiple
+/// of `g`, so improving solutions are at least `g` apart and nodes inside
+/// that window of the incumbent can be pruned *exactly*. A quantum counts
+/// only if it divides every coefficient up to float rounding: one that is
+/// off by more could prune a better solution. Returns 0.0 when no useful
+/// granularity exists (continuous objective terms, no exact common
+/// quantum, or one at rounding-error scale).
 fn objective_granularity(problem: &Problem) -> f64 {
     let mut g = 0.0f64;
     let mut cmax = 0.0f64;
@@ -48,21 +54,23 @@ fn objective_granularity(problem: &Problem) -> f64 {
         cmax = cmax.max(c);
         g = float_gcd(g, c);
     }
+    let divides = |c: f64| c <= 0.0 || (c - (c / g).round() * g).abs() <= ROUNDING * c;
     // Noise floor: a gcd at rounding-error scale is meaningless.
-    if g <= 1e-6 * cmax.max(1.0) {
-        0.0
-    } else {
+    if g > 1e-6 * cmax.max(1.0) && problem.variables.iter().all(|v| divides(v.objective.abs())) {
         g
+    } else {
+        0.0
     }
 }
 
-/// Euclid's algorithm on floats, tolerating representation noise.
+/// Euclid's algorithm on floats, treating a remainder within float
+/// rounding of zero (or of the divisor) as zero.
 fn float_gcd(a: f64, b: f64) -> f64 {
     let (mut a, mut b) = (a.max(b), a.min(b));
     if b == 0.0 {
         return a;
     }
-    let tol = 1e-9 * a.max(1.0);
+    let tol = ROUNDING * a;
     for _ in 0..128 {
         if b <= tol {
             return a;
@@ -82,7 +90,9 @@ pub struct MipSolution {
     pub objective: f64,
     /// Variable values in declaration order.
     pub values: Vec<f64>,
-    /// Branch & bound nodes explored.
+    /// Branch & bound nodes explored. A solution replayed from a
+    /// [`SolverContext`]'s memo reports the nodes of the search it replays,
+    /// which may have solved a problem with other never-binding rows.
     pub nodes: usize,
     /// `true` when branch & bound proved this solution optimal; `false`
     /// when the node limit stopped the search or the greedy repair pass
@@ -157,28 +167,35 @@ impl Solver {
         self
     }
 
-    /// Solves the problem through `ctx`. An identical earlier solve (same
-    /// problem, seed, and configuration) replays from the context's
-    /// solution memo; otherwise the root relaxation warm-starts from the
-    /// basis of the last structurally identical problem, which makes
-    /// sweeps over right-hand sides (capacities, budgets) reoptimizations
-    /// instead of cold solves. One-off callers pass
-    /// `&SolverContext::new()`.
+    /// Solves the problem through `ctx`. A solve whose search would repeat
+    /// an earlier one (same variables, objective, rows that can bind,
+    /// validated seed, and configuration; rows that can never bind may
+    /// differ) replays from the context's solution memo; otherwise the
+    /// root relaxation warm-starts from the basis of the last structurally
+    /// identical problem, which makes sweeps over right-hand sides
+    /// (capacities, budgets) reoptimizations instead of cold solves.
+    /// One-off callers pass `&SolverContext::new()`.
     ///
     /// # Errors
     ///
     /// [`SmartError::Infeasible`] when no integer-feasible point exists and
     /// [`SmartError::Unbounded`] when the relaxation is unbounded.
     pub fn solve(&self, problem: &Problem, ctx: &SolverContext) -> Result<MipSolution> {
-        // Exact-match solution memo: branch & bound is deterministic, so a
-        // solve of an identical (problem, seed, config) triple replays the
-        // stored solution verbatim — objective, values, node count, and
-        // optimality flag included — without touching the tree. This is
-        // the path that makes warm `--cache-dir` reruns of ILP-heavy
-        // experiments near-free.
+        // An invalid seed is ignored, so the search starts exactly as
+        // without one.
+        let seed = self
+            .seed
+            .as_deref()
+            .and_then(|vals| Some((vals, validate_seed(problem, vals)?)));
+        // Solution memo: branch & bound is deterministic and sees neither
+        // the rows the presolve drops nor a rejected seed, so a solve whose
+        // key matches an earlier one replays that search's solution —
+        // objective, values, node count, and optimality flag — without
+        // touching the tree. This is the path that makes warm
+        // `--cache-dir` reruns of ILP-heavy experiments near-free.
         let memo_key = solution_key(
             problem,
-            self.seed.as_deref(),
+            seed.map(|(vals, _)| vals),
             self.node_limit,
             self.warm_start,
         );
@@ -186,8 +203,8 @@ impl Solver {
             return Ok(MipSolution::clone(&sol));
         }
         // Per-solve trace lane, keyed by the solution memo key so
-        // concurrent solves of distinct problems never interleave on one
-        // lane. Virtual time is cumulative simplex pivots within this
+        // concurrent searches of problems the memo tells apart never
+        // interleave on one lane. Virtual time is cumulative simplex pivots within this
         // solve; memo-hit replays above emit nothing (no pivots spent).
         let tracer = ctx.tracer();
         let lane = tracer
@@ -197,7 +214,7 @@ impl Solver {
             l.begin("solve", 0);
         }
         let mut work = SearchWork::default();
-        let result = self.search(problem, ctx, lane.as_ref(), &mut work);
+        let result = self.search(problem, seed, ctx, lane.as_ref(), &mut work);
         ctx.note_search(&work);
         if let Some(l) = &lane {
             l.end("solve", work.pivots);
@@ -208,11 +225,13 @@ impl Solver {
         result
     }
 
-    /// The branch & bound search behind [`Solver::solve`]; records its
-    /// pivots, refactorizations, explored nodes and rows in `work`.
+    /// The branch & bound search behind [`Solver::solve`] from the
+    /// validated `seed` (values and objective); records its pivots,
+    /// refactorizations, explored nodes and rows in `work`.
     fn search(
         &self,
         problem: &Problem,
+        seed: Option<(&[f64], f64)>,
         ctx: &SolverContext,
         lane: Option<&Lane>,
         work: &mut SearchWork,
@@ -234,17 +253,12 @@ impl Solver {
             }
         };
 
-        // Seed incumbent (validated; ignored when infeasible).
-        let mut incumbent: Option<MipSolution> = self
-            .seed
-            .as_deref()
-            .and_then(|vals| validate_seed(problem, vals))
-            .map(|(objective, values)| MipSolution {
-                objective,
-                values,
-                nodes: 0,
-                proven_optimal: false,
-            });
+        let mut incumbent: Option<MipSolution> = seed.map(|(values, objective)| MipSolution {
+            objective,
+            values: values.to_vec(),
+            nodes: 0,
+            proven_optimal: false,
+        });
 
         // Root relaxation, warm-started from the context when a basis for
         // this problem structure is stored. The form is presolved after the
@@ -480,8 +494,8 @@ impl Default for Solver {
 
 /// Validates a seed incumbent: bounds, integrality of integer variables,
 /// and every constraint within a scaled tolerance. Returns the recomputed
-/// objective and the values on success.
-fn validate_seed(problem: &Problem, values: &[f64]) -> Option<(f64, Vec<f64>)> {
+/// objective on success.
+fn validate_seed(problem: &Problem, values: &[f64]) -> Option<f64> {
     if values.len() != problem.num_vars() {
         return None;
     }
@@ -506,13 +520,14 @@ fn validate_seed(problem: &Problem, values: &[f64]) -> Option<(f64, Vec<f64>)> {
             return None;
         }
     }
-    let objective = problem
-        .variables
-        .iter()
-        .enumerate()
-        .map(|(i, v)| v.objective * values[i])
-        .sum();
-    Some((objective, values.to_vec()))
+    Some(
+        problem
+            .variables
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v.objective * values[i])
+            .sum(),
+    )
 }
 
 /// Rounds integer variables of an LP point and repairs feasibility by
@@ -834,6 +849,54 @@ mod tests {
         }
     }
 
+    /// A maximization over binaries with the given objective coefficients.
+    fn with_objective(coefficients: &[f64]) -> Problem {
+        let mut p = Problem::new(Sense::Maximize);
+        for (i, &c) in coefficients.iter().enumerate() {
+            let v = p.binary(&format!("x{i}"));
+            p.set_objective(v, c);
+        }
+        p
+    }
+
+    #[test]
+    fn objective_quantum_divides_every_coefficient() {
+        // x = 1 beats the seed y = 1 by 0.05, far above INT_TOL: a quantum
+        // of 1e8 would prune it and call the seed optimal.
+        let mut p = with_objective(&[1e8 + 0.05, 1e8]);
+        p.add_constraint(&[(VarId(0), 1.0), (VarId(1), 1.0)], Relation::Le, 1.0);
+        assert_eq!(objective_granularity(&p), 0.0);
+        for solver in [Solver::new(), Solver::new().with_incumbent(vec![0.0, 1.0])] {
+            let s = solve_once(solver, &p).expect("feasible");
+            assert_eq!((s.value(VarId(0)), s.value(VarId(1))), (1.0, 0.0));
+            assert!(s.proven_optimal);
+        }
+        // One design-search allocation ILP's objective. Its exact quantum,
+        // 0.8, is out of reach of Euclid on floats; snapping remainders
+        // below 1e-9 of the larger input ends at 1555.2, which does not
+        // divide 108953.6.
+        let allocation = [
+            108_953.599_999_999_99,
+            91_750.400_000_000_01,
+            11_080.8,
+            9_331.2,
+            177_292.8,
+            149_299.2,
+            29_548.8,
+            24_883.2,
+        ];
+        assert_eq!(objective_granularity(&with_objective(&allocation)), 0.0);
+        // Euclid returns 1e17 once 20 is below 1e17's rounding; the check
+        // rejects it.
+        assert_eq!(objective_granularity(&with_objective(&[20.0, 1e17])), 0.0);
+        // An exact quantum still counts, decimal ones included.
+        assert_eq!(
+            objective_granularity(&with_objective(&[6.0, 9.0, 15.0])),
+            3.0
+        );
+        assert_eq!(objective_granularity(&with_objective(&[0.3, 0.1])), 0.1);
+    }
+
     #[test]
     fn identical_solve_replays_from_the_memo() {
         let p = branchy_knapsack();
@@ -848,6 +911,14 @@ mod tests {
         assert_eq!(replayed.nodes, solved.nodes, "no node explored");
         assert_eq!(replayed.pivots, solved.pivots, "no pivot spent");
         assert_eq!(replayed.cold_solves, solved.cold_solves, "no cold solve");
+        // A seed that fails validation is ignored, so it is no seed.
+        let ignored = Solver::new()
+            .with_incumbent(vec![1.0, 1.0, 1.0])
+            .solve(&p, &ctx)
+            .expect("feasible");
+        assert_eq!(first, ignored);
+        let replayed = ctx.stats();
+        assert_eq!(replayed.solution_hits, solved.solution_hits + 2);
 
         // The seed and the node limit are part of the key: either one
         // changed is a different solve.
@@ -903,7 +974,9 @@ mod tests {
     fn sweep_across_a_row_that_stops_binding_warm_starts_every_point() {
         // The capacity row binds below 18 (= 5 + 5 + 8) and can never bind
         // above it, so the presolve keeps or drops it from point to point;
-        // the stored basis, in problem coordinates, fits every form.
+        // the stored basis, in problem coordinates, fits every form. Above
+        // 18 the capacity changes nothing the search sees: caps 20, 25, 30
+        // and 40 are one problem, searched once and then replayed.
         let ctx = SolverContext::new();
         let caps = [10.0, 20.0, 25.0, 9.0, 30.0, 40.0, 7.0];
         for cap in caps {
@@ -915,14 +988,12 @@ mod tests {
             assert_eq!(shared.objective, fresh.objective, "cap {cap}");
         }
         let stats = ctx.stats();
-        let later = caps.len() as u64 - 1;
         assert_eq!(stats.cold_solves, 1, "{stats:?}");
-        assert_eq!((stats.warm_attempts, stats.warm_hits), (later, later));
-        assert_eq!(stats.rows, 2 * caps.len() as u64);
-        assert!(
-            stats.rows_kept < stats.rows,
-            "the row was dropped: {stats:?}"
-        );
+        assert_eq!((stats.warm_attempts, stats.warm_hits), (3, 3), "{stats:?}");
+        assert_eq!(stats.solution_hits, 3, "caps 25, 30 and 40: {stats:?}");
+        // Caps 10, 20, 9 and 7 search. Cap 20 keeps the droppable row too:
+        // the basis stored at cap 10 has it bound.
+        assert_eq!((stats.rows, stats.rows_kept), (8, 8), "{stats:?}");
     }
 
     #[test]

@@ -78,7 +78,9 @@ pub struct IlpMetrics {
     /// Summed schedule objective (bytes-weighted access cost).
     pub objective: f64,
     /// Summed branch & bound nodes (0 = every layer's seeded incumbent was
-    /// provably optimal).
+    /// provably optimal). A layer answered from the solution memo counts
+    /// the nodes of the search it replays, which may have run for another
+    /// design point whose problem differed only in rows that never bind.
     pub nodes: usize,
     /// Bytes the schedules place in SHIFT staging.
     pub shift_bytes: u64,

@@ -768,52 +768,14 @@ proptest! {
         use smart::ilp::simplex::solve_relaxation;
         use smart::ilp::LpResult;
 
-        let n = values.len();
-        let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..n).map(|i| p.binary(&format!("x{i}"))).collect();
-        for i in 0..n {
-            p.set_objective(vars[i], f64::from(values[i]));
-        }
-        let mut rows = Vec::new();
-        let mut binding = Vec::new();
-        for (r, &pick) in picks.iter().enumerate() {
-            let row: Vec<i64> = (0..n).map(|i| i64::from(coefs[(r * n + i) % coefs.len()])).collect();
-            let sum: i64 = row.iter().sum();
-            let (relation, rhs, can_bind) = match pick {
-                0 => (Relation::Le, sum + 1 + r as i64, false),
-                1 => (Relation::Ge, -1 - r as i64, false),
-                2 => (Relation::Le, sum, true), // largest activity equals the rhs
-                3 => (Relation::Ge, 1, true),
-                _ => (Relation::Le, sum / 2, true),
-            };
-            let terms: Vec<_> = (0..n).map(|i| (vars[i], row[i] as f64)).collect();
-            p.add_constraint(&terms, relation, rhs as f64);
-            if can_bind {
-                binding.push(r);
-            }
-            rows.push((row, relation, rhs));
-        }
-
+        let (rows, binding) = random_01_rows(values.len(), &coefs, &picks);
+        let p = program_01(&values, &rows);
         let form = StandardForm::build(&p, None);
         prop_assert_eq!(form.rows(), &binding[..]);
 
-        let mut best: Option<i64> = None;
-        for mask in 0u32..(1 << n) {
-            let activity = |row: &[i64]| -> i64 {
-                (0..n).filter(|&i| mask >> i & 1 == 1).map(|i| row[i]).sum()
-            };
-            let feasible = rows.iter().all(|(row, relation, rhs)| match relation {
-                Relation::Le => activity(row) <= *rhs,
-                _ => activity(row) >= *rhs,
-            });
-            if feasible {
-                let v: i64 = (0..n).filter(|&i| mask >> i & 1 == 1).map(|i| i64::from(values[i])).sum();
-                best = best.max(Some(v));
-            }
-        }
-        match (Solver::new().solve(&p, &SolverContext::new()), best) {
+        match (Solver::new().solve(&p, &SolverContext::new()), brute_force_01(&values, &rows)) {
             (Ok(s), Some(best)) => prop_assert!(
-                (s.objective - best as f64).abs() < 1e-6,
+                (s.objective - best).abs() < 1e-6,
                 "ilp {} vs brute {best}",
                 s.objective
             ),
@@ -836,6 +798,168 @@ proptest! {
             prop_assert_eq!(form.restrict(&form.expand(&root)), Some(root));
         }
     }
+
+    /// Rows that can never bind are invisible to the solution memo. The
+    /// presolve property's random 0/1 programs are solved in variants that
+    /// insert never-binding rows (random coefficients, random slack beyond
+    /// the extreme activity) at random positions. Through one context the
+    /// first variant searches and every later one replays without a node
+    /// or pivot; every variant matches a fresh-context solve of itself and
+    /// brute force, and its values satisfy each of its rows. An added row
+    /// lowered until it can bind is a new problem and misses.
+    #[test]
+    fn never_binding_rows_replay_from_the_memo(
+        values in prop::collection::vec(1u32..40, 3..8),
+        coefs in prop::collection::vec(1u32..12, 8..40),
+        picks in prop::collection::vec(0u32..6, 2..6),
+        seed in 0u64..u64::MAX,
+    ) {
+        use smart::units::rng::Rng;
+
+        let n = values.len();
+        let (rows, _) = random_01_rows(n, &coefs, &picks);
+        let best = brute_force_01(&values, &rows);
+        let mut rng = Rng::new(seed);
+        let mut draw = |k: u64| rng.next_u64() % k;
+        // Each variant with the position of its last added row.
+        let variants: Vec<(Vec<Row>, usize)> = (0..4)
+            .map(|_| {
+                let mut variant = rows.clone();
+                let mut added = 0;
+                for _ in 0..=draw(3) {
+                    let terms: Vec<f64> = (0..n)
+                        .map(|_| {
+                            let k = (1 + draw(12)) as f64;
+                            if draw(2) == 0 { k } else { -k }
+                        })
+                        .collect();
+                    let slack = 0.25 * (1 + draw(200)) as f64;
+                    let positive: f64 = terms.iter().filter(|&&k| k > 0.0).sum();
+                    let negative: f64 = terms.iter().filter(|&&k| k < 0.0).sum();
+                    let row = if draw(2) == 0 {
+                        (terms, Relation::Le, positive + slack)
+                    } else {
+                        (terms, Relation::Ge, negative - slack)
+                    };
+                    added = draw(variant.len() as u64 + 1) as usize;
+                    variant.insert(added, row);
+                }
+                (variant, added)
+            })
+            .collect();
+        let ctx = SolverContext::new();
+        for (v, (variant, _)) in variants.iter().enumerate() {
+            let p = program_01(&values, variant);
+            let before = ctx.stats();
+            let shared = Solver::new().solve(&p, &ctx);
+            let after = ctx.stats();
+            match (&shared, Solver::new().solve(&p, &SolverContext::new()), best) {
+                (Ok(s), Ok(fresh), Some(best)) => {
+                    prop_assert!(s.objective == fresh.objective, "variant {v}: {s:?} vs {fresh:?}");
+                    prop_assert!(s.proven_optimal == fresh.proven_optimal, "variant {v}");
+                    prop_assert!((s.objective - best).abs() < 1e-6, "{} vs brute {best}", s.objective);
+                    prop_assert!(satisfies(&s.values, variant), "variant {v}: {:?}", s.values);
+                }
+                (Err(_), Err(_), None) => {}
+                (s, fresh, best) => prop_assert!(false, "{s:?} vs fresh {fresh:?} vs brute {best:?}"),
+            }
+            let replayed = v > 0 && shared.is_ok();
+            prop_assert_eq!(after.solution_hits, before.solution_hits + u64::from(replayed));
+            if replayed {
+                prop_assert_eq!((after.nodes, after.pivots), (before.nodes, before.pivots));
+            }
+        }
+
+        // Lower (or raise) the last added row onto its extreme activity: it
+        // can bind now, though it still cuts no 0/1 point.
+        let (mut variant, added) = variants[variants.len() - 1].clone();
+        let (terms, relation, rhs) = &mut variant[added];
+        *rhs = match relation {
+            Relation::Le => terms.iter().filter(|&&k| k > 0.0).sum(),
+            _ => terms.iter().filter(|&&k| k < 0.0).sum(),
+        };
+        let p = program_01(&values, &variant);
+        let before = ctx.stats();
+        let tight = Solver::new().solve(&p, &ctx);
+        prop_assert!(ctx.stats().solution_hits == before.solution_hits, "a row that can bind misses");
+        match (tight, best) {
+            (Ok(s), Some(best)) => prop_assert!((s.objective - best).abs() < 1e-6),
+            (Err(_), None) => {}
+            (s, best) => prop_assert!(false, "{s:?} vs brute {best:?}"),
+        }
+    }
+}
+
+/// One constraint row of a small 0/1 program: a coefficient per variable,
+/// the relation and the right-hand side.
+type Row = (Vec<f64>, Relation, f64);
+
+/// The presolve properties' random rows over `n` binaries: per pick, one
+/// row with coefficients from `coefs` that either can never bind (`Le`
+/// above the coefficient sum, `Ge` below zero) or can. Returns the rows and
+/// the indexes of those that can bind.
+fn random_01_rows(n: usize, coefs: &[u32], picks: &[u32]) -> (Vec<Row>, Vec<usize>) {
+    let mut rows = Vec::new();
+    let mut binding = Vec::new();
+    for (r, &pick) in picks.iter().enumerate() {
+        let row: Vec<f64> = (0..n)
+            .map(|i| f64::from(coefs[(r * n + i) % coefs.len()]))
+            .collect();
+        let sum: f64 = row.iter().sum();
+        let (relation, rhs, can_bind) = match pick {
+            0 => (Relation::Le, sum + 1.0 + r as f64, false),
+            1 => (Relation::Ge, -1.0 - r as f64, false),
+            2 => (Relation::Le, sum, true), // largest activity equals the rhs
+            3 => (Relation::Ge, 1.0, true),
+            _ => (Relation::Le, (sum / 2.0).floor(), true),
+        };
+        if can_bind {
+            binding.push(r);
+        }
+        rows.push((row, relation, rhs));
+    }
+    (rows, binding)
+}
+
+/// Maximizes `values` over binaries subject to `rows`.
+fn program_01(values: &[u32], rows: &[Row]) -> Problem {
+    let mut p = Problem::new(Sense::Maximize);
+    let vars: Vec<_> = (0..values.len())
+        .map(|i| p.binary(&format!("x{i}")))
+        .collect();
+    for (&v, &value) in vars.iter().zip(values) {
+        p.set_objective(v, f64::from(value));
+    }
+    for (row, relation, rhs) in rows {
+        let terms: Vec<_> = vars.iter().copied().zip(row.iter().copied()).collect();
+        p.add_constraint(&terms, *relation, *rhs);
+    }
+    p
+}
+
+/// Whether `x` satisfies every row, to a feasibility tolerance.
+fn satisfies(x: &[f64], rows: &[Row]) -> bool {
+    rows.iter().all(|(row, relation, rhs)| {
+        let activity: f64 = row.iter().zip(x).map(|(k, x)| k * x).sum();
+        match relation {
+            Relation::Le => activity <= rhs + 1e-6,
+            Relation::Ge => activity >= rhs - 1e-6,
+            Relation::Eq => (activity - rhs).abs() <= 1e-6,
+        }
+    })
+}
+
+/// The best objective over every 0/1 point that satisfies `rows`, by
+/// enumeration; `None` when no point does.
+fn brute_force_01(values: &[u32], rows: &[Row]) -> Option<f64> {
+    let n = values.len();
+    (0u32..1 << n)
+        .map(|mask| (0..n).map(|i| f64::from(mask >> i & 1)).collect::<Vec<_>>())
+        .filter(|x| satisfies(x, rows))
+        .map(|x| x.iter().zip(values).map(|(x, &v)| x * f64::from(v)).sum())
+        .fold(None, |best: Option<f64>, v| {
+            Some(best.map_or(v, |b| b.max(v)))
+        })
 }
 
 proptest! {
