@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot paths of the reproduction:
-//! the Fig. 2 wire kernel, the cryogenic sub-bank model, the `josim-lite`
-//! transient engine, the ILP compiler, and the end-to-end evaluator.
+//! the Fig. 2 wire kernel, the cryogenic sub-bank model, the ILP compiler,
+//! and the end-to-end evaluator. The `josim-lite` transient engines are
+//! timed in `benches/ilp.rs` (the `josim_*` ids).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use smart_compiler::formulation::{compile_layer_ctx, FormulationParams};
@@ -8,14 +9,11 @@ use smart_compiler::SolverContext;
 use smart_core::eval::evaluate;
 use smart_core::scheme::Scheme;
 use smart_cryomem::subbank::{SubBankConfig, SubBankModel};
-use smart_josim::fixtures::PtlFixture;
-use smart_sfq::ptl::PtlGeometry;
 use smart_sfq::wire::wire_comparison;
 use smart_systolic::dag::LayerDag;
 use smart_systolic::layer::ConvLayer;
 use smart_systolic::mapping::{ArrayShape, LayerMapping};
 use smart_systolic::models::ModelId;
-use smart_units::Length;
 use std::hint::black_box;
 
 fn bench_wire_comparison(c: &mut Criterion) {
@@ -28,13 +26,6 @@ fn bench_wire_comparison(c: &mut Criterion) {
 fn bench_subbank_model(c: &mut Criterion) {
     c.bench_function("cryomem_subbank_112kb", |b| {
         b.iter(|| SubBankModel::new(black_box(SubBankConfig::scaled_28nm(112 * 1024, 64, 1))))
-    });
-}
-
-fn bench_josim_transient(c: &mut Criterion) {
-    let fixture = PtlFixture::new(PtlGeometry::hypres_microstrip(), Length::from_mm(0.2));
-    c.bench_function("josim_ptl_0p2mm_transient", |b| {
-        b.iter(|| fixture.run().expect("simulates"))
     });
 }
 
@@ -72,7 +63,6 @@ criterion_group!(
     benches,
     bench_wire_comparison,
     bench_subbank_model,
-    bench_josim_transient,
     bench_ilp_compile,
     bench_evaluate,
     bench_resnet_sweep

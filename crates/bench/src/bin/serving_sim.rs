@@ -248,12 +248,17 @@ fn main() -> ExitCode {
         )
         .with_quantum(quantum);
     if slo_factor > 0 {
-        config = config.with_slo(
-            profs
-                .iter()
-                .map(|p| p.standalone_cycles() * slo_factor)
-                .collect(),
-        );
+        let deadlines = profs
+            .iter()
+            .map(|p| p.standalone_cycles().checked_mul(slo_factor))
+            .collect::<Option<Vec<u64>>>()
+            .unwrap_or_else(|| {
+                fail(
+                    "--slo-factor too large: SLO deadlines overflow the simulator's 64-bit \
+                     cycle clock; lower --slo-factor",
+                )
+            });
+        config = config.with_slo(deadlines);
     }
 
     let report = simulate_traced(

@@ -19,8 +19,7 @@ use smart_cryomem::array::{fig9_breakdown, RandomArray, RandomArrayKind};
 use smart_cryomem::pipeline::explore;
 use smart_cryomem::subbank::{chip_validation_data, SubBankConfig, SubBankModel};
 use smart_cryomem::tech::MemoryTechnology;
-use smart_josim::cells::CellSpec;
-use smart_josim::fixtures::validate_ptl_model;
+use smart_josim::cells::{CellMeasurement, CellSpec};
 use smart_report::{parallel_map, ColumnSpec, ResultTable, Unit, Value};
 use smart_search::{SearchConfig, SearchSpace};
 use smart_sfq::cells::{JtlChainSpec, PtlLinkSpec, SplitterFanoutSpec};
@@ -330,12 +329,26 @@ pub fn fig12_subbank_validation(_ctx: &ExperimentContext) -> ResultTable {
     t
 }
 
+/// The PTL link lengths (mm) that Fig. 13 and `josim_ptl` both simulate.
+const PTL_LINK_MM: [f64; 5] = [0.1, 0.2, 0.4, 0.6, 0.8];
+
+/// The [`PTL_LINK_MM`] links, each measured once per context through its
+/// circuit cache.
+fn ptl_links(ctx: &ExperimentContext) -> Vec<(PtlLinkSpec, std::sync::Arc<CellMeasurement>)> {
+    let points = PTL_LINK_MM.map(PtlLinkSpec::from_mm);
+    parallel_map(ctx.jobs, &points, |spec| {
+        let m = ctx
+            .circuits
+            .measure(&CellSpec::Ptl(*spec))
+            .expect("PTL link simulates");
+        (*spec, m)
+    })
+}
+
 /// Fig. 13: analytic H-Tree hop model vs the `josim-lite` transient
 /// simulation.
 #[must_use]
-pub fn fig13_josim_validation(_ctx: &ExperimentContext) -> ResultTable {
-    let lengths = [0.1, 0.2, 0.4, 0.6, 0.8];
-    let pts = validate_ptl_model(&lengths).expect("simulation runs");
+pub fn fig13_josim_validation(ctx: &ExperimentContext) -> ResultTable {
     let jj = JosephsonJunction::hypres_ersfq();
     let mut t = ResultTable::new("fig13", "Figure 13: SFQ H-Tree model vs josim-lite");
     t.columns = vec![
@@ -346,13 +359,14 @@ pub fn fig13_josim_validation(_ctx: &ExperimentContext) -> ResultTable {
         ColumnSpec::right("f_max(GHz)", 14),
         ColumnSpec::right("hop E(aJ)", 12),
     ];
-    for p in &pts {
-        let hop = PtlHop::new(p.length);
+    for (spec, m) in &ptl_links(ctx) {
+        let model = spec.closed_form_delay();
+        let hop = PtlHop::new(spec.length());
         t.push_row(vec![
-            Value::length(p.length, Unit::Mm, 2),
-            Value::quantity(p.analytic_delay, Unit::Ps, 3),
-            Value::quantity(p.simulated_delay, Unit::Ps, 3),
-            Value::percent(p.delay_error(), 1),
+            Value::length(spec.length(), Unit::Mm, 2),
+            Value::quantity(model, Unit::Ps, 3),
+            Value::quantity(m.delay, Unit::Ps, 3),
+            Value::percent((m.delay - model) / model, 1),
             Value::frequency(hop.max_operating_frequency(), Unit::Ghz, 1),
             Value::energy(hop.energy_per_pulse(&jj), Unit::Aj, 1),
         ]);
@@ -904,23 +918,12 @@ pub fn josim_fanout_characterization(ctx: &ExperimentContext) -> ResultTable {
     t
 }
 
-/// Circuit characterization: PTL links re-measured with the adaptive
-/// sparse engine against the Eq. 4 closed-form delay — the same ladder
-/// netlists as the Fig. 13 fixed-step validation, at a fraction of the
-/// steps.
+/// Circuit characterization: the Fig. 13 PTL links (the same cached
+/// measurements) against the Eq. 4 closed-form delay, with dissipation
+/// and the adaptive engine's step counts.
 #[must_use]
 pub fn josim_ptl_characterization(ctx: &ExperimentContext) -> ResultTable {
-    let points: Vec<PtlLinkSpec> = [0.1f64, 0.2, 0.4, 0.6, 0.8]
-        .iter()
-        .map(|&mm| PtlLinkSpec::from_mm(mm))
-        .collect();
-    let measured = parallel_map(ctx.jobs, &points, |spec| {
-        let m = ctx
-            .circuits
-            .measure(&CellSpec::Ptl(*spec))
-            .expect("PTL link simulates");
-        (*spec, m)
-    });
+    let measured = ptl_links(ctx);
 
     let mut t = ResultTable::new(
         "josim_ptl",

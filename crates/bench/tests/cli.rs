@@ -230,6 +230,29 @@ fn serving_sim_rejects_rates_that_overflow_the_cycle_clock() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
+/// An `--slo-factor` whose deadlines overflow the 64-bit cycle clock
+/// exits 2 with one canonical message instead of wrapping every deadline
+/// below the tenants' own stand-alone latency; a large factor that still
+/// fits runs.
+#[test]
+fn serving_sim_rejects_slo_deadlines_that_overflow_the_cycle_clock() {
+    let exe = env!("CARGO_BIN_EXE_serving_sim");
+    for factor in ["9709814314377", "18446744073709551615"] {
+        let out = run(exe, &["--slo-factor", factor]);
+        assert_eq!(out.status.code(), Some(2), "{factor}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with(
+                "--slo-factor too large: SLO deadlines overflow the simulator's 64-bit cycle clock"
+            ),
+            "{factor}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{factor}: {out:?}");
+    }
+    let out = run(exe, &["--slo-factor", "1000000"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
 /// A reader that closes the pipe after one line (`all_experiments |
 /// head -1`) ends the run quietly with status 0, for the listing and the
 /// table output alike. Each run repeats a cheap experiment until its

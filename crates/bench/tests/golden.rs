@@ -95,6 +95,20 @@ fn fig24_saturation_point() {
     assert_close(single[4], single[2], "a=5 saturates at a=3");
 }
 
+/// Fig. 13 and `josim_ptl` read the same cached PTL links: on one
+/// context, fig13's length, model, josim and dev columns equal
+/// josim_ptl's length, model, sim and dev columns cell for cell.
+#[test]
+fn fig13_reads_the_josim_ptl_measurements() {
+    let ctx = ctx();
+    let fig13 = run_experiment("fig13", &ctx).expect("fig13");
+    let ptl = run_experiment("josim_ptl", &ctx).expect("josim_ptl");
+    assert_eq!(fig13.rows.len(), ptl.rows.len());
+    for (a, b) in fig13.rows.iter().zip(&ptl.rows) {
+        assert_eq!(a[..4], b[..4], "fig13 row {a:?} vs josim_ptl row {b:?}");
+    }
+}
+
 /// The engine is deterministic: a parallel run with a warm shared cache
 /// produces exactly the tables of a sequential cold run.
 #[test]

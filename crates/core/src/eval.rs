@@ -196,7 +196,7 @@ pub fn evaluate(scheme: &Scheme, model: &CnnModel, batch: u32) -> InferenceRepor
         let (stream_stall, mem_serial, energy) = match &scheme.spm {
             SpmOrganization::Ideal => (Time::ZERO, Time::ZERO, Energy::ZERO),
             SpmOrganization::PureShift(spm) => {
-                serve_pure_shift(spm, &demand, &single_demand, compute, batch)
+                serve_pure_shift(spm, &demand, &single_demand, compute)
             }
             SpmOrganization::PureRandom(array) => serve_pure_random(array, &demand, compute),
             SpmOrganization::Heterogeneous(spm) => serve_hetero(spm, &mapping, &demand, compute),
@@ -240,7 +240,6 @@ fn serve_pure_shift(
     demand: &LayerDemand,
     single_demand: &LayerDemand,
     compute: Time,
-    batch: u32,
 ) -> (Time, Time, Energy) {
     let t_in = spm
         .input
@@ -265,11 +264,10 @@ fn serve_pure_shift(
             DataClass::Weight => &spm.weight,
         };
         let distance = (r.distance_bytes as f64 * SHIFT_SCAN_FACTOR) as u64;
-        // One realignment per fold boundary: consecutive images of a batch
-        // sit adjacently in the lane, so only the first image of each fold
-        // pays the rewind (this is what makes batching effective on
-        // SHIFT-based SPMs).
-        let _ = batch;
+        // One realignment per fold boundary, whatever the batch size:
+        // consecutive images of a batch sit adjacently in the lane, so only
+        // the first image of each fold pays the rewind (this is what makes
+        // batching effective on SHIFT-based SPMs).
         let one = array.serve_realignment(distance);
         realign.time += one.time * r.count as f64;
         realign.energy += one.energy * r.count as f64;

@@ -54,7 +54,10 @@ impl CircuitCache {
 
 impl Persist for CellMeasurement {
     const TAG: &'static str = "smart-circuit-cache";
-    const VERSION: u32 = 1;
+    /// 2: PTL ladders count their LC sections in whole nanometres; a
+    /// version-1 store holds 0.3 mm and 0.6 mm links built with one
+    /// section too many.
+    const VERSION: u32 = 2;
     const FILE_NAME: &'static str = "circuit-cache.bin";
 
     fn write(&self, w: &mut ByteWriter) {

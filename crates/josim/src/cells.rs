@@ -13,9 +13,9 @@
 //! * **Splitter fan-out tree** — a binary tree of the same junctions with
 //!   interior junctions sized up to drive two branches; one input pulse
 //!   must arrive exactly once at every leaf.
-//! * **PTL link** — the same matched LC ladder as the Fig. 13 validation
-//!   fixture (literally the same builder), measured against the Eq. 4
-//!   closed-form delay.
+//! * **PTL link** — a matched-source, matched-load lossless LC ladder,
+//!   measured against the Eq. 4 closed-form delay. The Fig. 13 validation
+//!   and the `josim_ptl` characterization read the same cached links.
 //!
 //! Measurements are settle-aware: the DC bias tilts every junction phase
 //! at `t = 0`, so pulse counts use [`Transient::pulse_count_after`] and
@@ -27,7 +27,6 @@
 use crate::adaptive::{AdaptiveSpec, Workspace};
 use crate::circuit::{Circuit, NodeId};
 use crate::engine::{Engine, Transient, TransientSpec, PHI0};
-use crate::fixtures::build_ptl_ladder;
 use crate::waveform::Waveform;
 use smart_sfq::cells::{JtlChainSpec, PtlLinkSpec, SplitterFanoutSpec};
 use smart_units::Result;
@@ -38,6 +37,18 @@ const SETTLE: f64 = 20e-12;
 
 /// Width (sigma) of the injected SFQ-shaped input pulse (s).
 const PULSE_SIGMA: f64 = 2e-12;
+
+/// Length of one PTL ladder LC section (nm): 40 sections per mm keeps the
+/// discretization (Bragg) cutoff far above the SFQ pulse bandwidth while
+/// keeping matrices small.
+const PTL_SECTION_NM: u64 = 25_000;
+
+/// Minimum number of LC sections for very short lines.
+const PTL_MIN_SECTIONS: usize = 8;
+
+/// Width (sigma) of the SFQ-shaped current pulse driving a PTL ladder (s):
+/// ~2 ps FWHM.
+const PTL_PULSE_SIGMA: f64 = 1e-12;
 
 /// The fixed step matched to the seed engine's JJ runs, used by
 /// [`CellCircuit::measure_fixed`] as the dense-oracle reference.
@@ -214,9 +225,46 @@ impl CellCircuit {
         }
     }
 
+    /// The matched-source, matched-load LC ladder: a Gaussian SFQ-shaped
+    /// current pulse into a source resistor `Z`, [`ptl_sections`] LC
+    /// sections, and a matched termination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link has zero length.
     fn build_ptl(spec: &PtlLinkSpec) -> Self {
+        assert!(spec.length_nm > 0, "PTL length must be positive");
         let geometry = spec.geometry();
-        let (ckt, input, output, _sections) = build_ptl_ladder(&geometry, spec.length());
+        let length = spec.length();
+        let sections = ptl_sections(spec.length_nm);
+        let l_sec = geometry.inductance_per_meter() * length.as_m() / sections as f64;
+        let c_sec = geometry.capacitance_per_meter() * length.as_m() / sections as f64;
+        let z = geometry.impedance();
+
+        let mut ckt = Circuit::new();
+        let input = ckt.node();
+        // SFQ pulse source: the source resistor Z and the line impedance Z
+        // form a 2:1 divider, so a current pulse of area 2*Phi0/Z launches a
+        // voltage pulse of flux area ~Phi0 onto the line.
+        let area = 2.0 * PHI0 / z; // ampere-seconds
+        let amplitude = area / (PTL_PULSE_SIGMA * (2.0 * std::f64::consts::PI).sqrt());
+        ckt.current_source(
+            Circuit::GROUND,
+            input,
+            Waveform::gaussian(amplitude, 6.0 * PTL_PULSE_SIGMA, PTL_PULSE_SIGMA),
+        );
+        // Source matching resistor (the PTL driver's output resistance).
+        ckt.resistor(input, Circuit::GROUND, z);
+        let mut output = input;
+        for _ in 0..sections {
+            let next = ckt.node();
+            ckt.inductor(output, next, l_sec);
+            ckt.capacitor(next, Circuit::GROUND, c_sec);
+            output = next;
+        }
+        // Matched termination at the receiver.
+        ckt.resistor(output, Circuit::GROUND, z);
+
         let stop = 20e-12 + 3.0 * spec.closed_form_delay();
         Self {
             engine: Engine::new(ckt),
@@ -303,6 +351,15 @@ impl CellCircuit {
     }
 }
 
+/// LC sections of a PTL ladder `length_nm` long: one per started 25 µm,
+/// at least [`PTL_MIN_SECTIONS`]. Counted in whole nanometres, so float
+/// noise (`PtlLinkSpec::from_mm(0.6).length().as_mm()` is
+/// 0.6000000000000001) cannot add a section to a line that is a whole
+/// number of sections long.
+fn ptl_sections(length_nm: u64) -> usize {
+    (length_nm.div_ceil(PTL_SECTION_NM) as usize).max(PTL_MIN_SECTIONS)
+}
+
 /// Builds and measures a cell with the adaptive sparse engine (the
 /// uncached entry point; sweeps go through
 /// [`crate::cache::CircuitCache`]).
@@ -370,35 +427,72 @@ mod tests {
 
     #[test]
     fn ptl_link_matches_closed_form_delay() {
-        let spec = PtlLinkSpec::from_mm(0.4);
-        let m = characterize(&CellSpec::Ptl(spec)).expect("simulates");
-        let model = spec.closed_form_delay();
-        let err = (m.delay - model).abs() / model;
-        assert!(
-            err < 0.06,
-            "simulated {:.2} ps vs model {:.2} ps",
-            m.delay * 1e12,
-            model * 1e12
-        );
+        // Paper Fig. 13a: the model matches JoSIM within +-6%.
+        let mut previous = 0.0;
+        for mm in [0.1, 0.2, 0.3, 0.4, 0.6, 0.8] {
+            let spec = PtlLinkSpec::from_mm(mm);
+            let m = characterize(&CellSpec::Ptl(spec)).expect("simulates");
+            let model = spec.closed_form_delay();
+            let err = (m.delay - model).abs() / model;
+            assert!(
+                err < 0.06,
+                "{mm} mm: simulated {:.2} ps vs model {:.2} ps",
+                m.delay * 1e12,
+                model * 1e12
+            );
+            assert!(
+                m.delivered_exactly_one(),
+                "{mm} mm: one flux quantum arrives"
+            );
+            assert!(m.delay > previous, "{mm} mm: longer lines are slower");
+            previous = m.delay;
+        }
+    }
+
+    #[test]
+    fn section_count_scales_with_length() {
+        let sections = |mm| {
+            let cell = CellCircuit::build(&CellSpec::Ptl(PtlLinkSpec::from_mm(mm)));
+            let elements = cell.engine().circuit().elements();
+            elements
+                .iter()
+                .filter(|e| matches!(e, crate::circuit::Element::Inductor { .. }))
+                .count()
+        };
+        assert_eq!(sections(0.05), PTL_MIN_SECTIONS);
+        assert!(sections(1.0) > sections(0.05));
+        // Exactly 40 per mm: a float ceil of 0.6000000000000001 mm x 40
+        // built 25 sections.
+        assert_eq!(sections(0.3), 12);
+        assert_eq!(sections(0.6), 24);
     }
 
     #[test]
     fn adaptive_takes_fewer_steps_than_the_oracle() {
-        let cell = CellCircuit::build(&CellSpec::Jtl(JtlChainSpec::standard(4)));
-        let mut ws = cell.engine().prepare_workspace();
-        let adaptive = cell.measure_adaptive(&mut ws).expect("adaptive runs");
-        let fixed = cell.measure_fixed().expect("fixed runs");
-        assert!(
-            adaptive.steps * 2 < fixed.steps,
-            "adaptive {} steps vs fixed {}",
-            adaptive.steps,
-            fixed.steps
-        );
-        // And agrees with the oracle where it counts.
-        assert_eq!(adaptive.min_output_pulses, fixed.min_output_pulses);
-        assert_eq!(adaptive.max_output_pulses, fixed.max_output_pulses);
-        let err = (adaptive.delay - fixed.delay).abs() / fixed.delay;
-        assert!(err < 0.01, "delay disagreement {:.2}%", err * 100.0);
+        // A JTL chain and the five Fig. 13 PTL links.
+        let specs = std::iter::once(CellSpec::Jtl(JtlChainSpec::standard(4)))
+            .chain([0.1, 0.2, 0.4, 0.6, 0.8].map(|mm| CellSpec::Ptl(PtlLinkSpec::from_mm(mm))));
+        for spec in specs {
+            let cell = CellCircuit::build(&spec);
+            let mut ws = cell.engine().prepare_workspace();
+            let adaptive = cell.measure_adaptive(&mut ws).expect("adaptive runs");
+            let fixed = cell.measure_fixed().expect("fixed runs");
+            assert!(
+                adaptive.steps * 2 < fixed.steps,
+                "{spec:?}: adaptive {} steps vs fixed {}",
+                adaptive.steps,
+                fixed.steps
+            );
+            // And agrees with the oracle where it counts.
+            assert_eq!(adaptive.min_output_pulses, fixed.min_output_pulses);
+            assert_eq!(adaptive.max_output_pulses, fixed.max_output_pulses);
+            let rel = |a: f64, b: f64| (a - b).abs() / b;
+            assert!(
+                rel(adaptive.delay, fixed.delay) < 0.01
+                    && rel(adaptive.dissipated_energy, fixed.dissipated_energy) < 0.01,
+                "{spec:?}: adaptive {adaptive:?} vs fixed {fixed:?}"
+            );
+        }
     }
 
     #[test]

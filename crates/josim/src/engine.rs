@@ -12,6 +12,11 @@
 //!
 //! which reproduces SFQ pulse emission: each 2*pi phase slip releases a
 //! voltage pulse of area exactly `Phi0`.
+//!
+//! [`Engine::run`] is the fixed-step dense integrator. Production
+//! measurements use the adaptive sparse path ([`crate::adaptive`]); this
+//! one stays as the differential oracle that tests and benches compare it
+//! against.
 
 // lint:allow-file(index, MNA system indices come from the circuit's node numbering, fixed at build time)
 
@@ -84,8 +89,8 @@ impl std::error::Error for SimulationError {}
 
 impl From<SimulationError> for smart_units::SmartError {
     /// Folds an engine failure into the workspace-wide error type so
-    /// higher layers (fixtures, validation, the evaluator) can thread one
-    /// [`smart_units::Result`] end to end.
+    /// higher layers (cell characterization, the circuit cache, the
+    /// experiments) can thread one [`smart_units::Result`] end to end.
     fn from(e: SimulationError) -> Self {
         smart_units::SmartError::simulation(e.to_string())
     }

@@ -59,12 +59,6 @@ impl ShiftLane {
         self.cells.len()
     }
 
-    /// Whether the lane holds zero cells (never true by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Total cycles consumed so far.
     #[must_use]
     pub fn cycles(&self) -> u64 {

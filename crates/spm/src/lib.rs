@@ -26,11 +26,11 @@
 #![warn(clippy::all)]
 
 pub mod hetero;
-pub mod lane;
+#[cfg(test)]
+mod lane;
 pub mod service;
 pub mod shift;
 
 pub use hetero::HeterogeneousSpm;
-pub use lane::ShiftLane;
 pub use service::{AccessCost, SpmService};
 pub use shift::ShiftArray;

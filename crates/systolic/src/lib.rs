@@ -24,14 +24,14 @@
 #![warn(clippy::all)]
 
 pub mod dag;
-pub mod functional;
+#[cfg(test)]
+mod functional;
 pub mod layer;
 pub mod mapping;
 pub mod models;
 pub mod trace;
 
 pub use dag::{DagEdge, Instruction, LayerDag, MemoryObject};
-pub use functional::{reference_conv, run_systolic, FeatureMap, SystolicRun, Weights};
 pub use layer::{CnnModel, ConvLayer, LayerKind};
 pub use mapping::{ArrayShape, LayerMapping};
 pub use models::ModelId;
