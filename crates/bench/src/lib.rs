@@ -178,8 +178,11 @@ impl ExperimentContext {
         reg.add("ilp.nodes", solver.nodes);
         reg.add("ilp.rows", solver.rows);
         reg.add("ilp.rows_kept", solver.rows_kept);
+        reg.add("ilp.cols", solver.cols);
+        reg.add("ilp.nonzeros", solver.nonzeros);
         reg.set_gauge("ilp.stored_bases", solver.stored_bases as u64);
         reg.set_gauge("ilp.stored_solutions", solver.stored_solutions as u64);
+        reg.set_gauge("ilp.structures", solver.structures as u64);
         let mut snap = reg.snapshot();
         let stored = self.metrics.snapshot();
         snap.counters.extend(stored.counters);

@@ -28,23 +28,28 @@
 //! replays — and skips the search entirely. This is what makes a warm
 //! `--cache-dir` rerun of the ILP ablation near-free: the root-basis warm
 //! start only shortcuts the root relaxation, while the memo shortcuts the
-//! whole tree.
+//! whole tree. Both keys come from the problem structure's digests
+//! (computed once per structure, see [`crate::problem`]): the basis key is
+//! the structure fingerprint, and the solution key hashes the variable
+//! digest and each kept row's digest and right-hand side in one pass.
+//!
+//! A third, in-memory table holds caller-built problem structures
+//! ([`SolverContext::structure`]): the compiler builds each layer's
+//! allocation ILP once per context and instantiates it per design point.
 //!
 //! The context is `Sync`: one instance can be shared across the experiment
 //! runner's worker threads (the map is mutex-guarded, the counters are
 //! atomic), matching how `smart_report::parallel_map` fans sweep points
 //! out.
 
-use crate::problem::{Constraint, Problem};
+use crate::problem::Problem;
 use crate::revised::{never_binds, Basis, Status};
 use crate::solver::MipSolution;
 use smart_trace::Tracer;
-use smart_units::codec::content_hash;
-use smart_units::codec::{ByteReader, ByteWriter, Store};
+use smart_units::codec::{content_hash, ByteReader, ByteWriter, Store};
 use smart_units::sync::lock;
-use std::collections::hash_map::DefaultHasher;
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -77,6 +82,13 @@ pub struct SolverContextStats {
     /// LP rows the presolve kept of those `rows`; the rest could never
     /// bind and were dropped.
     pub rows_kept: u64,
+    /// Columns (variables) of every searched problem.
+    pub cols: u64,
+    /// Nonzero constraint coefficients of every searched problem.
+    pub nonzeros: u64,
+    /// Problem structures in the in-memory table
+    /// ([`SolverContext::structure`]).
+    pub structures: usize,
 }
 
 /// The work one branch & bound search performed, folded into the
@@ -90,6 +102,10 @@ pub(crate) struct SearchWork {
     pub rows: usize,
     /// LP rows its presolved form kept.
     pub rows_kept: usize,
+    /// Columns of the searched problem.
+    pub cols: usize,
+    /// Nonzero constraint coefficients of the searched problem.
+    pub nonzeros: usize,
 }
 
 /// Shared warm-start state, solution memo and work counters: the one
@@ -103,6 +119,8 @@ pub struct SolverContext {
     // order, so the bytes are deterministic without a sort pass.
     bases: Mutex<BTreeMap<u64, Arc<Basis>>>,
     solutions: Mutex<BTreeMap<u128, Arc<MipSolution>>>,
+    /// Caller-built structures by key; never persisted.
+    structures: Mutex<BTreeMap<u128, Arc<dyn Any + Send + Sync>>>,
     warm_attempts: AtomicU64,
     warm_hits: AtomicU64,
     cold_solves: AtomicU64,
@@ -112,6 +130,8 @@ pub struct SolverContext {
     nodes: AtomicU64,
     rows: AtomicU64,
     rows_kept: AtomicU64,
+    cols: AtomicU64,
+    nonzeros: AtomicU64,
     /// Span sink for per-node solver instrumentation; disabled (free)
     /// unless a driver installs an enabled tracer.
     tracer: Mutex<Tracer>,
@@ -139,6 +159,9 @@ impl SolverContext {
             nodes: self.nodes.load(Ordering::Relaxed),
             rows: self.rows.load(Ordering::Relaxed),
             rows_kept: self.rows_kept.load(Ordering::Relaxed),
+            cols: self.cols.load(Ordering::Relaxed),
+            nonzeros: self.nonzeros.load(Ordering::Relaxed),
+            structures: lock(&self.structures).len(),
         }
     }
 
@@ -164,6 +187,37 @@ impl SolverContext {
         self.rows.fetch_add(work.rows as u64, Ordering::Relaxed);
         self.rows_kept
             .fetch_add(work.rows_kept as u64, Ordering::Relaxed);
+        self.cols.fetch_add(work.cols as u64, Ordering::Relaxed);
+        self.nonzeros
+            .fetch_add(work.nonzeros as u64, Ordering::Relaxed);
+    }
+
+    /// The structure `build` returns, built on the first request for `key`
+    /// and shared by every later one. For callers that solve one problem
+    /// structure at many right-hand sides: the compiler keys each layer's
+    /// allocation ILP by everything its rows depend on, and instantiates
+    /// the stored one per design point. `key` must determine what `build`
+    /// returns. The table lives in memory only: it is never persisted and
+    /// is dropped with the context.
+    pub fn structure<T: Any + Send + Sync>(&self, key: u128, build: impl FnOnce() -> T) -> Arc<T> {
+        let stored = |table: &BTreeMap<u128, Arc<dyn Any + Send + Sync>>| {
+            table
+                .get(&key)
+                .and_then(|s| Arc::clone(s).downcast::<T>().ok())
+        };
+        if let Some(found) = stored(&lock(&self.structures)) {
+            return found;
+        }
+        // Built outside the lock, so workers building other structures
+        // never wait. Of two racing builds of one key the first stored
+        // wins; both are equal.
+        let built = Arc::new(build());
+        let mut table = lock(&self.structures);
+        if let Some(found) = stored(&table) {
+            return found;
+        }
+        table.insert(key, Arc::clone(&built) as Arc<dyn Any + Send + Sync>);
+        built
     }
 
     pub(crate) fn lookup(&self, fp: u64) -> Option<Arc<Basis>> {
@@ -186,8 +240,17 @@ impl SolverContext {
         self.cold_solves.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn solution_lookup(&self, key: u128) -> Option<Arc<MipSolution>> {
-        let found = lock(&self.solutions).get(&key).cloned();
+    /// The memoized solution under `key` if `accept` takes it, counted as
+    /// a solution hit.
+    pub(crate) fn solution_lookup(
+        &self,
+        key: u128,
+        accept: impl FnOnce(&MipSolution) -> bool,
+    ) -> Option<Arc<MipSolution>> {
+        let found = lock(&self.solutions)
+            .get(&key)
+            .cloned()
+            .filter(|s| accept(s));
         if found.is_some() {
             self.solution_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -353,96 +416,24 @@ impl SolverContext {
 const BASIS_TAG: &str = "smart-ilp-bases";
 
 /// Bump when the serialized basis/solution layout or the meaning of a
-/// stored key changes (3: solution keys leave out never-binding rows).
-const BASIS_VERSION: u32 = 3;
+/// stored key changes (3: solution keys leave out never-binding rows;
+/// 4: both keys are hashed from the structure digests).
+const BASIS_VERSION: u32 = 4;
 
 /// File name of the basis store inside a `--cache-dir`.
 pub const BASIS_FILE_NAME: &str = "ilp-bases.bin";
 
-/// Fingerprint of a problem's warm-start-compatible structure: sense,
-/// variables (bounds, integrality, objective), and constraint matrix
-/// (relation + terms) — everything *except* the right-hand sides, which a
-/// stored basis stays dual-feasible across.
-#[must_use]
-pub(crate) fn fingerprint(p: &Problem) -> u64 {
-    let mut h = DefaultHasher::new();
-    (p.num_vars() as u64).hash(&mut h);
-    (p.num_constraints() as u64).hash(&mut h);
-    matches!(p.sense, crate::problem::Sense::Maximize).hash(&mut h);
-    for v in &p.variables {
-        v.lower.to_bits().hash(&mut h);
-        v.upper.to_bits().hash(&mut h);
-        v.integer.hash(&mut h);
-        v.objective.to_bits().hash(&mut h);
-    }
-    for c in &p.constraints {
-        (c.relation as u8).hash(&mut h);
-        (c.terms.len() as u64).hash(&mut h);
-        for &(v, k) in &c.terms {
-            (v.index() as u64).hash(&mut h);
-            k.to_bits().hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
-/// Hashable view of everything that determines a deterministic solve's
-/// outcome: the variables and objective, every row the search can see with
-/// its right-hand side (which the structural [`fingerprint`] deliberately
-/// skips), the validated incumbent seed, and the solver configuration.
+/// 128-bit solve key for the solution memo: everything that determines a
+/// deterministic solve's outcome. One pass over the structure's digests
+/// lays out the variable digest, the number of rows the search can see and
+/// the digest and right-hand side of each of them, then the validated
+/// incumbent seed (`None` when there is none or it was rejected) and the
+/// solver configuration; the key is the content hash of that sequence.
 /// Rows that [`never_binds`] holds are left out: they hold everywhere
 /// inside the variable bounds, so they change neither the feasible set nor
 /// the presolved LP, and a problem that differs from an earlier one only in
-/// such rows replays the earlier search. Variable names are excluded — they
-/// never influence the search.
-struct SolveKey<'a> {
-    problem: &'a Problem,
-    /// The rows the search sees, in problem order.
-    rows: Vec<&'a Constraint>,
-    seed: Option<&'a [f64]>,
-    node_limit: usize,
-    warm_start: bool,
-}
-
-impl Hash for SolveKey<'_> {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        let p = self.problem;
-        (p.num_vars() as u64).hash(h);
-        matches!(p.sense, crate::problem::Sense::Maximize).hash(h);
-        for v in &p.variables {
-            v.lower.to_bits().hash(h);
-            v.upper.to_bits().hash(h);
-            v.integer.hash(h);
-            v.objective.to_bits().hash(h);
-        }
-        (self.rows.len() as u64).hash(h);
-        for c in &self.rows {
-            (c.relation as u8).hash(h);
-            c.rhs.to_bits().hash(h);
-            (c.terms.len() as u64).hash(h);
-            for &(v, k) in &c.terms {
-                (v.index() as u64).hash(h);
-                k.to_bits().hash(h);
-            }
-        }
-        match self.seed {
-            None => 0u8.hash(h),
-            Some(vals) => {
-                1u8.hash(h);
-                (vals.len() as u64).hash(h);
-                for v in vals {
-                    v.to_bits().hash(h);
-                }
-            }
-        }
-        (self.node_limit as u64).hash(h);
-        self.warm_start.hash(h);
-    }
-}
-
-/// 128-bit solve key for the solution memo (see [`SolveKey`]); `seed` is
-/// the incumbent seed after validation, `None` when there is none or it
-/// was rejected.
+/// such rows replays the earlier search. Variable names are left out too:
+/// they never influence the search.
 #[must_use]
 pub(crate) fn solution_key(
     problem: &Problem,
@@ -450,18 +441,27 @@ pub(crate) fn solution_key(
     node_limit: usize,
     warm_start: bool,
 ) -> u128 {
-    let rows = problem
-        .constraints
-        .iter()
-        .filter(|c| !never_binds(problem, c))
-        .collect();
-    content_hash(&SolveKey {
-        problem,
-        rows,
-        seed,
-        node_limit,
-        warm_start,
-    })
+    let halves = |x: u128| [(x >> 64) as u64, x as u64];
+    let digests = problem.digests();
+    let seed_len = seed.map_or(0, <[f64]>::len);
+    let mut words = Vec::with_capacity(3 * digests.rows.len() + seed_len + 7);
+    words.extend(halves(digests.variables));
+    for (i, row) in digests.rows.iter().enumerate() {
+        if !never_binds(problem, i) {
+            words.extend(halves(row.hash));
+            words.push(problem.constraint(i).rhs.to_bits());
+        }
+    }
+    words.insert(2, (words.len() as u64 - 2) / 3);
+    match seed {
+        None => words.push(0),
+        Some(vals) => {
+            words.extend([1, vals.len() as u64]);
+            words.extend(vals.iter().map(|v| v.to_bits()));
+        }
+    }
+    words.extend([node_limit as u64, u64::from(warm_start)]);
+    content_hash(&words)
 }
 
 #[cfg(test)]
@@ -479,6 +479,95 @@ mod tests {
         p.set_objective(b, 2.0);
         p.add_constraint(&[(a, weight), (b, 1.0)], Relation::Le, rhs);
         p
+    }
+
+    fn fingerprint(p: &Problem) -> u64 {
+        p.digests().fingerprint
+    }
+
+    #[test]
+    fn rhs_changes_share_the_digests() {
+        let p = knapsack(2.0, 1.0);
+        let mut looser = p.clone();
+        looser.set_rhs(0, 5.0);
+        assert!(std::ptr::eq(p.digests(), looser.digests()));
+        assert_ne!(p, looser);
+        looser.set_rhs(0, 2.0);
+        assert_eq!(p, looser);
+    }
+
+    #[test]
+    fn mutating_a_problem_after_its_digests_exist_changes_both_keys() {
+        let keys = |q: &Problem| (fingerprint(q), solution_key(q, None, 100, true));
+        let p = knapsack(2.0, 1.0);
+        let base = keys(&p);
+        let mut with_var = p.clone();
+        with_var.binary("c");
+        let mut with_objective = p.clone();
+        with_objective.set_objective(VarId(0), 4.0);
+        let mut with_row = p.clone();
+        with_row.add_constraint(&[(VarId(0), 2.0)], Relation::Le, 1.0);
+        for (what, q) in [
+            ("new variable", with_var),
+            ("set_objective", with_objective),
+            ("add_constraint", with_row),
+        ] {
+            let (fp, key) = keys(&q);
+            assert_ne!(fp, base.0, "{what}: fingerprint");
+            assert_ne!(key, base.1, "{what}: solution key");
+        }
+        assert_eq!(keys(&p), base, "the original keeps its digests");
+    }
+
+    #[test]
+    fn a_stored_solution_of_the_wrong_length_is_searched_again() {
+        // A store file whose memoized solution for a 3-variable knapsack
+        // holds one value: it passes the store's length checks and loads,
+        // but replaying it made `MipSolution::value` index past its end.
+        let mut p = Problem::new(Sense::Maximize);
+        let vars: Vec<VarId> = ["a", "b", "c"].iter().map(|n| p.binary(n)).collect();
+        for (&v, c) in vars.iter().zip([10.0, 6.0, 4.0]) {
+            p.set_objective(v, c);
+        }
+        p.add_constraint(
+            &[(vars[0], 5.0), (vars[1], 4.0), (vars[2], 3.0)],
+            Relation::Le,
+            7.0,
+        );
+        let writer = SolverContext::new();
+        let expected = Solver::new().solve(&p, &writer).expect("feasible");
+        for sol in lock(&writer.solutions).values_mut() {
+            Arc::make_mut(sol).values.truncate(1);
+        }
+        let ctx = SolverContext::new();
+        assert_eq!(ctx.load_bytes(&writer.to_bytes()), 2, "basis + solution");
+        let s = Solver::new().solve(&p, &ctx).expect("searches");
+        assert_eq!(s, expected);
+        assert_eq!(s.value(vars[2]), expected.value(vars[2]));
+        let stats = ctx.stats();
+        assert_eq!(stats.solution_hits, 0, "{stats:?}");
+        assert_eq!(stats.warm_hits + stats.cold_solves, 1, "{stats:?}");
+        // The search overwrote the entry, so the next solve replays it.
+        assert_eq!(Solver::new().solve(&p, &ctx).expect("replays"), expected);
+        assert_eq!(ctx.stats().solution_hits, 1);
+    }
+
+    #[test]
+    fn structures_are_built_once_per_key_and_never_persisted() {
+        let ctx = SolverContext::new();
+        let mut builds = 0;
+        for (key, weight) in [(1u128, 1.0), (2, 4.0), (1, 1.0), (2, 4.0)] {
+            let p = ctx.structure(key, || {
+                builds += 1;
+                knapsack(2.0, weight)
+            });
+            assert_eq!(*p, knapsack(2.0, weight));
+        }
+        assert_eq!(builds, 2);
+        assert_eq!(ctx.stats().structures, 2);
+        let reloaded = SolverContext::new();
+        reloaded.load_bytes(&ctx.to_bytes());
+        assert_eq!(reloaded.stats().structures, 0);
     }
 
     #[test]
@@ -529,7 +618,7 @@ mod tests {
             vec![Status::Basic, Status::Lower, Status::Upper, Status::Basic]
         );
         let sol = warm
-            .solution_lookup(0xdead_beef_u128 << 64 | 7)
+            .solution_lookup(0xdead_beef_u128 << 64 | 7, |_| true)
             .expect("stored solution");
         assert_eq!(sol.objective, 42.5);
         assert_eq!(sol.values, vec![1.0, 0.0, 3.0]);

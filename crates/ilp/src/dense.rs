@@ -154,7 +154,7 @@ pub fn solve_relaxation_dense(problem: &Problem, pins: &[Option<f64>]) -> LpResu
     // Effective bounds.
     let mut lower = Vec::with_capacity(n);
     let mut upper = Vec::with_capacity(n);
-    for (i, v) in problem.variables.iter().enumerate() {
+    for (i, v) in problem.variables().iter().enumerate() {
         let pin = pins.get(i).copied().flatten();
         match pin {
             Some(p) => {
@@ -198,9 +198,9 @@ pub fn solve_relaxation_dense(problem: &Problem, pins: &[Option<f64>]) -> LpResu
 
     let mut row = 0usize;
     // Real constraints.
-    for c in &problem.constraints {
+    for c in problem.constraints() {
         let mut rhs = c.rhs;
-        for &(v, coef) in &c.terms {
+        for &(v, coef) in c.terms {
             rhs -= coef * lower[v.0];
             if !is_fixed[v.0] {
                 let cur = t.at(row, v.0);
@@ -289,13 +289,13 @@ pub fn solve_relaxation_dense(problem: &Problem, pins: &[Option<f64>]) -> LpResu
     }
 
     // Phase two: real objective (convert minimize to maximize).
-    let sign = match problem.sense {
+    let sign = match problem.sense() {
         Sense::Maximize => 1.0,
         Sense::Minimize => -1.0,
     };
     t.obj = vec![0.0; total_cols];
     t.obj_const = 0.0;
-    for (i, v) in problem.variables.iter().enumerate() {
+    for (i, v) in problem.variables().iter().enumerate() {
         if !is_fixed[i] {
             t.obj[i] = -sign * v.objective;
         }
@@ -330,7 +330,7 @@ pub fn solve_relaxation_dense(problem: &Problem, pins: &[Option<f64>]) -> LpResu
         }
     }
     let objective: f64 = problem
-        .variables
+        .variables()
         .iter()
         .enumerate()
         .map(|(i, v)| v.objective * values[i])

@@ -42,7 +42,7 @@
 
 // lint:allow-file(index, revised simplex kernel; basis and factor indices are maintained invariants of the algorithm, exercised by the property tests)
 
-use crate::problem::{Constraint, Problem, Relation, Sense};
+use crate::problem::{Problem, Relation, Sense};
 use crate::simplex::{LpResult, LpSolution};
 
 /// Primal feasibility tolerance (on row-scaled values).
@@ -118,34 +118,20 @@ pub struct StandardForm {
     pub(crate) obj_scale: f64,
 }
 
-/// Whether a constraint can never bind inside the variable bounds: a `Le`
-/// row whose largest activity, or a `Ge` row whose smallest activity,
-/// clears the right-hand side by [`PRESOLVE_MARGIN`]. A row with an
-/// infinite or NaN extreme activity, and every `Eq` row, may bind. The
+/// Whether constraint `i` of `p` can never bind inside the variable
+/// bounds: a `Le` row whose largest activity, or a `Ge` row whose smallest
+/// activity, clears the right-hand side by [`PRESOLVE_MARGIN`]. A row with
+/// an infinite or NaN extreme activity, and every `Eq` row, may bind. The
 /// presolve drops these rows and the solution memo's key leaves them out
 /// ([`crate::context`]), so both always agree on which rows a search sees.
-pub(crate) fn never_binds(p: &Problem, c: &Constraint) -> bool {
-    let extreme = |largest: bool| -> f64 {
-        c.terms
-            .iter()
-            .map(|&(v, k)| {
-                let var = &p.variables[v.index()];
-                let at_upper = if largest { k > 0.0 } else { k < 0.0 };
-                k * if at_upper { var.upper } else { var.lower }
-            })
-            .sum()
-    };
-    let scale = c.terms.iter().map(|(_, k)| k.abs()).fold(0.0f64, f64::max);
-    let margin = PRESOLVE_MARGIN * c.rhs.abs().max(scale);
+/// The activities come from the structure's digests, so this is O(1).
+pub(crate) fn never_binds(p: &Problem, i: usize) -> bool {
+    let row = &p.digests().rows[i];
+    let c = p.constraint(i);
+    let margin = PRESOLVE_MARGIN * c.rhs.abs().max(row.scale);
     match c.relation {
-        Relation::Le => {
-            let act = extreme(true);
-            act.is_finite() && act < c.rhs - margin
-        }
-        Relation::Ge => {
-            let act = extreme(false);
-            act.is_finite() && act > c.rhs + margin
-        }
+        Relation::Le => row.extreme.is_finite() && row.extreme < c.rhs - margin,
+        Relation::Ge => row.extreme.is_finite() && row.extreme > c.rhs + margin,
         Relation::Eq => false,
     }
 }
@@ -160,36 +146,27 @@ impl StandardForm {
     /// bound at the stored optimum, and keeping it keeps that basis usable.
     #[must_use]
     pub fn build(p: &Problem, stored: Option<&Basis>) -> Self {
-        let n = p.variables.len();
-        let rows: Vec<usize> = (0..p.constraints.len())
+        let n = p.num_vars();
+        let rows: Vec<usize> = (0..p.num_constraints())
             .filter(|&i| {
-                !never_binds(p, &p.constraints[i])
+                !never_binds(p, i)
                     || stored.is_some_and(|b| b.status.get(n + i) != Some(&Status::Basic))
             })
             .collect();
         let m = rows.len();
-        let sign = match p.sense {
+        let sign = match p.sense() {
             Sense::Maximize => 1.0,
             Sense::Minimize => -1.0,
         };
 
         // Row scales: largest |coefficient| per row.
-        let row_scale: Vec<f64> = rows
-            .iter()
-            .map(|&i| {
-                p.constraints[i]
-                    .terms
-                    .iter()
-                    .map(|(_, k)| k.abs())
-                    .fold(0.0f64, f64::max)
-                    .max(1e-12)
-            })
-            .collect();
+        let digests = &p.digests().rows;
+        let row_scale: Vec<f64> = rows.iter().map(|&i| digests[i].scale.max(1e-12)).collect();
 
         // Gather per-column entries (accumulating duplicates).
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         for (r, &i) in rows.iter().enumerate() {
-            for &(v, k) in &p.constraints[i].terms {
+            for &(v, k) in p.constraint(i).terms {
                 cols[v.index()].push((r, k / row_scale[r]));
             }
         }
@@ -214,7 +191,7 @@ impl StandardForm {
         }
 
         let obj_scale = p
-            .variables
+            .variables()
             .iter()
             .map(|v| v.objective.abs())
             .fold(0.0f64, f64::max)
@@ -223,14 +200,14 @@ impl StandardForm {
         let mut lower = Vec::with_capacity(n + m);
         let mut upper = Vec::with_capacity(n + m);
         let mut obj = Vec::with_capacity(n + m);
-        for v in &p.variables {
+        for v in p.variables() {
             lower.push(v.lower);
             upper.push(v.upper);
             obj.push(sign * v.objective / obj_scale);
         }
         let mut rhs = Vec::with_capacity(m);
         for (&i, scale) in rows.iter().zip(&row_scale) {
-            let c = &p.constraints[i];
+            let c = p.constraint(i);
             rhs.push(c.rhs / scale);
             let (lo, up) = match c.relation {
                 Relation::Le => (0.0, f64::INFINITY),
@@ -247,7 +224,7 @@ impl StandardForm {
             n_struct: n,
             n_total: n + m,
             rows,
-            problem_rows: p.constraints.len(),
+            problem_rows: p.num_constraints(),
             col_ptr,
             row_idx,
             val,
@@ -1375,7 +1352,7 @@ impl<'a> Lp<'a> {
             }
         }
         let objective = p
-            .variables
+            .variables()
             .iter()
             .enumerate()
             .map(|(i, v)| v.objective * values[i])
@@ -1501,7 +1478,7 @@ mod tests {
         let basis = basis.expect("storable basis");
 
         let mut tighter = p.clone();
-        tighter.constraints[0].rhs = 2.0;
+        tighter.set_rhs(0, 2.0);
         let tight_form = StandardForm::build(&tighter, None);
         let mut warm_trace = SolveTrace::default();
         let (warm_res, _) =

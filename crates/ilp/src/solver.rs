@@ -18,7 +18,7 @@
 
 // lint:allow-file(index, branch-and-bound indexes variable arrays sized by the formulation)
 
-use crate::context::{fingerprint, solution_key, SearchWork, SolverContext};
+use crate::context::{solution_key, SearchWork, SolverContext};
 use crate::problem::{Problem, Relation, Sense};
 use crate::revised::{Lp, SolveOutcome, SolveTrace, StandardForm, Warm};
 use smart_trace::Lane;
@@ -43,7 +43,7 @@ const ROUNDING: f64 = 4.0 * f64::EPSILON;
 fn objective_granularity(problem: &Problem) -> f64 {
     let mut g = 0.0f64;
     let mut cmax = 0.0f64;
-    for v in &problem.variables {
+    for v in problem.variables() {
         let c = v.objective.abs();
         if c <= 0.0 {
             continue;
@@ -56,7 +56,12 @@ fn objective_granularity(problem: &Problem) -> f64 {
     }
     let divides = |c: f64| c <= 0.0 || (c - (c / g).round() * g).abs() <= ROUNDING * c;
     // Noise floor: a gcd at rounding-error scale is meaningless.
-    if g > 1e-6 * cmax.max(1.0) && problem.variables.iter().all(|v| divides(v.objective.abs())) {
+    if g > 1e-6 * cmax.max(1.0)
+        && problem
+            .variables()
+            .iter()
+            .all(|v| divides(v.objective.abs()))
+    {
         g
     } else {
         0.0
@@ -192,14 +197,19 @@ impl Solver {
         // key matches an earlier one replays that search's solution —
         // objective, values, node count, and optimality flag — without
         // touching the tree. This is the path that makes warm
-        // `--cache-dir` reruns of ILP-heavy experiments near-free.
+        // `--cache-dir` reruns of ILP-heavy experiments near-free. A
+        // stored solution replays only if it is a feasible point of this
+        // problem (a store file can hold one of the wrong length);
+        // otherwise the search runs and overwrites it.
         let memo_key = solution_key(
             problem,
             seed.map(|(vals, _)| vals),
             self.node_limit,
             self.warm_start,
         );
-        if let Some(sol) = ctx.solution_lookup(memo_key) {
+        if let Some(sol) =
+            ctx.solution_lookup(memo_key, |s| validate_seed(problem, &s.values).is_some())
+        {
             return Ok(MipSolution::clone(&sol));
         }
         // Per-solve trace lane, keyed by the solution memo key so
@@ -237,7 +247,7 @@ impl Solver {
         work: &mut SearchWork,
     ) -> Result<MipSolution> {
         let int_vars = problem.integer_vars();
-        let sign = match problem.sense {
+        let sign = match problem.sense() {
             Sense::Maximize => 1.0,
             Sense::Minimize => -1.0,
         };
@@ -266,9 +276,11 @@ impl Solver {
         // stored basis that does not fit is rejected and the root solves
         // cold. One LP workspace lives for the whole search: dives into
         // child nodes reuse its installed factorization (`Warm::Live`).
-        let fp = fingerprint(problem);
+        let fp = problem.digests().fingerprint;
         let stored = ctx.lookup(fp);
         let form = StandardForm::build(problem, stored.as_deref());
+        work.cols = problem.num_vars();
+        work.nonzeros = problem.constraints().map(|c| c.terms.len()).sum();
         (work.rows, work.rows_kept) = (problem.num_constraints(), form.m);
         let mut lp = Lp::new(&form);
         let mut trace = SolveTrace::default();
@@ -421,7 +433,7 @@ impl Solver {
                     (
                         v,
                         frac,
-                        frac * problem.variables[v.index()].objective.abs().max(1.0),
+                        frac * problem.variables()[v.index()].objective.abs().max(1.0),
                     )
                 })
                 .filter(|(_, f, _)| *f > INT_TOL)
@@ -499,7 +511,7 @@ fn validate_seed(problem: &Problem, values: &[f64]) -> Option<f64> {
     if values.len() != problem.num_vars() {
         return None;
     }
-    for (i, v) in problem.variables.iter().enumerate() {
+    for (i, v) in problem.variables().iter().enumerate() {
         let x = values[i];
         if !x.is_finite() || x < v.lower - INT_TOL || x > v.upper + INT_TOL {
             return None;
@@ -508,7 +520,7 @@ fn validate_seed(problem: &Problem, values: &[f64]) -> Option<f64> {
             return None;
         }
     }
-    for c in &problem.constraints {
+    for c in problem.constraints() {
         let lhs: f64 = c.terms.iter().map(|(v, k)| k * values[v.index()]).sum();
         let tol = 1e-6 * (1.0 + c.rhs.abs());
         let ok = match c.relation {
@@ -522,7 +534,7 @@ fn validate_seed(problem: &Problem, values: &[f64]) -> Option<f64> {
     }
     Some(
         problem
-            .variables
+            .variables()
             .iter()
             .enumerate()
             .map(|(i, v)| v.objective * values[i])
@@ -542,7 +554,7 @@ fn greedy_round(problem: &Problem, lp_values: &[f64], nodes: usize) -> Option<Mi
     // with the largest contribution to the violation.
     for _ in 0..problem.num_vars() + 1 {
         let mut violated = None;
-        for c in &problem.constraints {
+        for c in problem.constraints() {
             let lhs: f64 = c.terms.iter().map(|(v, k)| k * values[v.index()]).sum();
             let bad = match c.relation {
                 Relation::Le => lhs > c.rhs + 1e-6,
@@ -556,7 +568,7 @@ fn greedy_round(problem: &Problem, lp_values: &[f64], nodes: usize) -> Option<Mi
         }
         let Some(c) = violated else {
             let objective = problem
-                .variables
+                .variables()
                 .iter()
                 .enumerate()
                 .map(|(i, v)| v.objective * values[i])
@@ -574,7 +586,7 @@ fn greedy_round(problem: &Problem, lp_values: &[f64], nodes: usize) -> Option<Mi
         let candidate = c
             .terms
             .iter()
-            .filter(|(v, _)| problem.variables[v.index()].integer)
+            .filter(|(v, _)| problem.variables()[v.index()].integer)
             .filter(|(v, _)| {
                 let x = values[v.index()];
                 if want_zero {
@@ -955,7 +967,7 @@ mod tests {
         let mut objectives = Vec::new();
         for cap in [10.0, 9.0, 8.0, 7.0] {
             let mut p = branchy_knapsack();
-            p.constraints[0].rhs = cap;
+            p.set_rhs(0, cap);
             let s = Solver::new().solve(&p, &ctx).expect("feasible");
             objectives.push(s.objective);
         }
@@ -981,7 +993,7 @@ mod tests {
         let caps = [10.0, 20.0, 25.0, 9.0, 30.0, 40.0, 7.0];
         for cap in caps {
             let mut p = branchy_knapsack();
-            p.constraints[0].rhs = cap;
+            p.set_rhs(0, cap);
             p.add_constraint(&[(VarId(0), 1.0), (VarId(1), 1.0)], Relation::Le, 1.0);
             let shared = Solver::new().solve(&p, &ctx).expect("feasible");
             let fresh = solve_once(Solver::new(), &p).expect("feasible");
@@ -1001,7 +1013,7 @@ mod tests {
         let ctx = SolverContext::new();
         for cap in [10.0, 7.0, 12.0, 5.0] {
             let mut p = branchy_knapsack();
-            p.constraints[0].rhs = cap;
+            p.set_rhs(0, cap);
             let shared = Solver::new().solve(&p, &ctx).expect("feasible");
             let fresh = solve_once(Solver::new(), &p).expect("feasible");
             assert!(
