@@ -244,18 +244,23 @@ impl ExperimentContext {
     /// Persists every cache into `dir` (creating it if needed) so the next
     /// process can [`ExperimentContext::load_caches`] and start warm.
     /// Writes are atomic (temp file + rename), so a crashed run leaves the
-    /// previous stores intact.
+    /// previous stores intact. Every store is attempted, so one that fails
+    /// costs only itself.
     ///
     /// # Errors
     ///
-    /// [`smart_units::SmartError::Store`] on any underlying filesystem
-    /// failure.
+    /// The first [`smart_units::SmartError::Store`] of any store's
+    /// underlying filesystem failure.
     pub fn save_caches(&self, dir: &Path) -> smart_units::Result<()> {
         std::fs::create_dir_all(dir)?;
-        smart_core::cache::save(&self.cache, dir)?;
-        smart_josim::cache::save(&self.circuits, dir)?;
-        smart_timing::persist::save(&self.timing, dir)?;
-        self.timing.solver().save_to(dir)
+        [
+            smart_core::cache::save(&self.cache, dir),
+            smart_josim::cache::save(&self.circuits, dir),
+            smart_timing::persist::save(&self.timing, dir),
+            self.timing.solver().save_to(dir),
+        ]
+        .into_iter()
+        .collect()
     }
 }
 
@@ -353,6 +358,31 @@ mod tests {
                 "{name} has non-finite cells"
             );
         }
+    }
+
+    #[test]
+    fn a_store_that_fails_to_save_does_not_skip_the_others() {
+        let dir = std::env::temp_dir().join(format!("smart-bench-save-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(dir.join("eval-cache.bin")).expect("mkdir");
+        let err = ExperimentContext::single_threaded().save_caches(&dir);
+        assert!(err.is_err(), "a directory is in the way of the eval store");
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("lists")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "circuit-cache.bin",
+                "eval-cache.bin",
+                "ilp-bases.bin",
+                "ilp-solutions.bin",
+                "timing-cache.bin"
+            ]
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

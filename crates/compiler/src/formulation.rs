@@ -35,7 +35,20 @@ use smart_systolic::trace::DataClass;
 use smart_units::codec::content_hash;
 use std::sync::Arc;
 
-/// Cost/capacity parameters of the formulation.
+/// Relative time saved per byte when streaming from SHIFT instead of DRAM
+/// (the Eq. 5 `T^H_s` coefficient). The four Eq. 5 costs are ratios of the
+/// access latencies: SHIFT 0.02 ns/word, RANDOM 0.103 ns/word, DRAM
+/// reference 1.0.
+pub const SHIFT_SAVING_PER_BYTE: f64 = 1.0;
+/// Relative time saved per byte when streaming from RANDOM instead of DRAM
+/// (`T^R_s`).
+pub const RANDOM_SAVING_PER_BYTE: f64 = 0.9;
+/// Load cost per byte into SHIFT (`T^HD/HR_r`).
+pub const SHIFT_LOAD_PER_BYTE: f64 = 0.05;
+/// Load cost per byte into RANDOM (`T^RD_r`).
+pub const RANDOM_LOAD_PER_BYTE: f64 = 0.1;
+
+/// Capacity parameters of the formulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FormulationParams {
     /// Per-class SHIFT array capacity in bytes.
@@ -49,22 +62,10 @@ pub struct FormulationParams {
     pub bytes_per_iteration: u64,
     /// Prefetch window `a` (>= 1).
     pub prefetch_window: u32,
-    /// Relative time saved per byte when streaming from SHIFT instead of
-    /// DRAM (the Eq. 5 `T^H_s` coefficient).
-    pub shift_saving_per_byte: f64,
-    /// Relative time saved per byte when streaming from RANDOM instead of
-    /// DRAM (`T^R_s`).
-    pub random_saving_per_byte: f64,
-    /// Load cost per byte into SHIFT (`T^HD/HR_r`).
-    pub shift_load_per_byte: f64,
-    /// Load cost per byte into RANDOM (`T^RD_r`).
-    pub random_load_per_byte: f64,
 }
 
 impl FormulationParams {
-    /// The SMART defaults (Table 4 geometry, cost ratios from the access
-    /// latencies: SHIFT 0.02 ns/word, RANDOM 0.103 ns/word, DRAM reference
-    /// 1.0).
+    /// The SMART defaults (Table 4 geometry).
     #[must_use]
     pub fn smart_default() -> Self {
         Self {
@@ -73,10 +74,6 @@ impl FormulationParams {
             random_banks: 256,
             bytes_per_iteration: 4 * 1024 * 1024,
             prefetch_window: 3,
-            shift_saving_per_byte: 1.0,
-            random_saving_per_byte: 0.9,
-            shift_load_per_byte: 0.05,
-            random_load_per_byte: 0.1,
         }
     }
 }
@@ -90,10 +87,9 @@ impl FormulationParams {
 ///
 /// The problem's structure is built once per context: it is fetched from
 /// the context's structure table ([`SolverContext::structure`]) under a
-/// key over everything its rows depend on (the DAG, the lifespans, the
-/// cost coefficients and the bandwidth budget), and each compilation sets
-/// only the SHIFT-capacity, RANDOM-capacity and bank-count right-hand
-/// sides.
+/// key over everything its rows depend on (the DAG, the lifespans and the
+/// bandwidth budget), and each compilation sets only the SHIFT-capacity,
+/// RANDOM-capacity and bank-count right-hand sides.
 ///
 /// The greedy allocation is computed first and seeded as the solver's
 /// initial incumbent, so best-bound pruning starts at node zero and a
@@ -211,14 +207,8 @@ impl Formulation {
             let r = p.binary(&format!("r_{}", o.id));
             let bytes = o.bytes as f64;
             // Eq. 5: saving minus load cost, folded per object.
-            p.set_objective(
-                h,
-                bytes * (params.shift_saving_per_byte - params.shift_load_per_byte),
-            );
-            p.set_objective(
-                r,
-                bytes * (params.random_saving_per_byte - params.random_load_per_byte),
-            );
+            p.set_objective(h, bytes * (SHIFT_SAVING_PER_BYTE - SHIFT_LOAD_PER_BYTE));
+            p.set_objective(r, bytes * (RANDOM_SAVING_PER_BYTE - RANDOM_LOAD_PER_BYTE));
             p.add_constraint(&[(h, 1.0), (r, 1.0)], Relation::Le, 1.0);
             h_vars.push(h);
             r_vars.push(r);
@@ -337,12 +327,12 @@ fn formulation(
 
 /// The structure-table key of a layer's formulation: everything its rows,
 /// their order and its objective depend on. That is the DAG's objects
-/// and edge count, the lifespans, the cost coefficients, the bandwidth
-/// budget, and whether the RANDOM capacity equals the bank count (see
-/// [`Formulation::build`]); the capacities themselves are right-hand sides.
+/// and edge count, the lifespans, the bandwidth budget, and whether the
+/// RANDOM capacity equals the bank count (see [`Formulation::build`]); the
+/// capacities themselves are right-hand sides.
 fn structure_key(dag: &LayerDag, params: &FormulationParams, lifespans: &[Lifespan]) -> u128 {
     let merged = Capacity::Random.of(params).to_bits() == Capacity::Banks.of(params).to_bits();
-    let mut words = Vec::with_capacity(3 * dag.objects.len() + lifespans.len() + 7);
+    let mut words = Vec::with_capacity(3 * dag.objects.len() + lifespans.len() + 3);
     words.push(dag.edges.len() as u64);
     for o in &dag.objects {
         words.extend([u64::from(o.id), o.class as u64, o.bytes]);
@@ -350,14 +340,7 @@ fn structure_key(dag: &LayerDag, params: &FormulationParams, lifespans: &[Lifesp
     for ls in lifespans {
         words.push(u64::from(ls.first_edge) << 32 | u64::from(ls.last_edge));
     }
-    words.extend([
-        params.shift_saving_per_byte.to_bits(),
-        params.shift_load_per_byte.to_bits(),
-        params.random_saving_per_byte.to_bits(),
-        params.random_load_per_byte.to_bits(),
-        params.bytes_per_iteration,
-        u64::from(merged),
-    ]);
+    words.extend([params.bytes_per_iteration, u64::from(merged)]);
     content_hash(&words)
 }
 
@@ -408,7 +391,8 @@ mod tests {
     use smart_systolic::layer::ConvLayer;
     use smart_systolic::mapping::{ArrayShape, LayerMapping};
     use smart_systolic::models::ModelId;
-    use smart_units::codec::{ByteReader, ByteWriter};
+    use smart_units::codec::{ByteReader, ByteWriter, Store};
+    use smart_units::memo::Persist;
     use smart_units::rng::Rng;
 
     fn dag_for(layer: &ConvLayer) -> LayerDag {
@@ -558,14 +542,8 @@ mod tests {
             let h = p.binary(&format!("h_{}", o.id));
             let r = p.binary(&format!("r_{}", o.id));
             let bytes = o.bytes as f64;
-            p.set_objective(
-                h,
-                bytes * (params.shift_saving_per_byte - params.shift_load_per_byte),
-            );
-            p.set_objective(
-                r,
-                bytes * (params.random_saving_per_byte - params.random_load_per_byte),
-            );
+            p.set_objective(h, bytes * (SHIFT_SAVING_PER_BYTE - SHIFT_LOAD_PER_BYTE));
+            p.set_objective(r, bytes * (RANDOM_SAVING_PER_BYTE - RANDOM_LOAD_PER_BYTE));
             p.add_constraint(&[(h, 1.0), (r, 1.0)], Relation::Le, 1.0);
             h_vars.push(h);
             r_vars.push(r);
@@ -799,36 +777,30 @@ mod tests {
         );
     }
 
-    /// `payload` (a `SolverContext` store) with every memoized solution cut
-    /// to its first value, length fields kept consistent.
-    fn truncate_solutions(payload: &[u8]) -> Vec<u8> {
-        let mut r = ByteReader::new(payload);
+    /// Rewrites the solution store in `dir` with every memoized solution
+    /// cut to its first value.
+    fn truncate_solutions(dir: &std::path::Path) {
+        let path = dir.join(MipSolution::FILE_NAME);
+        let payload = Store::read_file(&path, MipSolution::TAG, MipSolution::VERSION)
+            .expect("the solution store opens");
+        let mut r = ByteReader::new(&payload);
         let mut w = ByteWriter::new();
-        let copy_u64 = |r: &mut ByteReader<'_>, w: &mut ByteWriter| {
-            let v = r.u64().expect("u64");
-            w.u64(v);
-            v
-        };
-        for _ in 0..copy_u64(&mut r, &mut w) {
-            copy_u64(&mut r, &mut w);
-            w.u64_slice(&r.u64_vec().expect("basic columns"));
-            for _ in 0..copy_u64(&mut r, &mut w) {
-                w.u8(r.u8().expect("status"));
-            }
-        }
-        for _ in 0..copy_u64(&mut r, &mut w) {
+        let n = r.u64().expect("count");
+        w.u64(n);
+        for _ in 0..n {
             w.u128(r.u128().expect("key"));
-            w.f64(r.f64().expect("objective"));
-            let values: Vec<f64> = (0..r.u64().expect("len"))
-                .map(|_| r.f64().expect("value"))
-                .collect();
-            w.u64(1);
-            w.f64(values[0]);
-            copy_u64(&mut r, &mut w);
-            w.u8(r.u8().expect("optimal"));
+            let mut solution = MipSolution::read(&mut r).expect("solution");
+            solution.values.truncate(1);
+            solution.write(&mut w);
         }
         assert!(r.is_empty());
-        w.into_bytes()
+        Store::write_file(
+            &path,
+            MipSolution::TAG,
+            MipSolution::VERSION,
+            w.into_bytes(),
+        )
+        .expect("rewrites");
     }
 
     #[test]
@@ -837,8 +809,16 @@ mod tests {
         let params = FormulationParams::smart_default();
         let writer = SolverContext::new();
         let expected = compile_layer_ctx(&dag, &params, &writer);
+        let dir = std::env::temp_dir().join(format!(
+            "smart-compiler-short-solution-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        writer.save_to(&dir).expect("saves");
+        truncate_solutions(&dir);
         let ctx = SolverContext::new();
-        let loaded = ctx.load_bytes(&truncate_solutions(&writer.to_bytes()));
+        let loaded = ctx.load_from(&dir);
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(loaded, writer.stats().stored_bases + 1, "the store loads");
         assert_eq!(compile_layer_ctx(&dag, &params, &ctx), expected);
         assert_eq!(ctx.stats().solution_hits, 0);

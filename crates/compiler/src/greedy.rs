@@ -15,7 +15,10 @@
 
 // lint:allow-file(index, greedy allocation walks index pairs bounded by the lane counts it derives)
 
-use crate::formulation::FormulationParams;
+use crate::formulation::{
+    FormulationParams, RANDOM_LOAD_PER_BYTE, RANDOM_SAVING_PER_BYTE, SHIFT_LOAD_PER_BYTE,
+    SHIFT_SAVING_PER_BYTE,
+};
 use crate::lifespan::Lifespan;
 use crate::schedule::{Location, Placement, Schedule, ScheduleSource};
 use smart_systolic::dag::LayerDag;
@@ -58,8 +61,7 @@ pub fn allocate(dag: &LayerDag, params: &FormulationParams, lifespans: Vec<Lifes
                 shift_free[e as usize][class_idx] -= bytes;
             }
             fetch_free[ls.first_edge as usize] -= bytes;
-            objective +=
-                o.bytes as f64 * (params.shift_saving_per_byte - params.shift_load_per_byte);
+            objective += o.bytes as f64 * (SHIFT_SAVING_PER_BYTE - SHIFT_LOAD_PER_BYTE);
             Location::Shift
         } else {
             let fits_random = bandwidth_ok
@@ -69,8 +71,7 @@ pub fn allocate(dag: &LayerDag, params: &FormulationParams, lifespans: Vec<Lifes
                     random_free[e as usize] -= bytes;
                 }
                 fetch_free[ls.first_edge as usize] -= bytes;
-                objective +=
-                    o.bytes as f64 * (params.random_saving_per_byte - params.random_load_per_byte);
+                objective += o.bytes as f64 * (RANDOM_SAVING_PER_BYTE - RANDOM_LOAD_PER_BYTE);
                 Location::Random
             } else {
                 Location::Dram

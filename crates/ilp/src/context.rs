@@ -37,8 +37,13 @@
 //! ([`SolverContext::structure`]): the compiler builds each layer's
 //! allocation ILP once per context and instantiates it per design point.
 //!
+//! All three are [`smart_units::memo::Table`]s. The bases and solutions
+//! persist through the tables' own store code, one file per record type
+//! ([`Basis`] in `ilp-bases.bin`, [`MipSolution`] in `ilp-solutions.bin`),
+//! so each file falls back cold on its own; the structures never persist.
+//!
 //! The context is `Sync`: one instance can be shared across the experiment
-//! runner's worker threads (the map is mutex-guarded, the counters are
+//! runner's worker threads (the tables are mutex-guarded, the counters are
 //! atomic), matching how `smart_report::parallel_map` fans sweep points
 //! out.
 
@@ -46,10 +51,10 @@ use crate::problem::Problem;
 use crate::revised::{never_binds, Basis, Status};
 use crate::solver::MipSolution;
 use smart_trace::Tracer;
-use smart_units::codec::{content_hash, ByteReader, ByteWriter, Store};
+use smart_units::codec::{content_hash, ByteReader, ByteWriter};
+use smart_units::memo::{Persist, Table};
 use smart_units::sync::lock;
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -115,12 +120,12 @@ pub(crate) struct SearchWork {
 /// owns it); a one-off solve passes `&SolverContext::new()`.
 #[derive(Debug, Default)]
 pub struct SolverContext {
-    // Key-ordered maps: the persisted store serializes them in iteration
-    // order, so the bytes are deterministic without a sort pass.
-    bases: Mutex<BTreeMap<u64, Arc<Basis>>>,
-    solutions: Mutex<BTreeMap<u128, Arc<MipSolution>>>,
+    /// Root bases by structure fingerprint.
+    bases: Table<Basis>,
+    /// Searched solutions by [`solution_key`].
+    solutions: Table<MipSolution>,
     /// Caller-built structures by key; never persisted.
-    structures: Mutex<BTreeMap<u128, Arc<dyn Any + Send + Sync>>>,
+    structures: Table<dyn Any + Send + Sync>,
     warm_attempts: AtomicU64,
     warm_hits: AtomicU64,
     cold_solves: AtomicU64,
@@ -151,9 +156,9 @@ impl SolverContext {
             warm_attempts: self.warm_attempts.load(Ordering::Relaxed),
             warm_hits: self.warm_hits.load(Ordering::Relaxed),
             cold_solves: self.cold_solves.load(Ordering::Relaxed),
-            stored_bases: lock(&self.bases).len(),
+            stored_bases: self.bases.len(),
             solution_hits: self.solution_hits.load(Ordering::Relaxed),
-            stored_solutions: lock(&self.solutions).len(),
+            stored_solutions: self.solutions.len(),
             pivots: self.pivots.load(Ordering::Relaxed),
             refactorizations: self.refactorizations.load(Ordering::Relaxed),
             nodes: self.nodes.load(Ordering::Relaxed),
@@ -161,7 +166,7 @@ impl SolverContext {
             rows_kept: self.rows_kept.load(Ordering::Relaxed),
             cols: self.cols.load(Ordering::Relaxed),
             nonzeros: self.nonzeros.load(Ordering::Relaxed),
-            structures: lock(&self.structures).len(),
+            structures: self.structures.len(),
         }
     }
 
@@ -200,28 +205,18 @@ impl SolverContext {
     /// returns. The table lives in memory only: it is never persisted and
     /// is dropped with the context.
     pub fn structure<T: Any + Send + Sync>(&self, key: u128, build: impl FnOnce() -> T) -> Arc<T> {
-        let stored = |table: &BTreeMap<u128, Arc<dyn Any + Send + Sync>>| {
-            table
-                .get(&key)
-                .and_then(|s| Arc::clone(s).downcast::<T>().ok())
-        };
-        if let Some(found) = stored(&lock(&self.structures)) {
+        if let Some(found) = self.structures.get(key).and_then(|s| s.downcast().ok()) {
             return found;
         }
-        // Built outside the lock, so workers building other structures
-        // never wait. Of two racing builds of one key the first stored
-        // wins; both are equal.
+        // Built outside the table's lock, so workers building other
+        // structures never wait. Two racing builds of one key are equal.
         let built = Arc::new(build());
-        let mut table = lock(&self.structures);
-        if let Some(found) = stored(&table) {
-            return found;
-        }
-        table.insert(key, Arc::clone(&built) as Arc<dyn Any + Send + Sync>);
+        self.structures.insert(key, Arc::clone(&built) as _);
         built
     }
 
     pub(crate) fn lookup(&self, fp: u64) -> Option<Arc<Basis>> {
-        let found = lock(&self.bases).get(&fp).cloned();
+        let found = self.bases.get(u128::from(fp));
         if found.is_some() {
             self.warm_attempts.fetch_add(1, Ordering::Relaxed);
         }
@@ -229,7 +224,7 @@ impl SolverContext {
     }
 
     pub(crate) fn store(&self, fp: u64, basis: Arc<Basis>) {
-        lock(&self.bases).insert(fp, basis);
+        self.bases.insert(u128::from(fp), basis);
     }
 
     pub(crate) fn note_warm_hit(&self) {
@@ -247,10 +242,7 @@ impl SolverContext {
         key: u128,
         accept: impl FnOnce(&MipSolution) -> bool,
     ) -> Option<Arc<MipSolution>> {
-        let found = lock(&self.solutions)
-            .get(&key)
-            .cloned()
-            .filter(|s| accept(s));
+        let found = self.solutions.get(key).filter(|s| accept(s));
         if found.is_some() {
             self.solution_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -258,170 +250,105 @@ impl SolverContext {
     }
 
     pub(crate) fn solution_store(&self, key: u128, solution: Arc<MipSolution>) {
-        lock(&self.solutions).insert(key, solution);
+        self.solutions.insert(key, solution);
     }
 
-    /// Serializes every stored basis and memoized solution into a store
-    /// payload (maps are key-ordered, so the bytes are deterministic).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let bases = lock(&self.bases);
-        let mut w = ByteWriter::new();
-        w.u64(bases.len() as u64);
-        for (fp, basis) in bases.iter() {
-            w.u64(*fp);
-            w.u64(basis.basic.len() as u64);
-            for &col in &basis.basic {
-                w.u64(col as u64);
-            }
-            w.u64(basis.status.len() as u64);
-            for &s in &basis.status {
-                w.u8(match s {
-                    Status::Basic => 0,
-                    Status::Lower => 1,
-                    Status::Upper => 2,
-                });
-            }
-        }
-        let solutions = lock(&self.solutions);
-        w.u64(solutions.len() as u64);
-        for (key, sol) in solutions.iter() {
-            w.u128(*key);
-            w.f64(sol.objective);
-            w.u64(sol.values.len() as u64);
-            for &v in &sol.values {
-                w.f64(v);
-            }
-            w.u64(sol.nodes as u64);
-            w.u8(u8::from(sol.proven_optimal));
-        }
-        w.into_bytes()
-    }
-
-    /// Replaces the stored bases and memoized solutions with the
-    /// payload's; `0` on any malformed byte (and the store is left
-    /// unchanged — the fall-back-to-cold path). A reloaded basis is only
-    /// ever *attempted*: the simplex refactorizes and falls back to a cold
-    /// solve if it does not fit its problem. A reloaded solution is keyed
-    /// by a content hash of the problem its search saw plus the solver
-    /// configuration, so a stale entry simply never matches; a file
-    /// written under another key definition carries another store version
-    /// and loads nothing.
-    ///
-    /// Returns the total number of entries (bases plus solutions) now
-    /// stored.
-    pub fn load_bytes(&self, payload: &[u8]) -> usize {
-        let mut r = ByteReader::new(payload);
-        let Some(n) = r.u64().and_then(|n| usize::try_from(n).ok()) else {
-            return 0;
-        };
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let Some(fp) = r.u64() else { return 0 };
-            let Some(basic) = r.u64_vec() else { return 0 };
-            let basic: Vec<usize> = basic.iter().map(|&c| c as usize).collect();
-            let Some(len) = r.u64().and_then(|n| usize::try_from(n).ok()) else {
-                return 0;
-            };
-            if len > payload.len() {
-                return 0;
-            }
-            let mut status = Vec::with_capacity(len);
-            for _ in 0..len {
-                status.push(match r.u8() {
-                    Some(0) => Status::Basic,
-                    Some(1) => Status::Lower,
-                    Some(2) => Status::Upper,
-                    _ => return 0,
-                });
-            }
-            entries.insert(fp, Arc::new(Basis { basic, status }));
-        }
-        let Some(n_sol) = r.u64().and_then(|n| usize::try_from(n).ok()) else {
-            return 0;
-        };
-        let mut sol_entries = BTreeMap::new();
-        for _ in 0..n_sol {
-            let Some(key) = r.u128() else { return 0 };
-            let Some(objective) = r.f64() else { return 0 };
-            let Some(len) = r.u64().and_then(|n| usize::try_from(n).ok()) else {
-                return 0;
-            };
-            if len > payload.len() {
-                return 0;
-            }
-            let mut values = Vec::with_capacity(len);
-            for _ in 0..len {
-                let Some(v) = r.f64() else { return 0 };
-                values.push(v);
-            }
-            let Some(nodes) = r.u64().and_then(|n| usize::try_from(n).ok()) else {
-                return 0;
-            };
-            let proven_optimal = match r.u8() {
-                Some(0) => false,
-                Some(1) => true,
-                _ => return 0,
-            };
-            sol_entries.insert(
-                key,
-                Arc::new(MipSolution {
-                    objective,
-                    values,
-                    nodes,
-                    proven_optimal,
-                }),
-            );
-        }
-        if !r.is_empty() {
-            return 0;
-        }
-        let mut bases = lock(&self.bases);
-        let mut solutions = lock(&self.solutions);
-        *bases = entries;
-        *solutions = sol_entries;
-        bases.len() + solutions.len()
-    }
-
-    /// Saves the basis store to `dir/`[`BASIS_FILE_NAME`] (atomically).
+    /// Saves the stored bases to `dir/ilp-bases.bin` and the memoized
+    /// solutions to `dir/ilp-solutions.bin` (each atomically). Both are
+    /// attempted even if the first fails.
     ///
     /// # Errors
     ///
-    /// [`smart_units::SmartError::Store`] on any underlying filesystem
-    /// failure.
+    /// The first [`smart_units::SmartError::Store`] of the two saves.
     pub fn save_to(&self, dir: &Path) -> smart_units::Result<()> {
-        Store::write_file(
-            &dir.join(BASIS_FILE_NAME),
-            BASIS_TAG,
-            BASIS_VERSION,
-            self.to_bytes(),
-        )?;
-        Ok(())
+        self.bases.save(dir).and(self.solutions.save(dir))
     }
 
-    /// Loads `dir/`[`BASIS_FILE_NAME`] into this context; returns how many
-    /// entries (bases plus memoized solutions) are now stored. A missing,
-    /// corrupted, truncated, or version-mismatched file loads zero —
-    /// solves start cold.
+    /// Loads both stores of [`SolverContext::save_to`] from `dir`; returns
+    /// how many entries (bases plus memoized solutions) they hold. Each
+    /// file loads on its own: a missing, corrupted, truncated or
+    /// version-mismatched one loads zero and leaves its table unchanged.
+    /// A reloaded basis is only ever *attempted*: the simplex refactorizes
+    /// and falls back to a cold solve if it does not fit its problem. A
+    /// reloaded solution is keyed by a content hash of the problem its
+    /// search saw plus the solver configuration, so a stale entry simply
+    /// never matches, and it replays only if it is a feasible point of
+    /// the problem at hand.
     pub fn load_from(&self, dir: &Path) -> usize {
-        let Some(payload) = Store::read_file(&dir.join(BASIS_FILE_NAME), BASIS_TAG, BASIS_VERSION)
-        else {
-            return 0;
-        };
-        self.load_bytes(&payload)
+        self.bases.load(dir) + self.solutions.load(dir)
     }
 }
 
-/// Store tag of the warm-start basis file.
-const BASIS_TAG: &str = "smart-ilp-bases";
+/// A root basis in problem coordinates: its basic columns, then one status
+/// byte per column.
+impl Persist for Basis {
+    const TAG: &'static str = "smart-ilp-bases";
+    /// Bump when the record layout or the meaning of a stored key changes
+    /// (3: solution keys leave out never-binding rows; 4: both keys are
+    /// hashed from the structure digests; 5: bases and solutions are two
+    /// stores, the bases keyed by the widened fingerprint).
+    const VERSION: u32 = 5;
+    const FILE_NAME: &'static str = "ilp-bases.bin";
 
-/// Bump when the serialized basis/solution layout or the meaning of a
-/// stored key changes (3: solution keys leave out never-binding rows;
-/// 4: both keys are hashed from the structure digests).
-const BASIS_VERSION: u32 = 4;
+    fn write(&self, w: &mut ByteWriter) {
+        w.u64(self.basic.len() as u64);
+        for &col in &self.basic {
+            w.u64(col as u64);
+        }
+        w.u64(self.status.len() as u64);
+        for &s in &self.status {
+            w.u8(match s {
+                Status::Basic => 0,
+                Status::Lower => 1,
+                Status::Upper => 2,
+            });
+        }
+    }
 
-/// File name of the basis store inside a `--cache-dir`.
-pub const BASIS_FILE_NAME: &str = "ilp-bases.bin";
+    fn read(r: &mut ByteReader<'_>) -> Option<Self> {
+        let basic = r.u64_vec()?.into_iter().map(|c| usize::try_from(c).ok());
+        let basic = basic.collect::<Option<_>>()?;
+        let status = (0..r.u64()?)
+            .map(|_| match r.u8()? {
+                0 => Some(Status::Basic),
+                1 => Some(Status::Lower),
+                2 => Some(Status::Upper),
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        Some(Self { basic, status })
+    }
+}
+
+/// A searched solution: objective, values, node count, optimality flag.
+impl Persist for MipSolution {
+    const TAG: &'static str = "smart-ilp-solutions";
+    const VERSION: u32 = 1;
+    const FILE_NAME: &'static str = "ilp-solutions.bin";
+
+    fn write(&self, w: &mut ByteWriter) {
+        w.f64(self.objective);
+        w.u64(self.values.len() as u64);
+        for &v in &self.values {
+            w.f64(v);
+        }
+        w.u64(self.nodes as u64);
+        w.u8(u8::from(self.proven_optimal));
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(Self {
+            objective: r.f64()?,
+            values: r.u64_vec()?.into_iter().map(f64::from_bits).collect(),
+            nodes: usize::try_from(r.u64()?).ok()?,
+            proven_optimal: match r.u8()? {
+                0 => false,
+                1 => true,
+                _ => return None,
+            },
+        })
+    }
+}
 
 /// 128-bit solve key for the solution memo: everything that determines a
 /// deterministic solve's outcome. One pass over the structure's digests
@@ -485,6 +412,25 @@ mod tests {
         p.digests().fingerprint
     }
 
+    /// A fresh scratch directory per test.
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("smart-ilp-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
+    /// `writer`'s stores, saved and loaded into a fresh context; returns it
+    /// with the number of entries loaded.
+    fn reload(writer: &SolverContext, tag: &str) -> (SolverContext, usize) {
+        let dir = temp_dir(tag);
+        writer.save_to(&dir).expect("saves");
+        let ctx = SolverContext::new();
+        let loaded = ctx.load_from(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        (ctx, loaded)
+    }
+
     #[test]
     fn rhs_changes_share_the_digests() {
         let p = knapsack(2.0, 1.0);
@@ -521,9 +467,10 @@ mod tests {
 
     #[test]
     fn a_stored_solution_of_the_wrong_length_is_searched_again() {
-        // A store file whose memoized solution for a 3-variable knapsack
-        // holds one value: it passes the store's length checks and loads,
-        // but replaying it made `MipSolution::value` index past its end.
+        // A store whose memoized solution for a 3-variable knapsack holds
+        // one value: it loads, but replaying it made `MipSolution::value`
+        // index past its end. The solves carry a seed and a node limit, as
+        // the compiler's do; both are part of the memo key.
         let mut p = Problem::new(Sense::Maximize);
         let vars: Vec<VarId> = ["a", "b", "c"].iter().map(|n| p.binary(n)).collect();
         for (&v, c) in vars.iter().zip([10.0, 6.0, 4.0]) {
@@ -534,21 +481,26 @@ mod tests {
             Relation::Le,
             7.0,
         );
+        let seed = vec![0.0, 0.0, 1.0];
+        let solver = Solver::new()
+            .with_node_limit(2_000)
+            .with_incumbent(seed.clone());
         let writer = SolverContext::new();
-        let expected = Solver::new().solve(&p, &writer).expect("feasible");
-        for sol in lock(&writer.solutions).values_mut() {
-            Arc::make_mut(sol).values.truncate(1);
-        }
-        let ctx = SolverContext::new();
-        assert_eq!(ctx.load_bytes(&writer.to_bytes()), 2, "basis + solution");
-        let s = Solver::new().solve(&p, &ctx).expect("searches");
-        assert_eq!(s, expected);
+        let expected = solver.solve(&p, &writer).expect("feasible");
+        let key = solution_key(&p, Some(&seed), 2_000, true);
+        let mut short = MipSolution::clone(&writer.solutions.get(key).expect("memoized"));
+        short.values.truncate(1);
+        writer.solution_store(key, Arc::new(short));
+        let (ctx, loaded) = reload(&writer, "short-solution");
+        assert_eq!(loaded, 2, "the store loads: basis + solution");
+        let s = solver.solve(&p, &ctx).expect("searches");
+        assert_eq!(s, expected, "equals a fresh solve");
         assert_eq!(s.value(vars[2]), expected.value(vars[2]));
         let stats = ctx.stats();
         assert_eq!(stats.solution_hits, 0, "{stats:?}");
         assert_eq!(stats.warm_hits + stats.cold_solves, 1, "{stats:?}");
         // The search overwrote the entry, so the next solve replays it.
-        assert_eq!(Solver::new().solve(&p, &ctx).expect("replays"), expected);
+        assert_eq!(solver.solve(&p, &ctx).expect("replays"), expected);
         assert_eq!(ctx.stats().solution_hits, 1);
     }
 
@@ -565,8 +517,7 @@ mod tests {
         }
         assert_eq!(builds, 2);
         assert_eq!(ctx.stats().structures, 2);
-        let reloaded = SolverContext::new();
-        reloaded.load_bytes(&ctx.to_bytes());
+        let (reloaded, _) = reload(&ctx, "structures");
         assert_eq!(reloaded.stats().structures, 0);
     }
 
@@ -579,10 +530,9 @@ mod tests {
 
     #[test]
     fn basis_store_round_trips_and_rejects_corruption() {
-        let dir = std::env::temp_dir().join(format!("smart-ilp-bases-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = temp_dir("bases");
         let ctx = SolverContext::new();
-        assert_eq!(ctx.load_from(&dir), 0, "missing file loads cold");
+        assert_eq!(ctx.load_from(&dir), 0, "missing files load cold");
         ctx.store(
             11,
             Arc::new(Basis {
@@ -606,7 +556,6 @@ mod tests {
                 proven_optimal: true,
             }),
         );
-        assert_eq!(ctx.to_bytes(), ctx.to_bytes(), "deterministic bytes");
         ctx.save_to(&dir).expect("saves");
 
         let warm = SolverContext::new();
@@ -626,16 +575,20 @@ mod tests {
         assert!(sol.proven_optimal);
         assert_eq!(warm.stats().solution_hits, 1);
 
-        // Truncation and bit corruption fall back to cold.
-        let path = dir.join(BASIS_FILE_NAME);
-        let good = std::fs::read(&path).expect("reads");
-        std::fs::write(&path, &good[..good.len() / 2]).expect("writes");
-        assert_eq!(SolverContext::new().load_from(&dir), 0);
-        let mut bad = good;
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x04;
-        std::fs::write(&path, &bad).expect("writes");
-        assert_eq!(SolverContext::new().load_from(&dir), 0);
+        // Truncation and bit corruption of one file load it cold; the
+        // other file still loads.
+        for (file, other) in [(Basis::FILE_NAME, 1), (MipSolution::FILE_NAME, 2)] {
+            let path = dir.join(file);
+            let good = std::fs::read(&path).expect("reads");
+            std::fs::write(&path, &good[..good.len() / 2]).expect("writes");
+            assert_eq!(SolverContext::new().load_from(&dir), other, "{file}");
+            let mut bad = good.clone();
+            let mid = bad.len() / 2;
+            bad[mid] ^= 0x04;
+            std::fs::write(&path, &bad).expect("writes");
+            assert_eq!(SolverContext::new().load_from(&dir), other, "{file}");
+            std::fs::write(&path, &good).expect("writes");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -674,8 +627,8 @@ mod tests {
                 .expect("feasible");
             let writer = SolverContext::new();
             writer.store(fingerprint(p), Arc::new(basis));
-            let ctx = SolverContext::new();
-            assert_eq!(ctx.load_bytes(&writer.to_bytes()), 1, "the store loads");
+            let (ctx, loaded) = reload(&writer, "malformed");
+            assert_eq!(loaded, 1, "the store loads");
             let s = Solver::new().solve(p, &ctx).expect("solves cold");
             assert_eq!(s, expected);
             let stats = ctx.stats();

@@ -35,9 +35,9 @@ use std::sync::Arc;
 pub struct TimingCache {
     pub(crate) memo: Memo<(Scheme, ModelId, TimingConfig), ModelTimingReport, SmartError>,
     /// ILP warm-start state threaded through every replay compile this
-    /// cache runs, so bases reuse across models — and, via
-    /// [`SolverContext::save_to`]/[`SolverContext::load_from`], across
-    /// processes.
+    /// cache runs, so bases and memoized solutions reuse across models —
+    /// and, via [`SolverContext::save_to`]/[`SolverContext::load_from`],
+    /// across processes.
     solver: SolverContext,
 }
 
@@ -49,7 +49,8 @@ impl TimingCache {
     }
 
     /// The ILP warm-start context this cache compiles through (exposed so
-    /// callers can persist its basis store next to the report store).
+    /// callers can persist its bases and solutions next to the report
+    /// store).
     #[must_use]
     pub fn solver(&self) -> &SolverContext {
         &self.solver

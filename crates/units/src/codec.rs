@@ -4,12 +4,13 @@
 //! The sweep workloads (RANDOM-technology ablations, buffer-depth and
 //! bandwidth scans, the coming Pareto searches) call the evaluator, the
 //! ILP compiler, and the cycle replay thousands of times per *process*,
-//! and every process used to start cold. The result caches built on
-//! [`crate::memo::Memo`] (`smart_core::cache::EvalCache`,
-//! `smart_josim::cache::CircuitCache`, `smart_timing::TimingCache`, each
-//! supplying one [`crate::memo::Persist`] record codec) and `smart_ilp`'s
-//! `SolverContext` basis store serialize through this module, so a
-//! repeated run starts warm from a `--cache-dir`.
+//! and every process used to start cold. Every persistent store is a
+//! [`crate::memo::Table`] of one [`crate::memo::Persist`] record type, on
+//! its own (`smart_ilp::SolverContext`'s bases and solutions) or as the
+//! warm tier of a [`crate::memo::Memo`] (`smart_core::cache::EvalCache`,
+//! `smart_josim::cache::CircuitCache`, `smart_timing::TimingCache`). The
+//! table lays out the payload; this module supplies its primitives and the
+//! container, so a repeated run starts warm from a `--cache-dir`.
 //!
 //! Design constraints, in order:
 //!
@@ -307,12 +308,14 @@ impl Store {
 
     /// Seals and writes a store file atomically (write to a sibling temp
     /// file, then rename), so a crashed or concurrent run leaves either
-    /// the old file or the new one — never a torn store. A torn leftover
-    /// temp file is harmless garbage.
+    /// the old file or the new one — never a torn store. A failed write or
+    /// rename removes its temp file; only a crash can leave one behind,
+    /// as harmless garbage.
     ///
     /// # Errors
     ///
-    /// Any underlying filesystem error (missing directory, permissions).
+    /// Any underlying filesystem error (missing directory, permissions,
+    /// a directory in the way).
     pub fn write_file(
         path: &Path,
         tag: &str,
@@ -323,8 +326,12 @@ impl Store {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(format!(".tmp.{}", std::process::id()));
         let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, sealed)?;
-        std::fs::rename(&tmp, path)
+        let written = std::fs::write(&tmp, sealed).and_then(|()| std::fs::rename(&tmp, path));
+        if written.is_err() {
+            // Best effort: the write's own error is the one to report.
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 }
 
@@ -447,6 +454,21 @@ mod tests {
             "round trip"
         );
         assert!(Store::read_file(&path, "demo", 2).is_none(), "version gate");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("smart-codec-tmp-{}", std::process::id()));
+        let target = dir.join("demo.bin");
+        std::fs::create_dir_all(&target).expect("mkdir");
+        let err = Store::write_file(&target, "demo", 1, sample_payload());
+        assert!(err.is_err(), "a directory is in the way");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("lists")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(names, ["demo.bin"], "no .tmp. file remains");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,12 +13,16 @@
 //!   and the poison-proof [`lock`] keeps every other key alive.
 //! * **Warm tier.** Values persisted by a previous process, keyed by the
 //!   [`content_hash`] of their key, are consulted on a miss before the
-//!   computation runs. A value type opts into persistence by implementing
-//!   [`Persist`] (store tag, version, file name and one record codec);
-//!   [`Memo::save`] / [`Memo::load`] move it through the
-//!   [`crate::codec::Store`] container. A missing, truncated, corrupted or
-//!   version-mismatched store loads zero entries: the run starts cold,
-//!   never wrong.
+//!   computation runs. The tier is a [`Table`]: a key-ordered map from
+//!   128-bit keys to shared values, also used on its own by callers that
+//!   compute their own keys (`smart_ilp::SolverContext`'s bases, solutions
+//!   and problem structures). A value type opts into persistence by
+//!   implementing [`Persist`] (store tag, version, file name and one record
+//!   codec); [`Table::save`] / [`Table::load`] move a table through the
+//!   [`crate::codec::Store`] container, and [`Memo::save`] / [`Memo::load`]
+//!   go through them. This module is the one place that knows the store
+//!   layout. A missing, truncated, corrupted or version-mismatched store
+//!   loads zero entries: the run starts cold, never wrong.
 //! * **Counters.** [`MemoStats`] splits lookups into `hits` (a ready value
 //!   in the map or the warm tier), `misses` (ran the computation) and
 //!   `coalesced` (waited on another thread's in-flight computation). The
@@ -89,9 +93,8 @@ pub struct Memo<K, V, E = Infallible> {
     // lint:allow(determinism, iteration order is never observed: persistence re-keys ready values into a content-hash-ordered BTreeMap)
     map: Mutex<HashMap<K, Cell<V, E>>>,
     /// Values loaded from a previous process, keyed by content hash;
-    /// consulted on a miss, never written during a run. Key-ordered, so
-    /// serialized store bytes are deterministic.
-    warm: Mutex<BTreeMap<u128, Arc<V>>>,
+    /// consulted on a miss, never written during a run.
+    warm: Table<V>,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
@@ -101,7 +104,7 @@ impl<K, V, E> Default for Memo<K, V, E> {
     fn default() -> Self {
         Self {
             map: Mutex::default(),
-            warm: Mutex::default(),
+            warm: Table::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -143,9 +146,9 @@ impl<K: Hash + Eq + Clone, V, E: Clone> Memo<K, V, E> {
         let result = cell
             .get_or_init(|| {
                 ran = true;
-                if let Some(found) = lock(&self.warm).get(&content_hash(key)) {
+                if let Some(found) = self.warm.get(content_hash(key)) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(found));
+                    return Ok(found);
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 compute().map(Arc::new)
@@ -195,23 +198,18 @@ impl<K: Hash + Eq + Clone, V> Memo<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Persist, E: Clone> Memo<K, V, E> {
-    /// The store payload: a count, then one `(content hash, record)` pair
-    /// per persistable value (the warm tier plus every ready value),
-    /// ordered by content hash.
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut entries = lock(&self.warm).clone();
+    /// Every persistable value, by content hash: the warm tier plus every
+    /// ready value.
+    fn persistable(&self) -> Table<V> {
+        let mut entries = lock(&self.warm.map).clone();
         for (key, cell) in lock(&self.map).iter() {
             if let Some(Ok(value)) = cell.get() {
                 entries.insert(content_hash(key), Arc::clone(value));
             }
         }
-        let mut w = ByteWriter::new();
-        w.u64(entries.len() as u64);
-        for (hash, value) in &entries {
-            w.u128(*hash);
-            value.write(&mut w);
+        Table {
+            map: Mutex::new(entries),
         }
-        w.into_bytes()
     }
 
     /// Saves every persistable value to `dir/`[`Persist::FILE_NAME`]
@@ -221,21 +219,95 @@ impl<K: Hash + Eq + Clone, V: Persist, E: Clone> Memo<K, V, E> {
     ///
     /// [`crate::SmartError::Store`] on any underlying filesystem failure.
     pub fn save(&self, dir: &Path) -> crate::Result<()> {
-        Store::write_file(&dir.join(V::FILE_NAME), V::TAG, V::VERSION, self.to_bytes())?;
-        Ok(())
+        self.persistable().save(dir)
     }
 
     /// Replaces the warm tier with the store in `dir`; returns how many
     /// entries are now warm (zero for a missing or damaged store).
+    pub fn load(&self, dir: &Path) -> usize {
+        self.warm.load(dir)
+    }
+}
+
+/// A thread-safe, key-ordered map from 128-bit keys to shared values: the
+/// warm tier of every [`Memo`], and a store of its own for callers that
+/// compute their keys. Key order makes the persisted bytes deterministic.
+/// `V` may be unsized (`Table<dyn Any + Send + Sync>`); a table of
+/// [`Persist`] values saves and loads one store file.
+#[derive(Debug)]
+pub struct Table<V: ?Sized> {
+    map: Mutex<BTreeMap<u128, Arc<V>>>,
+}
+
+impl<V: ?Sized> Default for Table<V> {
+    fn default() -> Self {
+        Self {
+            map: Mutex::default(),
+        }
+    }
+}
+
+impl<V: ?Sized> Table<V> {
+    /// The value under `key`, if any.
+    #[must_use]
+    pub fn get(&self, key: u128) -> Option<Arc<V>> {
+        lock(&self.map).get(&key).cloned()
+    }
+
+    /// Stores `value` under `key`, replacing any earlier value.
+    pub fn insert(&self, key: u128, value: Arc<V>) {
+        lock(&self.map).insert(key, value);
+    }
+
+    /// Number of keys stored.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        lock(&self.map).len()
+    }
+
+    /// True when no key is stored.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<V: Persist> Table<V> {
+    /// The store payload: a count, then one `(key, record)` pair per
+    /// entry, in key order.
+    fn to_bytes(&self) -> Vec<u8> {
+        let map = lock(&self.map);
+        let mut w = ByteWriter::new();
+        w.u64(map.len() as u64);
+        for (key, value) in map.iter() {
+            w.u128(*key);
+            value.write(&mut w);
+        }
+        w.into_bytes()
+    }
+
+    /// Saves every entry to `dir/`[`Persist::FILE_NAME`] (atomically).
+    ///
+    /// # Errors
+    ///
+    /// [`crate::SmartError::Store`] on any underlying filesystem failure.
+    pub fn save(&self, dir: &Path) -> crate::Result<()> {
+        Store::write_file(&dir.join(V::FILE_NAME), V::TAG, V::VERSION, self.to_bytes())?;
+        Ok(())
+    }
+
+    /// Replaces the entries with the store in `dir`; returns how many are
+    /// now stored. A missing or damaged store returns zero and leaves the
+    /// table unchanged.
     pub fn load(&self, dir: &Path) -> usize {
         let Some(entries) = Store::read_file(&dir.join(V::FILE_NAME), V::TAG, V::VERSION)
             .and_then(|payload| parse::<V>(&payload))
         else {
             return 0;
         };
-        let mut warm = lock(&self.warm);
-        *warm = entries;
-        warm.len()
+        let mut map = lock(&self.map);
+        *map = entries;
+        map.len()
     }
 }
 
@@ -245,8 +317,8 @@ fn parse<V: Persist>(payload: &[u8]) -> Option<BTreeMap<u128, Arc<V>>> {
     let n = usize::try_from(r.u64()?).ok()?;
     let mut entries = BTreeMap::new();
     for _ in 0..n {
-        let hash = r.u128()?;
-        entries.insert(hash, Arc::new(V::read(&mut r)?));
+        let key = r.u128()?;
+        entries.insert(key, Arc::new(V::read(&mut r)?));
     }
     r.is_empty().then_some(entries)
 }
@@ -422,7 +494,11 @@ mod tests {
         assert_eq!(*reloaded, *direct);
         assert_eq!(reloaded.value.to_bits(), direct.value.to_bits());
         assert_eq!(counts(&warm), (1, 0, 0, 1));
-        assert_eq!(warm.to_bytes(), cold.to_bytes(), "re-save is identical");
+        assert_eq!(
+            warm.persistable().to_bytes(),
+            cold.persistable().to_bytes(),
+            "re-save is identical"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -446,6 +522,22 @@ mod tests {
             std::fs::write(&path, &bad).expect("writes");
             assert_eq!(RecMemo::new().load(&dir), 0, "{bad:?}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_table_round_trips_and_a_failed_load_leaves_it_unchanged() {
+        let dir = temp_dir("table");
+        let table = Table::<Rec>::default();
+        table.insert(3, Arc::new(rec(3).expect("ok")));
+        table.save(&dir).expect("saves");
+        table.insert(4, Arc::new(rec(4).expect("ok")));
+        assert_eq!(table.load(&dir), 1, "a load replaces the entries");
+        assert!(table.get(4).is_none());
+        assert_eq!(table.get(3).as_deref(), Some(&rec(3).expect("ok")));
+        std::fs::write(dir.join(Rec::FILE_NAME), b"junk").expect("writes");
+        assert_eq!(table.load(&dir), 0, "a damaged store loads nothing");
+        assert_eq!(table.len(), 1, "and leaves the table as it was");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -418,6 +418,51 @@ proptest! {
         prop_assert_eq!(cache::load(&EvalCache::new(), &dir), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// The same for the two ILP stores: a truncated or corrupted file
+    /// loads zero entries, the other file still loads, and a compile
+    /// through the reloaded context equals the cold one.
+    #[test]
+    fn corrupt_ilp_store_falls_back_to_cold(
+        which in 0usize..2,
+        cut_frac in 0.0f64..1.0,
+        flip_frac in 0.0f64..1.0,
+        flip in 1u8..255,
+    ) {
+        use smart::ilp::{Basis, MipSolution};
+        use smart::units::memo::Persist;
+
+        let layer = ConvLayer::conv("c", 13, 13, 64, 64, 3, 1, 1);
+        let dag = LayerDag::build(&LayerMapping::map(&layer, ArrayShape::new(64, 256), 1), 6);
+        let params = FormulationParams::smart_default();
+        let dir = unique_temp_dir("ilp-corrupt");
+        let cold = SolverContext::new();
+        let expected = compile_layer_ctx(&dag, &params, &cold);
+        cold.save_to(&dir).expect("saves");
+        let stored = cold.stats();
+        let stored = [stored.stored_bases, stored.stored_solutions];
+        prop_assert!(stored.iter().all(|&n| n > 0), "{:?}", stored);
+        let path = dir.join([Basis::FILE_NAME, MipSolution::FILE_NAME][which]);
+        let good = std::fs::read(&path).expect("reads");
+
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let cut = (cut_frac * (good.len() - 1) as f64) as usize;
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let at = (flip_frac * (good.len() - 1) as f64) as usize;
+        let mut flipped = good.clone();
+        flipped[at] ^= flip;
+        for bad in [&good[..cut], &flipped[..]] {
+            std::fs::write(&path, bad).expect("writes");
+            let warm = SolverContext::new();
+            prop_assert_eq!(warm.load_from(&dir), stored[1 - which]);
+            let loaded = warm.stats();
+            let mut want = stored;
+            want[which] = 0;
+            prop_assert_eq!([loaded.stored_bases, loaded.stored_solutions], want);
+            prop_assert_eq!(compile_layer_ctx(&dag, &params, &warm), expected.clone());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// A per-case scratch directory (pid + atomic counter, so concurrent test
