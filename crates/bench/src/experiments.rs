@@ -1344,6 +1344,12 @@ pub fn search_warm_vs_cold(ctx: &ExperimentContext) -> ResultTable {
     let timing = smart_timing::TimingCache::new();
     let warm = smart_search::search(&space, &cfg, &eval, &timing).expect("valid grid");
     let cold = smart_search::search_naive(&space, &cfg).expect("valid grid");
+    // Both runs solve on private contexts, which the `ilp.*` counters do
+    // not see; their branch & bound work is counted here.
+    ctx.metrics
+        .add("search.nodes", warm.stats.nodes + cold.stats.nodes);
+    ctx.metrics
+        .add("search.pivots", warm.stats.pivots + cold.stats.pivots);
 
     let mut t = ResultTable::new(
         "search_warm_vs_cold",

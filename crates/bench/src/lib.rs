@@ -180,6 +180,9 @@ impl ExperimentContext {
         reg.add("ilp.rows_kept", solver.rows_kept);
         reg.add("ilp.cols", solver.cols);
         reg.add("ilp.nonzeros", solver.nonzeros);
+        reg.add("ilp.cols_fixed", solver.cols_fixed);
+        reg.add("ilp.rows_rounded", solver.rows_rounded);
+        reg.add("ilp.node_limited", solver.node_limited);
         reg.set_gauge("ilp.stored_bases", solver.stored_bases as u64);
         reg.set_gauge("ilp.stored_solutions", solver.stored_solutions as u64);
         reg.set_gauge("ilp.structures", solver.structures as u64);

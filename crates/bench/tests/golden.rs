@@ -210,10 +210,10 @@ fn ablation_ilp_objectives_pinned() {
     };
     pin(summary("total ILP"), 19_874_729.4, "total ILP");
     pin(summary("contested greedy"), 1_723_078.2, "contested greedy");
-    // The contested total contains one node-limited (near-optimal) search;
-    // it is pinned like the rest — a solver change that moves it should be
-    // a conscious decision, not an accident.
-    pin(summary("contested ILP"), 1_768_172.6, "contested ILP");
+    // No contested search stops at the node limit, so the contested total
+    // is the proven optimum. It is pinned like the rest — a solver change
+    // that moves it should be a conscious decision, not an accident.
+    pin(summary("contested ILP"), 1_776_823.8, "contested ILP");
 }
 
 /// PR-7 cache round trip: a warm `--cache-dir` search must reproduce the

@@ -91,6 +91,15 @@ pub struct SolverContextStats {
     pub cols: u64,
     /// Nonzero constraint coefficients of every searched problem.
     pub nonzeros: u64,
+    /// Integer columns whose bounds the presolve tightened, over every
+    /// searched problem ([`crate::revised::StandardForm::tighten`]).
+    pub cols_fixed: u64,
+    /// Rows whose right-hand side the presolve's gcd rounding moved, over
+    /// every searched problem.
+    pub rows_rounded: u64,
+    /// Searches that stopped at the node limit with open nodes (their
+    /// solutions are not proven optimal).
+    pub node_limited: u64,
     /// Problem structures in the in-memory table
     /// ([`SolverContext::structure`]).
     pub structures: usize,
@@ -111,6 +120,12 @@ pub(crate) struct SearchWork {
     pub cols: usize,
     /// Nonzero constraint coefficients of the searched problem.
     pub nonzeros: usize,
+    /// Integer columns whose bounds the presolve tightened.
+    pub cols_fixed: usize,
+    /// Rows whose right-hand side the presolve rounded.
+    pub rows_rounded: usize,
+    /// The search stopped at the node limit with open nodes.
+    pub node_limited: bool,
 }
 
 /// Shared warm-start state, solution memo and work counters: the one
@@ -137,6 +152,9 @@ pub struct SolverContext {
     rows_kept: AtomicU64,
     cols: AtomicU64,
     nonzeros: AtomicU64,
+    cols_fixed: AtomicU64,
+    rows_rounded: AtomicU64,
+    node_limited: AtomicU64,
     /// Span sink for per-node solver instrumentation; disabled (free)
     /// unless a driver installs an enabled tracer.
     tracer: Mutex<Tracer>,
@@ -166,6 +184,9 @@ impl SolverContext {
             rows_kept: self.rows_kept.load(Ordering::Relaxed),
             cols: self.cols.load(Ordering::Relaxed),
             nonzeros: self.nonzeros.load(Ordering::Relaxed),
+            cols_fixed: self.cols_fixed.load(Ordering::Relaxed),
+            rows_rounded: self.rows_rounded.load(Ordering::Relaxed),
+            node_limited: self.node_limited.load(Ordering::Relaxed),
             structures: self.structures.len(),
         }
     }
@@ -195,6 +216,12 @@ impl SolverContext {
         self.cols.fetch_add(work.cols as u64, Ordering::Relaxed);
         self.nonzeros
             .fetch_add(work.nonzeros as u64, Ordering::Relaxed);
+        self.cols_fixed
+            .fetch_add(work.cols_fixed as u64, Ordering::Relaxed);
+        self.rows_rounded
+            .fetch_add(work.rows_rounded as u64, Ordering::Relaxed);
+        self.node_limited
+            .fetch_add(u64::from(work.node_limited), Ordering::Relaxed);
     }
 
     /// The structure `build` returns, built on the first request for `key`
@@ -323,7 +350,11 @@ impl Persist for Basis {
 /// A searched solution: objective, values, node count, optimality flag.
 impl Persist for MipSolution {
     const TAG: &'static str = "smart-ilp-solutions";
-    const VERSION: u32 = 1;
+    /// Bump when the record layout changes or a search can return another
+    /// solution for the same key (2: the integer presolve lets searches
+    /// that stopped at the node limit finish, so a version-1 entry can hold
+    /// a node-limited answer below the optimum a search now proves).
+    const VERSION: u32 = 2;
     const FILE_NAME: &'static str = "ilp-solutions.bin";
 
     fn write(&self, w: &mut ByteWriter) {

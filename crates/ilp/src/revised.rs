@@ -20,6 +20,16 @@
 //! [`StandardForm::restrict`]), so warm starts and the persisted store do
 //! not depend on which rows a form dropped.
 //!
+//! Branch & bound then strengthens its form with two exact integer rules
+//! ([`StandardForm::tighten`]): a bound on each integer column from the
+//! least activity of the other columns of a row (a placement larger than
+//! its capacity is fixed at 0), and each integral row's right-hand side
+//! rounded to a multiple of its coefficients' gcd. Every integer point of
+//! the original rows satisfies the strengthened LP, so the integer optimum
+//! cannot move; only the relaxation bound tightens. The plain relaxation
+//! ([`StandardForm::relaxation`] on an unstrengthened form) stays the one
+//! the dense oracle checks.
+//!
 //! Only an `m x m` basis inverse is maintained (product-form updates with
 //! periodic refactorization); pricing walks the sparse columns. An `Lp`
 //! workspace is long-lived — branch & bound keeps one per search — and a
@@ -42,8 +52,9 @@
 
 // lint:allow-file(index, revised simplex kernel; basis and factor indices are maintained invariants of the algorithm, exercised by the property tests)
 
-use crate::problem::{Problem, Relation, Sense};
+use crate::problem::{Problem, Relation, Sense, VarId, Variable};
 use crate::simplex::{LpResult, LpSolution};
+use crate::solver::INT_TOL;
 
 /// Primal feasibility tolerance (on row-scaled values).
 const FEAS_TOL: f64 = 1e-7;
@@ -136,6 +147,21 @@ pub(crate) fn never_binds(p: &Problem, i: usize) -> bool {
     }
 }
 
+/// The factor the standard form divides constraint `i` of `p` by: its
+/// largest |coefficient|.
+fn row_scale(p: &Problem, i: usize) -> f64 {
+    p.digests().rows[i].scale.max(1e-12)
+}
+
+/// What [`StandardForm::tighten`] changed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tightening {
+    /// Integer columns whose bounds tightened.
+    pub cols_fixed: usize,
+    /// Rows whose right-hand side the gcd rounding moved.
+    pub rows_rounded: usize,
+}
+
 impl StandardForm {
     /// Builds the presolved standard form of `p`. An inequality row is
     /// dropped when its extreme activity over the variable bounds is
@@ -159,9 +185,7 @@ impl StandardForm {
             Sense::Minimize => -1.0,
         };
 
-        // Row scales: largest |coefficient| per row.
-        let digests = &p.digests().rows;
-        let row_scale: Vec<f64> = rows.iter().map(|&i| digests[i].scale.max(1e-12)).collect();
+        let row_scale: Vec<f64> = rows.iter().map(|&i| row_scale(p, i)).collect();
 
         // Gather per-column entries (accumulating duplicates).
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
@@ -323,6 +347,95 @@ impl StandardForm {
         solve_with_pins(self, p, pins, None, &mut SolveTrace::default())
     }
 
+    /// Strengthens this form of `p` with two exact integer presolve rules,
+    /// one pass each over the kept rows in order:
+    ///
+    /// 1. **Bound tightening.** In each row (each side of an `Eq` row),
+    ///    the least activity of the other columns leaves each integer
+    ///    column a largest (or smallest) value, rounded to an integer: a
+    ///    binary whose coefficient alone exceeds the right-hand side is
+    ///    fixed at 0. Bounds only tighten and never cross.
+    /// 2. **Gcd rounding.** An inequality row whose unfixed columns are all
+    ///    integer, with integral coefficients below 2⁵³, gets its
+    ///    right-hand side less the fixed columns' activity rounded down
+    ///    (`Ge`: up) to a multiple of their coefficients' gcd:
+    ///    `6144·(h₁+h₂+h₃) ≤ 8192` becomes `≤ 6144`.
+    ///
+    /// Every integer point of `p`'s rows satisfies the result (both rules
+    /// round outward by the integrality tolerance and the sums' float
+    /// error), so the integer optimum cannot move. Infeasibility is left
+    /// for the LP to find. The rows, and so the basis coordinates, do not
+    /// change.
+    pub fn tighten(&mut self, p: &Problem) -> Tightening {
+        let n = self.n_struct;
+        let vars = p.variables();
+        let mut moved = vec![false; n];
+        let mut terms = Vec::new();
+        for &i in &self.rows {
+            let c = p.constraint(i);
+            // Each side the row bounds, as `sign * activity <= sign * rhs`.
+            let signs: &[f64] = match c.relation {
+                Relation::Le => &[1.0],
+                Relation::Ge => &[-1.0],
+                Relation::Eq => &[1.0, -1.0],
+            };
+            for &sign in signs {
+                merge_terms(c.terms, sign, &mut terms);
+                let bounds = (&mut self.lower[..], &mut self.upper[..]);
+                tighten_bounds(vars, &terms, sign * c.rhs, bounds, &mut moved);
+            }
+        }
+        let mut rows_rounded = 0;
+        for (r, &i) in self.rows.iter().enumerate() {
+            let c = p.constraint(i);
+            let sign = match c.relation {
+                Relation::Le => 1.0,
+                Relation::Ge => -1.0,
+                Relation::Eq => continue,
+            };
+            merge_terms(c.terms, sign, &mut terms);
+            let bounds = (&self.lower[..], &self.upper[..]);
+            if let Some(rounded) = gcd_rounded(vars, &terms, sign * c.rhs, bounds) {
+                self.rhs[r] = sign * rounded / row_scale(p, i);
+                rows_rounded += 1;
+            }
+        }
+        Tightening {
+            cols_fixed: moved.iter().filter(|&&m| m).count(),
+            rows_rounded,
+        }
+    }
+
+    /// Whether the structural point `x` lies within this form's column
+    /// bounds and satisfies each of its rows, to the feasibility
+    /// tolerance: the check that [`StandardForm::tighten`] cut off no
+    /// integer point.
+    #[must_use]
+    pub fn admits(&self, x: &[f64]) -> bool {
+        let n = self.n_struct;
+        if x.len() != n {
+            return false;
+        }
+        let tol = |bound: f64| FEAS_TOL * bound.abs().max(1.0);
+        let in_bounds = x.iter().enumerate().all(|(j, &v)| {
+            let (lo, up) = (self.lower[j], self.upper[j]);
+            v >= lo - tol(lo) && v <= up + tol(up)
+        });
+        let mut activity = vec![0.0; self.m];
+        for (j, &v) in x.iter().enumerate() {
+            for k in self.col_ptr[j]..self.col_ptr[j + 1] {
+                activity[self.row_idx[k]] += self.val[k] * v;
+            }
+        }
+        // Row `r` holds when its slack, `rhs - activity`, is within the
+        // slack column's bounds.
+        in_bounds
+            && activity.iter().enumerate().all(|(r, a)| {
+                let slack = self.rhs[r] - a;
+                slack >= self.lower[n + r] - FEAS_TOL && slack <= self.upper[n + r] + FEAS_TOL
+            })
+    }
+
     /// Effective bounds under branch & bound pins (`x[i] = v`).
     pub(crate) fn bounds_with_pins(&self, pins: &[Option<f64>]) -> (Vec<f64>, Vec<f64>) {
         let mut lo = self.lower.clone();
@@ -334,6 +447,124 @@ impl StandardForm {
             }
         }
         (lo, up)
+    }
+}
+
+/// The terms of one row with duplicate columns summed and zero
+/// coefficients dropped, each times `sign`, into `out` (by column).
+fn merge_terms(terms: &[(VarId, f64)], sign: f64, out: &mut Vec<(usize, f64)>) {
+    out.clear();
+    out.extend(terms.iter().map(|&(v, k)| (v.index(), sign * k)));
+    out.sort_unstable_by_key(|&(j, _)| j);
+    out.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    out.retain(|&(_, k)| k != 0.0);
+}
+
+/// A bound on the float error of a sum of `terms` values whose magnitudes
+/// add up to `size`, and of one subtraction from it. Both presolve rules
+/// add it before they round, so a rounding error never cuts off a point.
+fn sum_error(terms: usize, size: f64) -> f64 {
+    (terms + 1) as f64 * f64::EPSILON * size
+}
+
+/// The least value of `k * x` over `lower <= x <= upper`.
+fn least(k: f64, lower: f64, upper: f64) -> f64 {
+    k * if k > 0.0 { lower } else { upper }
+}
+
+/// Bound tightening on one row side `sum(k * x) <= rhs` (merged terms):
+/// the least activity of the other columns leaves `k * x_j` at most
+/// `rhs - others`, a bound on integer column `j`, rounded outward. A bound
+/// is written only if it is tighter and does not cross the other one;
+/// `moved` marks the columns written.
+fn tighten_bounds(
+    vars: &[Variable],
+    terms: &[(usize, f64)],
+    rhs: f64,
+    (lower, upper): (&mut [f64], &mut [f64]),
+    moved: &mut [bool],
+) {
+    // The least activity, and the magnitude its float error scales with.
+    // A continuous column without an upper bound makes it infinite, and
+    // then it bounds no other column.
+    let (mut activity, mut size) = (0.0, rhs.abs());
+    for &(j, k) in terms {
+        let a = least(k, lower[j], upper[j]);
+        activity += a;
+        size += a.abs();
+    }
+    if !activity.is_finite() {
+        return;
+    }
+    let slop = sum_error(terms.len(), size);
+    for &(j, k) in terms {
+        if !vars[j].integer {
+            continue;
+        }
+        // The loop only moves the bound a column's least term does not
+        // read (the upper one for k > 0), so the activity stays valid.
+        let others = activity - least(k, lower[j], upper[j]);
+        let q = (rhs - others + slop) / k;
+        if k > 0.0 {
+            let up = (q + INT_TOL).floor();
+            if up < upper[j] && up >= lower[j] {
+                upper[j] = up;
+                moved[j] = true;
+            }
+        } else {
+            let lo = (q - INT_TOL).ceil();
+            if lo > lower[j] && lo <= upper[j] {
+                lower[j] = lo;
+                moved[j] = true;
+            }
+        }
+    }
+}
+
+/// Gcd rounding of one inequality row side `sum(k * x) <= rhs` (merged
+/// terms) under `(lower, upper)`: when every unfixed column is integer with
+/// an integral coefficient below 2⁵³, their activity is a multiple of the
+/// coefficients' gcd, so `rhs` less the fixed columns' activity rounds down
+/// to one. Returns the rounded right-hand side when it is tighter.
+fn gcd_rounded(
+    vars: &[Variable],
+    terms: &[(usize, f64)],
+    rhs: f64,
+    (lower, upper): (&[f64], &[f64]),
+) -> Option<f64> {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2⁵³
+    let (mut fixed, mut size, mut g) = (0.0, rhs.abs(), 0u64);
+    for &(j, k) in terms {
+        if lower[j] == upper[j] {
+            fixed += k * lower[j];
+            size += (k * lower[j]).abs();
+        } else if vars[j].integer && k.fract() == 0.0 && k.abs() < EXACT {
+            // Exact: an integral float below 2⁵³.
+            g = gcd(g, k.abs() as u64);
+        } else {
+            return None;
+        }
+    }
+    if g == 0 {
+        return None; // every column is fixed
+    }
+    let g = g as f64;
+    let room = rhs - fixed + sum_error(terms.len(), size);
+    let rounded = fixed + g * (room / g + INT_TOL).floor();
+    (rounded < rhs).then_some(rounded)
+}
+
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -1178,7 +1409,32 @@ impl<'a> Lp<'a> {
         if !self.invert_basis() {
             return None;
         }
+        self.rest_boxed_columns();
         self.reoptimize(p, true, want_basis)
+    }
+
+    /// Moves each nonbasic column with two finite bounds to the bound its
+    /// reduced cost favours. A stored basis can come from a problem with
+    /// other bounds: a column the presolve fixed there, at whichever
+    /// bound, may be free here. After this, only a column with an infinite
+    /// bound can make the basis dual infeasible.
+    fn rest_boxed_columns(&mut self) {
+        let mut y = std::mem::take(&mut self.scratch_y);
+        self.compute_y(&mut y);
+        for j in 0..self.form.n_total {
+            if self.status[j] == Status::Basic
+                || !(self.lo[j].is_finite() && self.up[j].is_finite())
+            {
+                continue;
+            }
+            let d = self.reduced_cost(j, &y);
+            if d > DUAL_TOL {
+                self.status[j] = Status::Upper;
+            } else if d < -DUAL_TOL {
+                self.status[j] = Status::Lower;
+            }
+        }
+        self.scratch_y = y;
     }
 
     /// Cold start: slack basis, artificial phase one where needed, then
@@ -1498,6 +1754,102 @@ mod tests {
             warm.objective,
             cold2.objective
         );
+    }
+
+    #[test]
+    fn tighten_fixes_oversized_columns_and_rounds_integral_rows() {
+        let mut p = Problem::new(Sense::Maximize);
+        let a = p.binary("a");
+        let b = p.binary("b");
+        let c = p.binary("c");
+        let y = p.continuous("y", 0.0, 10.0);
+        for v in [a, b, c, y] {
+            p.set_objective(v, 1.0);
+        }
+        // 0: a's two terms add up to 9 > 6, so a is fixed at 0; b and c
+        //    then share the gcd 4, and 6 rounds down to 4.
+        p.add_constraint(&[(a, 4.5), (b, 4.0), (a, 4.5), (c, 4.0)], Relation::Le, 6.0);
+        // 1: a `Ge` row rounds up, from 1 to 3.
+        p.add_constraint(&[(b, 3.0), (c, 3.0)], Relation::Ge, 1.0);
+        // 2: a continuous column keeps the rhs.
+        p.add_constraint(&[(b, 2.0), (y, 1.0)], Relation::Le, 10.5);
+        let mut form = StandardForm::build(&p, None);
+        let raw = form.clone();
+        let moved = form.tighten(&p);
+        assert_eq!((moved.cols_fixed, moved.rows_rounded), (1, 2));
+        assert_eq!((form.lower[0], form.upper[0]), (0.0, 0.0));
+        // Every integer point stays; the fractional points the rules cut
+        // off go.
+        for x in [[0.0, 1.0, 0.0, 8.5], [0.0, 0.0, 1.0, 0.5]] {
+            assert!(raw.admits(&x) && form.admits(&x), "{x:?}");
+        }
+        for x in [
+            [0.0, 0.75, 0.75, 0.0],
+            [0.0, 0.25, 0.25, 0.0],
+            [0.2, 0.0, 1.0, 0.0],
+        ] {
+            assert!(raw.admits(&x) && !form.admits(&x), "{x:?}");
+        }
+
+        // A bound that would cross is not written: the LP finds the
+        // infeasibility.
+        let mut p = Problem::new(Sense::Maximize);
+        let a = p.binary("a");
+        p.set_objective(a, 1.0);
+        p.add_constraint(&[(a, 2.0)], Relation::Le, -1.0);
+        let mut form = StandardForm::build(&p, None);
+        assert_eq!(form.tighten(&p).cols_fixed, 0);
+        assert_eq!((form.lower[0], form.upper[0]), (0.0, 1.0));
+        assert_eq!(form.relaxation(&p, &[]).0, LpResult::Infeasible);
+    }
+
+    #[test]
+    fn warm_start_across_a_capacity_that_frees_a_fixed_column() {
+        // At capacity 10 the presolve fixes j (weight 15) at 0, and the
+        // optimal basis rests it at its lower bound although its reduced
+        // cost (+3) favours the upper one. At capacity 20 j is free: there
+        // that basis is neither primal (a = 2.4) nor dual feasible, unless
+        // the warm start first moves j to its upper bound; then the dual
+        // simplex reoptimizes from it instead of solving cold.
+        let knapsack = |capacity: f64| {
+            let mut p = Problem::new(Sense::Maximize);
+            let items = [("a", 9.0, 5.0), ("b", 9.0, 5.0), ("c", 16.0, 8.0)];
+            let terms: Vec<_> = items
+                .into_iter()
+                .chain([("j", 30.0, 15.0)])
+                .map(|(name, value, weight)| {
+                    let v = p.binary(name);
+                    p.set_objective(v, value);
+                    (v, weight)
+                })
+                .collect();
+            p.add_constraint(&terms, Relation::Le, capacity);
+            p
+        };
+        let (small, large) = (knapsack(10.0), knapsack(20.0));
+        let mut small_form = StandardForm::build(&small, None);
+        assert_eq!(small_form.tighten(&small).cols_fixed, 1);
+        let (LpResult::Optimal(_), Some(stored)) =
+            solve_with_pins(&small_form, &small, &[], None, &mut SolveTrace::default())
+        else {
+            panic!("optimal with a storable basis")
+        };
+        assert_eq!(
+            (stored.basic.as_slice(), stored.status[3]),
+            (&[0][..], Status::Lower)
+        );
+
+        let mut large_form = StandardForm::build(&large, None);
+        assert_eq!(large_form.tighten(&large), Tightening::default());
+        let mut trace = SolveTrace::default();
+        let (warm, _) = solve_with_pins(&large_form, &large, &[], Some(&stored), &mut trace);
+        assert!(trace.warm_used, "the stored basis must be reused");
+        let (cold, _) = solve_with_pins(&large_form, &large, &[], None, &mut SolveTrace::default());
+        let (LpResult::Optimal(w), LpResult::Optimal(c)) = (warm, cold) else {
+            panic!("both solves must be optimal")
+        };
+        assert!((w.objective - 40.0).abs() < 1e-9, "warm {}", w.objective);
+        assert!((c.objective - 40.0).abs() < 1e-9, "cold {}", c.objective);
     }
 
     #[test]

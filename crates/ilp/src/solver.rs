@@ -26,7 +26,7 @@ use smart_units::{Result, SmartError};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-const INT_TOL: f64 = 1e-6;
+pub(crate) const INT_TOL: f64 = 1e-6;
 /// Float rounding, relative to the magnitude at hand: a few units in the
 /// last place.
 const ROUNDING: f64 = 4.0 * f64::EPSILON;
@@ -276,9 +276,14 @@ impl Solver {
         // stored basis that does not fit is rejected and the root solves
         // cold. One LP workspace lives for the whole search: dives into
         // child nodes reuse its installed factorization (`Warm::Live`).
+        // The root and every node solve the form the integer presolve
+        // strengthened, which closes most of the gap between the
+        // relaxation and the integer optimum before any branching.
         let fp = problem.digests().fingerprint;
         let stored = ctx.lookup(fp);
-        let form = StandardForm::build(problem, stored.as_deref());
+        let mut form = StandardForm::build(problem, stored.as_deref());
+        let tightening = form.tighten(problem);
+        (work.cols_fixed, work.rows_rounded) = (tightening.cols_fixed, tightening.rows_rounded);
         work.cols = problem.num_vars();
         work.nonzeros = problem.constraints().map(|c| c.terms.len()).sum();
         (work.rows, work.rows_kept) = (problem.num_constraints(), form.m);
@@ -480,10 +485,11 @@ impl Solver {
             }
         }
 
+        work.node_limited = dive.is_some() || !heap.is_empty();
         match incumbent {
             Some(mut s) => {
                 s.nodes = work.nodes;
-                s.proven_optimal = heap.is_empty() && dive.is_none();
+                s.proven_optimal = !work.node_limited;
                 Ok(s)
             }
             // Greedy fallback: round the root relaxation and check.
@@ -698,20 +704,56 @@ mod tests {
     }
 
     #[test]
+    fn presolve_proves_a_seeded_placement_optimal_at_the_root() {
+        // A SHIFT-capacity row as the compiler writes it: objects of 25,764
+        // and 9,000 bytes cannot fit 8,192 at all, and only one of three
+        // 6,144-byte objects can. The plain relaxation packs fractions of
+        // all of them (bound 7,782.4); fixing the oversized two at 0 and
+        // rounding the rhs to 6,144 leaves `h2 + h3 + h4 <= 1`, whose bound
+        // is the seed's objective, so the root closes with no node.
+        let mut p = Problem::new(Sense::Maximize);
+        let bytes = [25_764.0, 9_000.0, 6_144.0, 6_144.0, 6_144.0];
+        let terms: Vec<(VarId, f64)> = bytes
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| {
+                let h = p.binary(&format!("h{i}"));
+                p.set_objective(h, 0.95 * b);
+                (h, b)
+            })
+            .collect();
+        p.add_constraint(&terms, Relation::Le, 8_192.0);
+        let seed = vec![0.0, 0.0, 1.0, 0.0, 0.0];
+        let ctx = SolverContext::new();
+        let s = Solver::new()
+            .with_incumbent(seed.clone())
+            .solve(&p, &ctx)
+            .expect("feasible");
+        assert_eq!((s.values, s.nodes, s.proven_optimal), (seed, 0, true));
+        let stats = ctx.stats();
+        assert_eq!((stats.cols_fixed, stats.rows_rounded), (2, 1), "{stats:?}");
+        assert_eq!(stats.node_limited, 0, "{stats:?}");
+    }
+
+    #[test]
     fn node_limit_never_claims_optimality_with_open_nodes() {
         // With a node limit too small to finish the search, the solver must
         // not report proven optimality: open nodes remain on the heap (a
         // popped-but-unexplored node must not be discarded).
         let p = branchy_knapsack();
         for limit in 1..4 {
-            let r = solve_once(Solver::new().with_node_limit(limit), &p);
+            let ctx = SolverContext::new();
+            let r = Solver::new().with_node_limit(limit).solve(&p, &ctx);
             if let Ok(s) = r {
                 assert!(!s.proven_optimal, "limit {limit}");
             }
+            assert_eq!(ctx.stats().node_limited, 1, "limit {limit}");
         }
         // A generous limit does prove optimality.
-        let s = solve_once(Solver::new(), &p).expect("feasible");
+        let ctx = SolverContext::new();
+        let s = Solver::new().solve(&p, &ctx).expect("feasible");
         assert!(s.proven_optimal && (s.objective - 18.0).abs() < 1e-6);
+        assert_eq!(ctx.stats().node_limited, 0);
     }
 
     #[test]

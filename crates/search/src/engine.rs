@@ -33,7 +33,7 @@ use smart_core::geometry::GeometryParams;
 use smart_core::scheme::Scheme;
 use smart_report::pool::parallel_map;
 use smart_systolic::models::ModelId;
-use smart_timing::{compile_scheme_layer, simulate_scheme, TimingCache, TimingConfig};
+use smart_timing::{compile_scheme_layer, prepare_model_ctx, TimingCache, TimingConfig};
 use smart_units::{Result, SmartError, Time};
 
 /// What to evaluate and how hard to prune.
@@ -144,6 +144,11 @@ pub struct SearchStats {
     pub cold_solves: u64,
     /// ILP solves answered verbatim from the exact-match solution memo.
     pub solution_hits: u64,
+    /// Branch & bound nodes, over every solver context the run used (the
+    /// naive baseline's frontier replays included).
+    pub nodes: u64,
+    /// Simplex pivots, over the same contexts.
+    pub pivots: u64,
 }
 
 /// One evaluated design point.
@@ -324,6 +329,8 @@ pub fn search(
         warm_hits: solver_after.warm_hits - solver_before.warm_hits,
         cold_solves: solver_after.cold_solves - solver_before.cold_solves,
         solution_hits: solver_after.solution_hits - solver_before.solution_hits,
+        nodes: solver_after.nodes - solver_before.nodes,
+        pivots: solver_after.pivots - solver_before.pivots,
     };
 
     let points = params
@@ -387,14 +394,24 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
         solver_totals.warm_hits += s.warm_hits;
         solver_totals.cold_solves += s.cold_solves;
         solver_totals.solution_hits += s.solution_hits;
+        solver_totals.nodes += s.nodes;
+        solver_totals.pivots += s.pivots;
     }
 
     let survivors: Vec<usize> = (0..schemes.len()).collect();
     let frontier = pareto_frontier(&objectives);
 
+    // Each frontier replay is a full simulation on a fresh context of its
+    // own, as `simulate_scheme` runs it; its branch & bound work counts in
+    // the run's nodes and pivots.
     let mut replay: Vec<Option<ReplayCheck>> = vec![None; schemes.len()];
     for &i in &frontier {
-        let report = simulate_scheme(&schemes[i], &model, &cfg.timing)?;
+        let solver = SolverContext::new();
+        let report = prepare_model_ctx(&schemes[i], &model, cfg.timing.max_iterations, &solver)?
+            .replay(&cfg.timing);
+        let s = solver.stats();
+        solver_totals.nodes += s.nodes;
+        solver_totals.pivots += s.pivots;
         let latency = report.total_time();
         replay[i] = Some(ReplayCheck {
             latency,
@@ -525,11 +542,25 @@ mod tests {
     fn warm_engine_reuses_where_naive_cannot() {
         let space = tiny();
         let cfg = SearchConfig::new(1);
-        let fast = search(&space, &cfg, &EvalCache::new(), &TimingCache::new()).expect("ok");
+        let timing = TimingCache::new();
+        let fast = search(&space, &cfg, &EvalCache::new(), &timing).expect("ok");
         let naive = search_naive(&space, &cfg).expect("ok");
         assert!(
             fast.stats.ilp_compiles <= naive.stats.ilp_compiles,
             "pruning must not add compiles"
+        );
+        // The engine's branch & bound work is its context's; the naive
+        // run's spans a context per config and per frontier replay.
+        let shared = timing.solver().stats();
+        assert_eq!(
+            (fast.stats.nodes, fast.stats.pivots),
+            (shared.nodes, shared.pivots)
+        );
+        assert!(
+            naive.stats.pivots > fast.stats.pivots,
+            "{:?} vs {:?}",
+            naive.stats,
+            fast.stats
         );
         assert_eq!(naive.stats.warm_attempts, 0, "naive never warm-starts");
         assert!(

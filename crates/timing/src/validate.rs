@@ -250,7 +250,8 @@ pub fn prepare_model_ctx(
 /// [`prepare_model_ctx`] on a fresh [`SolverContext`] followed by
 /// [`ModelPrepass::replay`], which is what makes delta replay equivalent
 /// to full simulation by construction. This is the full-simulation
-/// reference of the delta-replay tests and of the naive search.
+/// reference of the delta-replay tests; the naive search runs the same
+/// two steps on a context it owns, to count their solver work.
 ///
 /// # Errors
 ///

@@ -933,6 +933,85 @@ proptest! {
             (s, best) => prop_assert!(false, "{s:?} vs brute {best:?}"),
         }
     }
+
+    /// The integer presolve (bound tightening and gcd rounding) is exact.
+    /// The presolve property's random 0/1 programs get seeded extra rows:
+    /// `Le` rows with oversized coefficients, and `Le` and `Ge` rows whose
+    /// coefficients share a factor that their right-hand side misses.
+    /// Branch & bound matches brute force, every brute-force feasible point
+    /// lies inside the strengthened form, and the strengthened root bound
+    /// lies between the integer optimum and the dense oracle's bound of
+    /// the raw problem.
+    #[test]
+    fn integer_presolve_keeps_every_integer_point(
+        values in prop::collection::vec(1u32..40, 3..8),
+        coefs in prop::collection::vec(1u32..12, 8..40),
+        picks in prop::collection::vec(0u32..6, 1..4),
+        seed in 0u64..u64::MAX,
+    ) {
+        use smart::ilp::dense::solve_relaxation_dense;
+        use smart::ilp::revised::StandardForm;
+        use smart::ilp::LpResult;
+        use smart::units::rng::Rng;
+
+        let n = values.len();
+        let (mut rows, _) = random_01_rows(n, &coefs, &picks);
+        let mut rng = Rng::new(seed);
+        let mut draw = |k: u64| rng.next_u64() % k;
+        for _ in 0..=draw(3) {
+            let factor = 1 + draw(6);
+            let mut row: Vec<f64> = (0..n).map(|_| (factor * (1 + draw(4))) as f64).collect();
+            let multiples: u64 = row.iter().map(|&k| k as u64 / factor).sum();
+            // A right-hand side between 0 and the coefficient sum, off the
+            // factor's multiples by `draw(factor)`.
+            let rhs = (factor * draw(multiples) + draw(factor)) as f64;
+            let relation = match draw(3) {
+                0 => {
+                    for _ in 0..=draw(2) {
+                        row[draw(n as u64) as usize] = rhs + (1 + draw(20)) as f64;
+                    }
+                    Relation::Le
+                }
+                1 => Relation::Le,
+                _ => Relation::Ge,
+            };
+            rows.push((row, relation, rhs));
+        }
+        let p = program_01(&values, &rows);
+        let best = brute_force_01(&values, &rows);
+        match (Solver::new().solve(&p, &SolverContext::new()), best) {
+            (Ok(s), Some(best)) => prop_assert!(
+                (s.objective - best).abs() < 1e-6,
+                "ilp {} vs brute {best}",
+                s.objective
+            ),
+            (Err(_), None) => {}
+            (s, best) => prop_assert!(false, "ilp {s:?} vs brute {best:?}"),
+        }
+
+        let mut form = StandardForm::build(&p, None);
+        form.tighten(&p);
+        for mask in 0u32..1 << n {
+            let x: Vec<f64> = (0..n).map(|i| f64::from(mask >> i & 1)).collect();
+            if satisfies(&x, &rows) {
+                prop_assert!(form.admits(&x), "the presolve cut off {x:?}");
+            }
+        }
+        if let Some(best) = best {
+            match (form.relaxation(&p, &[]).0, solve_relaxation_dense(&p, &[])) {
+                (LpResult::Optimal(s), LpResult::Optimal(d)) => {
+                    let tol = 1e-6 * d.objective.abs().max(1.0);
+                    prop_assert!(
+                        best - tol <= s.objective && s.objective <= d.objective + tol,
+                        "optimum {best} <= strengthened {} <= raw {}",
+                        s.objective,
+                        d.objective
+                    );
+                }
+                (s, d) => prop_assert!(false, "strengthened {s:?} vs raw {d:?}"),
+            }
+        }
+    }
 }
 
 /// One constraint row of a small 0/1 program: a coefficient per variable,
