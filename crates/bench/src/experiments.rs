@@ -1250,9 +1250,13 @@ pub fn timing_random_bandwidth(ctx: &ExperimentContext) -> ResultTable {
         "analytic latency (every row)",
         Value::time(analytic.total_time, Unit::Us, 2).with_unit_suffix(),
     );
-    let residual =
-        smart_timing::max_layer_deviation(&Scheme::smart(), &ModelId::AlexNet.build(), &base)
-            .expect("SMART is heterogeneous");
+    let residual = smart_timing::max_layer_deviation(
+        &Scheme::smart(),
+        &ModelId::AlexNet.build(),
+        &base,
+        ctx.timing.solver(),
+    )
+    .expect("SMART is heterogeneous");
     t.push_summary(
         "stall-free cross-validation residual",
         Value::percent(residual, 2),

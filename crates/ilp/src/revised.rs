@@ -32,18 +32,21 @@
 //!
 //! Only an `m x m` basis inverse is maintained (product-form updates with
 //! periodic refactorization); pricing walks the sparse columns. An `Lp`
-//! workspace is long-lived — branch & bound keeps one per search — and a
-//! solve can start three ways (`Warm`):
+//! workspace is long-lived — branch & bound keeps one per search — and
+//! every solve goes through `Lp::solve_pinned`, which sets the bounds
+//! from the form's defaults and compact `(column, value)` pins. A solve
+//! can start three ways (`Warm`):
 //!
 //! * **`Live`**: the workspace still holds the optimal basis and inverse of
 //!   the *previous* solve (the parent node, when the search dives into a
-//!   child). Only the bounds change; a few *dual simplex* pivots restore
-//!   primal feasibility with no refactorization at all.
-//! * **`Basis`**: a stored [`Basis`] from an earlier solve (a sibling
-//!   subtree popped off the best-first heap, or a
+//!   child). Only the bounds change, so the basic values are updated from
+//!   the columns whose bound moved, and a few *dual simplex* pivots
+//!   restore primal feasibility with no refactorization at all.
+//! * **`Basis`**: a stored [`Basis`] from an earlier solve (a
 //!   [`crate::context::SolverContext`] hit from an adjacent sweep point).
-//!   The inverse is rebuilt once, then dual (bound/rhs changes) or primal
-//!   (objective changes) reoptimization proceeds as above.
+//!   The inverse and the basic values are rebuilt once, then dual
+//!   (bound/rhs changes) or primal (objective changes) reoptimization
+//!   proceeds as above.
 //! * **`Cold`**: slack basis, artificial columns only on infeasible rows,
 //!   then phase two.
 //!
@@ -124,9 +127,6 @@ pub struct StandardForm {
     pub(crate) lower: Vec<f64>,
     /// Default upper bounds, length `n_total`.
     pub(crate) upper: Vec<f64>,
-    /// The factor the internal objective was divided by (for mapping
-    /// reduced costs back to original units).
-    pub(crate) obj_scale: f64,
 }
 
 /// Whether constraint `i` of `p` can never bind inside the variable
@@ -256,7 +256,6 @@ impl StandardForm {
             obj,
             lower,
             upper,
-            obj_scale,
         }
     }
 
@@ -435,19 +434,6 @@ impl StandardForm {
                 slack >= self.lower[n + r] - FEAS_TOL && slack <= self.upper[n + r] + FEAS_TOL
             })
     }
-
-    /// Effective bounds under branch & bound pins (`x[i] = v`).
-    pub(crate) fn bounds_with_pins(&self, pins: &[Option<f64>]) -> (Vec<f64>, Vec<f64>) {
-        let mut lo = self.lower.clone();
-        let mut up = self.upper.clone();
-        for (i, pin) in pins.iter().enumerate() {
-            if let Some(v) = *pin {
-                lo[i] = v;
-                up[i] = v;
-            }
-        }
-        (lo, up)
-    }
 }
 
 /// The terms of one row with duplicate columns summed and zero
@@ -606,8 +592,8 @@ pub(crate) struct SolveTrace {
 }
 
 /// One-shot relaxation solve behind [`StandardForm::relaxation`] and the
-/// warm-start unit tests: fresh workspace, bounds from pins, mapped to
-/// [`LpResult`].
+/// warm-start unit tests: a fresh workspace solves under the pins
+/// `x[i] = v` (`None` is free), and the outcome maps to [`LpResult`].
 pub(crate) fn solve_with_pins(
     form: &StandardForm,
     p: &Problem,
@@ -615,14 +601,14 @@ pub(crate) fn solve_with_pins(
     warm: Option<&Basis>,
     trace: &mut SolveTrace,
 ) -> (LpResult, Option<Basis>) {
-    let (lo, up) = if pins.is_empty() {
-        (form.lower.clone(), form.upper.clone())
-    } else {
-        form.bounds_with_pins(pins)
-    };
+    let pins: Vec<(usize, f64)> = pins
+        .iter()
+        .enumerate()
+        .filter_map(|(i, pin)| pin.map(|v| (i, v)))
+        .collect();
     let mut lp = Lp::new(form);
     let warm = warm.map_or(Warm::Cold, Warm::Basis);
-    match lp.solve(p, lo, up, warm, trace, true) {
+    match lp.solve_pinned(p, &pins, warm, trace, true) {
         SolveOutcome::Optimal {
             values,
             objective,
@@ -665,8 +651,9 @@ pub(crate) struct Lp<'a> {
     /// Values of the basic variables, by row.
     xb: Vec<f64>,
     pivots: usize,
-    /// Lifetime pivot / refactorization tallies (never reset; solve entry
-    /// points report per-solve deltas through [`SolveTrace`]).
+    /// Lifetime pivot / refactorization tallies (never reset;
+    /// [`Lp::solve_pinned`] reports per-solve deltas through
+    /// [`SolveTrace`]).
     total_pivots: u64,
     total_refactors: u64,
     /// The workspace holds a clean optimal basis (no artificials basic)
@@ -678,6 +665,9 @@ pub(crate) struct Lp<'a> {
     scratch_d: Vec<f64>,
     scratch_a: Vec<f64>,
     /// Bounds of the previous solve (for incremental rebinds on dives).
+    /// Valid only while the installed basic values were computed under
+    /// them, that is after a [`Warm::Live`] solve: installing a stored
+    /// basis clears them.
     prev_lo: Vec<f64>,
     prev_up: Vec<f64>,
 }
@@ -687,8 +677,9 @@ impl<'a> Lp<'a> {
         let m = form.m;
         Self {
             form,
-            lo: form.lower.clone(),
-            up: form.upper.clone(),
+            // `solve_pinned` sets the bounds of every solve.
+            lo: Vec::new(),
+            up: Vec::new(),
             art: Vec::new(),
             obj: form.obj.clone(),
             basic: (0..m).map(|i| form.n_struct + i).collect(),
@@ -708,15 +699,17 @@ impl<'a> Lp<'a> {
         }
     }
 
-    /// Solves with compact pins `(variable, value)` applied over the
-    /// form's default bounds — the branch & bound node path. `base` holds
-    /// search-wide fixings (reduced-cost fixing), `pins` the node's
-    /// branching decisions. Bound vectors are filled in place; nothing is
-    /// allocated for the bounds.
+    /// Solves under the form's default bounds with compact pins
+    /// `(column, value)` applied over them: the one place an LP's bounds
+    /// are set, for the root relaxation, every branch & bound node and the
+    /// one-shot [`StandardForm::relaxation`]. The bound vectors are
+    /// refilled in place, and the previous solve's are kept so that a
+    /// [`Warm::Live`] start updates the basic values from the few columns
+    /// whose bound moved (`rebind`). `Live` and `Basis` fall back to a
+    /// cold start when the warm basis cannot be reused.
     pub(crate) fn solve_pinned(
         &mut self,
         p: &Problem,
-        base: &[(usize, f64)],
         pins: &[(usize, f64)],
         warm: Warm,
         trace: &mut SolveTrace,
@@ -729,11 +722,16 @@ impl<'a> Lp<'a> {
         self.up.resize(self.form.n_total, 0.0);
         self.lo.copy_from_slice(&self.form.lower);
         self.up.copy_from_slice(&self.form.upper);
-        for &(i, v) in base.iter().chain(pins) {
+        for &(i, v) in pins {
             self.lo[i] = v;
             self.up[i] = v;
         }
-        self.solve_prepared(p, warm, trace, want_basis)
+        // This solve's work is the growth of the lifetime tallies.
+        let (pivots_before, refactors_before) = (self.total_pivots, self.total_refactors);
+        let outcome = self.solve_prepared(p, warm, trace, want_basis);
+        trace.pivots = self.total_pivots - pivots_before;
+        trace.refactorizations = self.total_refactors - refactors_before;
+        outcome
     }
 
     /// Whether [`Warm::Live`] is currently possible.
@@ -741,48 +739,9 @@ impl<'a> Lp<'a> {
         self.live_ok
     }
 
-    /// Solves under the given bounds. `Live`/`Basis` fall back to a cold
-    /// start if the warm basis cannot be reused.
-    pub(crate) fn solve(
-        &mut self,
-        p: &Problem,
-        lo: Vec<f64>,
-        up: Vec<f64>,
-        warm: Warm,
-        trace: &mut SolveTrace,
-        want_basis: bool,
-    ) -> SolveOutcome {
-        self.drop_artificials();
-        self.lo = lo;
-        self.up = up;
-        self.lo.truncate(self.form.n_total);
-        self.up.truncate(self.form.n_total);
-        // This entry point bypasses the previous-bounds bookkeeping of
-        // `solve_pinned`; clear it so a later live rebind recomputes basic
-        // values from scratch instead of from stale deltas.
-        self.prev_lo.clear();
-        self.prev_up.clear();
-        self.solve_prepared(p, warm, trace, want_basis)
-    }
-
-    /// Shared solve body; assumes `self.lo`/`self.up` are set and no
-    /// artificial columns remain. Reports this solve's pivot and
-    /// refactorization work as deltas of the lifetime tallies.
+    /// The solve body behind [`Lp::solve_pinned`], which has set the
+    /// bounds and dropped the artificial columns.
     fn solve_prepared(
-        &mut self,
-        p: &Problem,
-        warm: Warm,
-        trace: &mut SolveTrace,
-        want_basis: bool,
-    ) -> SolveOutcome {
-        let (pivots_before, refactors_before) = (self.total_pivots, self.total_refactors);
-        let outcome = self.solve_prepared_inner(p, warm, trace, want_basis);
-        trace.pivots = self.total_pivots - pivots_before;
-        trace.refactorizations = self.total_refactors - refactors_before;
-        outcome
-    }
-
-    fn solve_prepared_inner(
         &mut self,
         p: &Problem,
         warm: Warm,
@@ -1306,9 +1265,9 @@ impl<'a> Lp<'a> {
     /// cannot sit at an infinite bound) and recomputes basic values.
     ///
     /// When the previous solve's bounds are known (`solve_pinned` keeps
-    /// them), the basic values are updated *incrementally* from the few
-    /// nonbasic columns whose resting value actually moved — a dive
-    /// changes one pin, not the whole problem.
+    /// them, `try_warm` clears them), the basic values are updated
+    /// *incrementally* from the few nonbasic columns whose resting value
+    /// actually moved — a dive changes one pin, not the whole problem.
     fn rebind(&mut self) {
         let n_total = self.form.n_total;
         let incremental = self.prev_lo.len() == n_total && self.prev_up.len() == n_total;
@@ -1406,6 +1365,10 @@ impl<'a> Lp<'a> {
         }
         self.basic.copy_from_slice(&basis.basic);
         self.status.copy_from_slice(&basis.status);
+        // The basic values belong to whatever basis the workspace held
+        // before: without the previous bounds, `rebind` recomputes them.
+        self.prev_lo.clear();
+        self.prev_up.clear();
         if !self.invert_basis() {
             return None;
         }
@@ -1570,26 +1533,6 @@ impl<'a> Lp<'a> {
         }
     }
 
-    /// Reduced costs of the structural columns in *original* objective
-    /// units, for the current (phase-two) objective and installed basis.
-    /// Meaningful right after an optimal solve; used for reduced-cost
-    /// fixing in branch & bound.
-    pub(crate) fn structural_reduced_costs(&mut self) -> Vec<f64> {
-        let mut y = std::mem::take(&mut self.scratch_y);
-        self.compute_y(&mut y);
-        let d = (0..self.form.n_struct)
-            .map(|j| {
-                if self.status[j] == Status::Basic {
-                    0.0
-                } else {
-                    self.reduced_cost(j, &y) * self.form.obj_scale
-                }
-            })
-            .collect();
-        self.scratch_y = y;
-        d
-    }
-
     /// Reads out structural values, recomputes the objective from the
     /// original (unscaled) coefficients, and packages the basis.
     fn extract(&mut self, p: &Problem, want_basis: bool) -> SolveOutcome {
@@ -1637,6 +1580,20 @@ mod tests {
 
     fn solve(p: &Problem, pins: &[Option<f64>]) -> LpResult {
         StandardForm::build(p, None).relaxation(p, pins).0
+    }
+
+    /// `max 9a + 9b + 16c` s.t. `5a + 5b + 8c <= 10` over binaries: the
+    /// relaxation (c = 1, a = 0.4, objective 19.6) is fractional.
+    fn branchy_knapsack() -> Problem {
+        let mut p = Problem::new(Sense::Maximize);
+        let a = p.binary("a");
+        let b = p.binary("b");
+        let c = p.binary("c");
+        p.set_objective(a, 9.0);
+        p.set_objective(b, 9.0);
+        p.set_objective(c, 16.0);
+        p.add_constraint(&[(a, 5.0), (b, 5.0), (c, 8.0)], Relation::Le, 10.0);
+        p
     }
 
     #[test]
@@ -1856,14 +1813,7 @@ mod tests {
     fn warm_start_with_pin_matches_cold() {
         // Branch & bound's exact pattern: optimal parent basis, then a
         // child with one variable pinned.
-        let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        let c = p.binary("c");
-        p.set_objective(a, 9.0);
-        p.set_objective(b, 9.0);
-        p.set_objective(c, 16.0);
-        p.add_constraint(&[(a, 5.0), (b, 5.0), (c, 8.0)], Relation::Le, 10.0);
+        let p = branchy_knapsack();
 
         let form = StandardForm::build(&p, None);
         let (root, basis) = solve_with_pins(&form, &p, &[], None, &mut SolveTrace::default());
@@ -1893,54 +1843,66 @@ mod tests {
     #[test]
     fn live_reoptimize_matches_fresh_solves() {
         // The dive pattern: keep one workspace, change pins, re-solve live.
-        let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        let c = p.binary("c");
-        p.set_objective(a, 9.0);
-        p.set_objective(b, 9.0);
-        p.set_objective(c, 16.0);
-        p.add_constraint(&[(a, 5.0), (b, 5.0), (c, 8.0)], Relation::Le, 10.0);
+        let p = branchy_knapsack();
         let form = StandardForm::build(&p, None);
 
         let mut lp = Lp::new(&form);
-        let root = lp.solve(
-            &p,
-            form.lower.clone(),
-            form.upper.clone(),
-            Warm::Cold,
-            &mut SolveTrace::default(),
-            true,
-        );
+        let root = lp.solve_pinned(&p, &[], Warm::Cold, &mut SolveTrace::default(), true);
         assert!(matches!(root, SolveOutcome::Optimal { .. }));
         assert!(lp.live_available());
 
-        for pins in [
-            vec![None, None, Some(1.0)],
-            vec![None, None, Some(0.0)],
-            vec![Some(1.0), None, Some(1.0)],
-        ] {
-            let (lo, up) = form.bounds_with_pins(&pins);
+        for pins in [vec![(2, 1.0)], vec![(2, 0.0)], vec![(0, 1.0), (2, 1.0)]] {
             let mut trace = SolveTrace::default();
-            let live = lp.solve(&p, lo, up, Warm::Live, &mut trace, false);
-            let (fresh, _) = solve_with_pins(&form, &p, &pins, None, &mut SolveTrace::default());
+            let live = lp.solve_pinned(&p, &pins, Warm::Live, &mut trace, false);
+            assert!(trace.warm_used, "{pins:?}: the live basis must be reused");
+            let fresh = Lp::new(&form).solve_pinned(
+                &p,
+                &pins,
+                Warm::Cold,
+                &mut SolveTrace::default(),
+                false,
+            );
             match (live, fresh) {
                 (
                     SolveOutcome::Optimal { objective, .. },
-                    LpResult::Optimal(LpSolution {
+                    SolveOutcome::Optimal {
                         objective: fresh_obj,
                         ..
-                    }),
+                    },
                 ) => {
                     assert!(
                         (objective - fresh_obj).abs() < 1e-6,
                         "{pins:?}: live {objective} vs fresh {fresh_obj}"
                     );
                 }
-                (SolveOutcome::Infeasible, LpResult::Infeasible) => {}
+                (SolveOutcome::Infeasible, SolveOutcome::Infeasible) => {}
                 (live, fresh) => panic!("{pins:?}: live {live:?} vs fresh {fresh:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_stored_basis_installed_on_a_used_workspace_matches_a_cold_solve() {
+        // The basic values a workspace holds belong to its last basis:
+        // after installing a stored one, they must be recomputed, not
+        // updated from the last solve's bounds.
+        let p = branchy_knapsack();
+        let form = StandardForm::build(&p, None);
+        let (cold, root) = form.relaxation(&p, &[]);
+        let root = root.expect("storable basis");
+        let mut lp = Lp::new(&form);
+        for pins in [vec![(2, 0.0)], vec![(2, 1.0)], vec![(0, 1.0), (1, 1.0)]] {
+            lp.solve_pinned(&p, &pins, Warm::Cold, &mut SolveTrace::default(), false);
+        }
+        let mut trace = SolveTrace::default();
+        let SolveOutcome::Optimal {
+            values, objective, ..
+        } = lp.solve_pinned(&p, &[], Warm::Basis(&root), &mut trace, true)
+        else {
+            panic!("the root relaxation is optimal")
+        };
+        assert!(trace.warm_used, "the stored basis must be reused");
+        assert_eq!(LpResult::Optimal(LpSolution { objective, values }), cold);
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //! incumbent seeding, and a greedy-rounding fallback.
 //!
 //! Best-first search on the most-fractional integer variable. The presolved
-//! sparse standard form is built **once** per solve; each node only overrides
-//! variable bounds (its pins) and warm-starts the dual simplex from its
-//! parent's optimal basis, so a child LP typically reoptimizes in a handful
-//! of pivots instead of a cold two-phase solve. A caller-supplied incumbent
-//! ([`Solver::with_incumbent`] — e.g. the compiler's greedy allocation)
-//! seeds the best-bound pruning from node zero. Every solve goes through a
-//! [`SolverContext`] ([`Solver::solve`]), which memoizes whole solutions,
-//! warm-starts root relaxations and counts the work.
+//! sparse standard form is built **once** per solve, and one LP workspace
+//! solves the root and every node; each node only overrides variable
+//! bounds (its pins) and warm-starts the dual simplex from its parent's
+//! optimal basis, so a child LP typically reoptimizes in a handful of
+//! pivots instead of a cold two-phase solve. A node is pruned when its
+//! bound does not beat the incumbent by more than the integrality
+//! tolerance. A caller-supplied incumbent ([`Solver::with_incumbent`] —
+//! e.g. the compiler's greedy allocation) seeds that pruning from node
+//! zero. Every solve goes through a [`SolverContext`] ([`Solver::solve`]),
+//! which memoizes whole solutions, warm-starts root relaxations and counts
+//! the work.
 //!
 //! The node limit bounds runtime; if it is hit with an incumbent, the
 //! incumbent is returned flagged as near-optimal (the paper's compiler is
@@ -27,66 +30,6 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 pub(crate) const INT_TOL: f64 = 1e-6;
-/// Float rounding, relative to the magnitude at hand: a few units in the
-/// last place.
-const ROUNDING: f64 = 4.0 * f64::EPSILON;
-
-/// Objective granularity for pure-integer objectives: when every variable
-/// with a nonzero objective coefficient is integer and a quantum `g`
-/// divides every coefficient, any feasible objective is an integer multiple
-/// of `g`, so improving solutions are at least `g` apart and nodes inside
-/// that window of the incumbent can be pruned *exactly*. A quantum counts
-/// only if it divides every coefficient up to float rounding: one that is
-/// off by more could prune a better solution. Returns 0.0 when no useful
-/// granularity exists (continuous objective terms, no exact common
-/// quantum, or one at rounding-error scale).
-fn objective_granularity(problem: &Problem) -> f64 {
-    let mut g = 0.0f64;
-    let mut cmax = 0.0f64;
-    for v in problem.variables() {
-        let c = v.objective.abs();
-        if c <= 0.0 {
-            continue;
-        }
-        if !v.integer {
-            return 0.0;
-        }
-        cmax = cmax.max(c);
-        g = float_gcd(g, c);
-    }
-    let divides = |c: f64| c <= 0.0 || (c - (c / g).round() * g).abs() <= ROUNDING * c;
-    // Noise floor: a gcd at rounding-error scale is meaningless.
-    if g > 1e-6 * cmax.max(1.0)
-        && problem
-            .variables()
-            .iter()
-            .all(|v| divides(v.objective.abs()))
-    {
-        g
-    } else {
-        0.0
-    }
-}
-
-/// Euclid's algorithm on floats, treating a remainder within float
-/// rounding of zero (or of the divisor) as zero.
-fn float_gcd(a: f64, b: f64) -> f64 {
-    let (mut a, mut b) = (a.max(b), a.min(b));
-    if b == 0.0 {
-        return a;
-    }
-    let tol = ROUNDING * a;
-    for _ in 0..128 {
-        if b <= tol {
-            return a;
-        }
-        let r = a % b;
-        let r = if r <= tol || b - r <= tol { 0.0 } else { r };
-        a = b;
-        b = r;
-    }
-    0.0
-}
 
 /// An integer-feasible solution.
 #[derive(Debug, Clone, PartialEq)]
@@ -251,17 +194,6 @@ impl Solver {
             Sense::Maximize => 1.0,
             Sense::Minimize => -1.0,
         };
-        let granularity = objective_granularity(problem);
-        // Pruning margin: a node whose bound cannot beat the incumbent by
-        // at least one objective quantum (minus float slack) holds nothing
-        // better. Falls back to the plain integrality tolerance.
-        let prune_margin = |inc_objective: f64| -> f64 {
-            if granularity > 0.0 {
-                (granularity - 1e-6 * (1.0 + inc_objective.abs())).max(INT_TOL)
-            } else {
-                INT_TOL
-            }
-        };
 
         let mut incumbent: Option<MipSolution> = seed.map(|(values, objective)| MipSolution {
             objective,
@@ -291,14 +223,7 @@ impl Solver {
         let mut trace = SolveTrace::default();
         let restricted = stored.and_then(|b| form.restrict(&b));
         let root_warm = restricted.as_ref().map_or(Warm::Cold, Warm::Basis);
-        let root_outcome = lp.solve(
-            problem,
-            form.lower.clone(),
-            form.upper.clone(),
-            root_warm,
-            &mut trace,
-            true,
-        );
+        let root_outcome = lp.solve_pinned(problem, &[], root_warm, &mut trace, true);
         if trace.warm_used {
             ctx.note_warm_hit();
         } else {
@@ -324,27 +249,6 @@ impl Solver {
         };
         if let Some(b) = root_basis {
             ctx.store(fp, Arc::new(form.expand(&b)));
-        }
-
-        // Reduced-cost fixing: with an incumbent in hand (the seed), any
-        // integer variable sitting at a bound in the root relaxation whose
-        // reduced cost already eats the whole optimality gap can be fixed
-        // there for the entire search — a strictly better solution cannot
-        // move it.
-        let mut fixed: Vec<(usize, f64)> = Vec::new();
-        if self.warm_start && lp.live_available() {
-            if let Some(inc) = &incumbent {
-                let gap =
-                    root_objective * sign - (inc.objective * sign + prune_margin(inc.objective));
-                let d = lp.structural_reduced_costs();
-                for &v in &int_vars {
-                    let j = v.index();
-                    let x = root_values[j];
-                    if (x - x.round()).abs() <= INT_TOL && d[j].abs() > gap.max(0.0) {
-                        fixed.push((j, x.round()));
-                    }
-                }
-            }
         }
 
         #[derive(Debug)]
@@ -393,9 +297,9 @@ impl Solver {
                     None => break,
                 },
             };
-            // Best-bound pruning (granularity-aware).
+            // Best-bound pruning.
             if let Some(inc) = &incumbent {
-                if node.bound <= inc.objective * sign + prune_margin(inc.objective) {
+                if node.bound <= inc.objective * sign + INT_TOL {
                     continue;
                 }
             }
@@ -407,7 +311,7 @@ impl Solver {
             };
             let mut trace = SolveTrace::default();
             let node_t0 = work.pivots;
-            let outcome = lp.solve_pinned(problem, &fixed, &node.pins, warm, &mut trace, false);
+            let outcome = lp.solve_pinned(problem, &node.pins, warm, &mut trace, false);
             work.pivots += trace.pivots;
             work.refactorizations += trace.refactorizations;
             if let Some(l) = lane {
@@ -421,7 +325,7 @@ impl Solver {
                 SolveOutcome::Unbounded => return Err(unbounded()),
             };
             if let Some(inc) = &incumbent {
-                if objective * sign <= inc.objective * sign + prune_margin(inc.objective) {
+                if objective * sign <= inc.objective * sign + INT_TOL {
                     continue;
                 }
             }
@@ -914,41 +818,17 @@ mod tests {
     }
 
     #[test]
-    fn objective_quantum_divides_every_coefficient() {
-        // x = 1 beats the seed y = 1 by 0.05, far above INT_TOL: a quantum
-        // of 1e8 would prune it and call the seed optimal.
+    fn a_near_tie_above_the_tolerance_is_not_pruned() {
+        // x = 1 beats the seed y = 1 by 0.05, far above INT_TOL but tiny
+        // against the coefficients: a pruning margin scaled to them would
+        // cut x off and call the seed optimal.
         let mut p = with_objective(&[1e8 + 0.05, 1e8]);
         p.add_constraint(&[(VarId(0), 1.0), (VarId(1), 1.0)], Relation::Le, 1.0);
-        assert_eq!(objective_granularity(&p), 0.0);
         for solver in [Solver::new(), Solver::new().with_incumbent(vec![0.0, 1.0])] {
             let s = solve_once(solver, &p).expect("feasible");
             assert_eq!((s.value(VarId(0)), s.value(VarId(1))), (1.0, 0.0));
             assert!(s.proven_optimal);
         }
-        // One design-search allocation ILP's objective. Its exact quantum,
-        // 0.8, is out of reach of Euclid on floats; snapping remainders
-        // below 1e-9 of the larger input ends at 1555.2, which does not
-        // divide 108953.6.
-        let allocation = [
-            108_953.599_999_999_99,
-            91_750.400_000_000_01,
-            11_080.8,
-            9_331.2,
-            177_292.8,
-            149_299.2,
-            29_548.8,
-            24_883.2,
-        ];
-        assert_eq!(objective_granularity(&with_objective(&allocation)), 0.0);
-        // Euclid returns 1e17 once 20 is below 1e17's rounding; the check
-        // rejects it.
-        assert_eq!(objective_granularity(&with_objective(&[20.0, 1e17])), 0.0);
-        // An exact quantum still counts, decimal ones included.
-        assert_eq!(
-            objective_granularity(&with_objective(&[6.0, 9.0, 15.0])),
-            3.0
-        );
-        assert_eq!(objective_granularity(&with_objective(&[0.3, 0.1])), 0.1);
     }
 
     #[test]

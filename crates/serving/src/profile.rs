@@ -221,4 +221,37 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, smart_units::SmartError::InvalidInput { .. }));
     }
+
+    #[test]
+    fn a_stored_report_that_lacks_a_layer_loads_cold() {
+        // A checksum-valid `timing-cache.bin` whose AlexNet report lacks
+        // its last layer, under the key the cache looks the report up by:
+        // the store must load nothing, and the profile must be the cold one.
+        use smart_units::codec::content_hash;
+        use smart_units::memo::Table;
+        use std::sync::Arc;
+
+        let (scheme, cfg) = (Scheme::smart(), TimingConfig::nominal());
+        let cold = TimingCache::new();
+        let want = TenantProfile::build(&scheme, ModelId::AlexNet, &cfg, &cold).expect("hetero");
+        let report = cold
+            .report(&scheme, ModelId::AlexNet, &cfg)
+            .expect("hetero");
+        let mut short = smart_timing::ModelTimingReport::clone(&report);
+        short.layers.pop();
+        let table = Table::default();
+        table.insert(
+            content_hash(&(scheme.clone(), ModelId::AlexNet, cfg)),
+            Arc::new(short),
+        );
+        let dir = std::env::temp_dir().join(format!("smart-serving-short-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        table.save(&dir).expect("saves");
+
+        let warm = TimingCache::new();
+        assert_eq!(smart_timing::persist::load(&warm, &dir), 0);
+        let got = TenantProfile::build(&scheme, ModelId::AlexNet, &cfg, &warm).expect("hetero");
+        assert_eq!(got, want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -9,7 +9,8 @@
 //! [`smart_units::memo::Memo`]'s:
 //!
 //! * **fall back to cold, never fail** — a missing, truncated, corrupted,
-//!   or version-mismatched file loads as zero entries;
+//!   or version-mismatched file loads as zero entries, and so does one
+//!   holding a report whose layers are not those of the model it names;
 //! * **exact values** — every `f64` travels as its IEEE bit pattern, and
 //!   cycle counts as `u64`s, so a warm run's output is byte-identical to
 //!   the cold run that produced the store (pinned by the
@@ -22,6 +23,7 @@
 
 use crate::cache::TimingCache;
 use crate::report::{ModelTimingReport, TimingReport};
+use smart_systolic::models::ModelId;
 use smart_units::codec::{ByteReader, ByteWriter};
 use smart_units::memo::Persist;
 use smart_units::Frequency;
@@ -70,7 +72,17 @@ impl Persist for ModelTimingReport {
                 random_busy_cycles: r.u64()?,
             });
         }
-        Some(Self {
+        // A store key hashes the model's id, not its layers, and readers
+        // walk a report beside the layers of `ModelId::build`: a record
+        // whose layers are not, in order, the ones of the model it names
+        // (another revision of the model zoo) fails the load, which then
+        // starts cold.
+        let built = ModelId::ALL
+            .into_iter()
+            .find(|id| id.name() == model)?
+            .build();
+        let expected = built.layers.iter().map(|l| &l.name);
+        expected.eq(layers.iter().map(|l| &l.name)).then_some(Self {
             scheme,
             model,
             clock,
@@ -102,7 +114,6 @@ mod tests {
     use super::*;
     use crate::config::TimingConfig;
     use smart_core::scheme::Scheme;
-    use smart_systolic::models::ModelId;
 
     #[test]
     fn round_trip_serves_warm_and_identical() {

@@ -250,8 +250,9 @@ pub fn prepare_model_ctx(
 /// [`prepare_model_ctx`] on a fresh [`SolverContext`] followed by
 /// [`ModelPrepass::replay`], which is what makes delta replay equivalent
 /// to full simulation by construction. This is the full-simulation
-/// reference of the delta-replay tests; the naive search runs the same
-/// two steps on a context it owns, to count their solver work.
+/// reference of the delta-replay tests and benches, and nothing else
+/// calls it: the naive search and [`max_layer_deviation`] run the same
+/// two steps on a context whose solver work is counted.
 ///
 /// # Errors
 ///
@@ -290,16 +291,25 @@ pub fn stall_free_variant(scheme: &Scheme) -> Result<Scheme> {
 
 /// Cross-validates the replay against the analytic evaluator on the
 /// stall-free twin of `scheme`: returns the maximum relative deviation of
-/// per-layer total latency (and of the model total) between
-/// [`simulate_scheme`] and [`evaluate`].
+/// per-layer total latency (and of the model total) between the replay
+/// and [`evaluate`]. The twin compiles through `solver`
+/// ([`prepare_model_ctx`]), so its ILP work reaches the caller's counters;
+/// its allocation ILPs are those of `scheme` (the twin changes only
+/// RANDOM timing), so a context that compiled `scheme` replays them from
+/// its solution memo. A one-off check passes `&SolverContext::new()`.
 ///
 /// # Errors
 ///
 /// [`SmartError::InvalidInput`] when the scheme's SPM is not
 /// heterogeneous.
-pub fn max_layer_deviation(scheme: &Scheme, model: &CnnModel, cfg: &TimingConfig) -> Result<f64> {
+pub fn max_layer_deviation(
+    scheme: &Scheme,
+    model: &CnnModel,
+    cfg: &TimingConfig,
+    solver: &SolverContext,
+) -> Result<f64> {
     let twin = stall_free_variant(scheme)?;
-    let sim = simulate_scheme(&twin, model, cfg)?;
+    let sim = prepare_model_ctx(&twin, model, cfg.max_iterations, solver)?.replay(cfg);
     let analytic = evaluate(&twin, model, 1);
     let mut worst: f64 = 0.0;
     for (s, a) in sim.layers.iter().zip(&analytic.layers) {
@@ -397,8 +407,13 @@ mod tests {
     fn stall_free_twin_agrees_with_analytic_within_1pct() {
         let model = ModelId::AlexNet.build();
         for scheme in [Scheme::heter(), Scheme::pipe(), Scheme::smart()] {
-            let dev = max_layer_deviation(&scheme, &model, &TimingConfig::nominal())
-                .expect("heterogeneous");
+            let dev = max_layer_deviation(
+                &scheme,
+                &model,
+                &TimingConfig::nominal(),
+                &SolverContext::new(),
+            )
+            .expect("heterogeneous");
             assert!(dev < 0.01, "{}: deviation {:.4}", scheme.name, dev);
         }
     }

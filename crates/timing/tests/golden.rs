@@ -11,6 +11,7 @@
 //!    cannot see: the analytic latency is bandwidth-blind, while the
 //!    replay degrades and attributes the loss to data classes.
 
+use smart_compiler::SolverContext;
 use smart_core::eval::evaluate;
 use smart_core::scheme::{AllocationPolicy, Scheme};
 use smart_cryomem::array::RandomArrayKind;
@@ -48,7 +49,8 @@ fn stall_free_replay_agrees_with_analytic_on_every_ablation_scheme() {
     let model = ModelId::AlexNet.build();
     let cfg = TimingConfig::nominal().with_depth(5);
     for scheme in ablation_schemes() {
-        let dev = max_layer_deviation(&scheme, &model, &cfg).expect("heterogeneous scheme");
+        let dev = max_layer_deviation(&scheme, &model, &cfg, &SolverContext::new())
+            .expect("heterogeneous scheme");
         assert!(
             dev < 0.01,
             "{} ({:?}): stall-free deviation {:.4} >= 1%",

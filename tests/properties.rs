@@ -255,7 +255,8 @@ proptest! {
         let mut scheme = Scheme::smart();
         scheme.policy = AllocationPolicy::Prefetch { window };
         let cfg = TimingConfig::nominal().with_depth(window.max(1));
-        let dev = max_layer_deviation(&scheme, &model, &cfg).expect("heterogeneous");
+        let dev = max_layer_deviation(&scheme, &model, &cfg, &SolverContext::new())
+            .expect("heterogeneous");
         prop_assert!(dev < 0.01, "stall-free deviation {dev:.4}");
     }
 
