@@ -9,6 +9,7 @@
 use smart_bench::cli::{
     self, parse_non_negative, parse_non_negative_int, parse_positive, CliSpec, ExtraFlag,
 };
+use smart_bench::count_serving_work;
 use smart_core::scheme::Scheme;
 use smart_report::{ColumnSpec, ResultTable, Unit, Value};
 use smart_serving::{
@@ -80,6 +81,14 @@ const SPEC: CliSpec = CliSpec {
     ],
     positional: None,
 };
+
+/// Most requests one run may inject. The simulator holds about 40 B per
+/// request at once: the 16 B arrival-trace entry, an 8 B queue slot, and
+/// the 8 B latency sample kept both per tenant and in the aggregate. So
+/// this bound caps a run near 4 GB. Counts far past it exhaust memory,
+/// abort on a failed allocation, or overflow `Vec::with_capacity`, all
+/// mid-run instead of at parse time.
+const MAX_REQUESTS: usize = 100_000_000;
 
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -167,7 +176,14 @@ fn main() -> ExitCode {
         "--requests",
         Some(args.value_of("--requests").unwrap_or("400")),
     )
-    .unwrap_or_else(|e| fail(&e));
+    .ok()
+    .filter(|&n| n <= MAX_REQUESTS)
+    .unwrap_or_else(|| {
+        fail(&format!(
+            "--requests needs a positive integer of at most {MAX_REQUESTS} \
+             (about 40 B of simulator state per request)"
+        ))
+    });
     let batch = parse_positive("--batch", Some(args.value_of("--batch").unwrap_or("1")))
         .unwrap_or_else(|e| fail(&e));
     let window_us = unwrap(parse_non_negative(
@@ -269,6 +285,7 @@ fn main() -> ExitCode {
         &ctx.tracer,
         "serving/",
     );
+    count_serving_work(&ctx, std::slice::from_ref(&report));
 
     let mut t = ResultTable::new(
         "serving_sim",

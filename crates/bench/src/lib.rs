@@ -34,7 +34,7 @@ mod experiments;
 pub mod registry;
 mod serving;
 
-pub use serving::{serving_batch_tail, serving_saturation, serving_tenant_mix};
+pub use serving::{count_serving_work, serving_batch_tail, serving_saturation, serving_tenant_mix};
 
 pub use experiments::{
     ablation_ilp_vs_greedy, ablation_lane_length, fig02_wires, fig05_homogeneous, fig06_trace,

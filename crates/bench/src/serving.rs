@@ -23,7 +23,8 @@ use crate::ExperimentContext;
 use smart_core::scheme::Scheme;
 use smart_report::{parallel_map, ColumnSpec, ResultTable, Unit, Value};
 use smart_serving::{
-    mix_capacity_rps, simulate_traced, ArrivalModel, ServingConfig, Tenant, TenantProfile, Workload,
+    mix_capacity_rps, simulate_traced, ArrivalModel, ServingConfig, ServingReport, Tenant,
+    TenantProfile, Workload,
 };
 use smart_systolic::models::ModelId;
 use smart_timing::TimingConfig;
@@ -54,6 +55,19 @@ fn profiles(scheme: &Scheme, tenants: &[Tenant], ctx: &ExperimentContext) -> Vec
                 .expect("serving schemes are heterogeneous")
         })
         .collect()
+}
+
+/// Adds the event-loop work of serving runs to the context's counters:
+/// `serving.requests`, `serving.batches`, `serving.preemptions` and
+/// `serving.switches`. The loop runs `batches + preemptions` layer
+/// segments, so these are its noise-free work measure.
+pub fn count_serving_work(ctx: &ExperimentContext, reports: &[ServingReport]) {
+    for r in reports {
+        ctx.metrics.add("serving.requests", r.injected);
+        ctx.metrics.add("serving.batches", r.batches);
+        ctx.metrics.add("serving.preemptions", r.preemptions);
+        ctx.metrics.add("serving.switches", r.switches);
+    }
 }
 
 /// Scheme-independent SLO deadlines: `factor ×` the Heter baseline's
@@ -124,6 +138,7 @@ pub fn serving_saturation(ctx: &ExperimentContext) -> ResultTable {
             &prefix,
         )
     });
+    count_serving_work(ctx, &reports);
 
     for (l, &load) in loads.iter().enumerate() {
         let mut row = vec![Value::num(load, 1)];
@@ -193,6 +208,7 @@ pub fn serving_batch_tail(ctx: &ExperimentContext) -> ResultTable {
             &prefix,
         )
     });
+    count_serving_work(ctx, &reports);
 
     for ((batch, wus), r) in policies.iter().zip(&reports) {
         t.push_row(vec![
@@ -292,6 +308,7 @@ pub fn serving_tenant_mix(ctx: &ExperimentContext) -> ResultTable {
             &prefix,
         )
     });
+    count_serving_work(ctx, &reports);
 
     for (m, (name, _, _)) in mixes.iter().enumerate() {
         for (s, scheme) in schemes.iter().enumerate() {

@@ -253,6 +253,25 @@ fn serving_sim_rejects_slo_deadlines_that_overflow_the_cycle_clock() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
+/// A `--requests` count past the simulator's memory bound exits 2 with
+/// one canonical message before any tenant profile is built, instead of
+/// panicking on a capacity overflow (`usize::MAX`) or allocating
+/// gigabytes of arrival trace (bound + 1).
+#[test]
+fn serving_sim_rejects_request_counts_past_the_memory_bound() {
+    let exe = env!("CARGO_BIN_EXE_serving_sim");
+    for count in ["18446744073709551615", "100000001"] {
+        let out = run(exe, &["--requests", count]);
+        assert_eq!(out.status.code(), Some(2), "{count}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("--requests needs a positive integer of at most 100000000"),
+            "{count}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{count}: {out:?}");
+    }
+}
+
 /// A reader that closes the pipe after one line (`all_experiments |
 /// head -1`) ends the run quietly with status 0, for the listing and the
 /// table output alike. Each run repeats a cheap experiment until its

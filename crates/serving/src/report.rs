@@ -83,6 +83,13 @@ pub struct ServingReport {
     pub switch_cycles: u64,
     /// Number of cold tenant switches paid.
     pub switches: u64,
+    /// Batches launched: each is one to `max_batch` requests of one
+    /// tenant dispatched together.
+    pub batches: u64,
+    /// Batches parked at a layer boundary for another tenant's work;
+    /// each resumes later, so the event loop ran `batches + preemptions`
+    /// layer segments.
+    pub preemptions: u64,
     /// Sorted per-request latencies across all tenants, in cycles.
     pub latencies: Vec<u64>,
     /// Per-tenant breakdown, in workload tenant order.
@@ -236,6 +243,8 @@ mod tests {
             service_cycles: 600_000,
             switch_cycles: 200_000,
             switches: 2,
+            batches: 4,
+            preemptions: 1,
             latencies: vec![100, 200, 300, 400],
             per_tenant: vec![],
         };
