@@ -82,12 +82,12 @@ const SPEC: CliSpec = CliSpec {
     positional: None,
 };
 
-/// Most requests one run may inject. The simulator holds about 40 B per
-/// request at once: the 16 B arrival-trace entry, an 8 B queue slot, and
-/// the 8 B latency sample kept both per tenant and in the aggregate. So
-/// this bound caps a run near 4 GB. Counts far past it exhaust memory,
-/// abort on a failed allocation, or overflow `Vec::with_capacity`, all
-/// mid-run instead of at parse time.
+/// Most requests one run may inject. The simulator reads arrivals one
+/// fixed-size block at a time, so its state per request is an 8 B latency
+/// sample, plus an 8 B queue slot per request waiting at the deepest
+/// backlog: at most 16 B, so this bound caps a run near 1.6 GB. Counts
+/// far past it exhaust memory or abort on a failed allocation mid-run
+/// instead of at parse time.
 const MAX_REQUESTS: usize = 100_000_000;
 
 fn fail(msg: &str) -> ! {
@@ -181,7 +181,7 @@ fn main() -> ExitCode {
     .unwrap_or_else(|| {
         fail(&format!(
             "--requests needs a positive integer of at most {MAX_REQUESTS} \
-             (about 40 B of simulator state per request)"
+             (up to 16 B of simulator state per request)"
         ))
     });
     let batch = parse_positive("--batch", Some(args.value_of("--batch").unwrap_or("1")))
@@ -246,12 +246,14 @@ fn main() -> ExitCode {
 
     let clock = profs[0].clock;
     // Seconds convert to cycles with a saturating cast, so at a low enough
-    // rate the later arrivals all pile onto `u64::MAX`.
-    if workload
-        .trace(requests, clock)
-        .last()
-        .is_some_and(|r| r.arrival == u64::MAX)
-    {
+    // rate the later arrivals all pile onto `u64::MAX`. Arrivals never
+    // decrease, so the last one tells; streaming to it holds one block.
+    let (mut arrivals, mut block) = (workload.arrivals(requests, clock), Vec::new());
+    let mut last_arrival = 0;
+    while arrivals.next_block(&mut block) {
+        last_arrival = block.last().map_or(last_arrival, |r| r.arrival);
+    }
+    if last_arrival == u64::MAX {
         fail(
             "offered rate too low: arrivals overflow the simulator's 64-bit cycle clock; \
              raise --load or --rate",

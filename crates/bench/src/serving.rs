@@ -30,7 +30,7 @@ use smart_systolic::models::ModelId;
 use smart_timing::TimingConfig;
 
 /// The schemes the serving studies compare (all heterogeneous-SPM, all
-/// on the same clock).
+/// on the same clock), the Heter baseline first.
 fn schemes() -> [Scheme; 3] {
     [Scheme::heter(), Scheme::pipe(), Scheme::smart()]
 }
@@ -70,11 +70,12 @@ pub fn count_serving_work(ctx: &ExperimentContext, reports: &[ServingReport]) {
     }
 }
 
-/// Scheme-independent SLO deadlines: `factor ×` the Heter baseline's
-/// stand-alone latency per tenant, in cycles (the serving schemes share
-/// one clock, asserted by the callers).
-fn reference_slo(tenants: &[Tenant], ctx: &ExperimentContext, factor: u64) -> Vec<u64> {
-    profiles(&Scheme::heter(), tenants, ctx)
+/// Scheme-independent SLO deadlines: `factor ×` each tenant's
+/// stand-alone latency on the Heter baseline (`heter`: the tenants'
+/// Heter profiles), in cycles (the serving schemes share one clock,
+/// asserted by the callers).
+fn reference_slo(heter: &[TenantProfile], factor: u64) -> Vec<u64> {
+    heter
         .iter()
         .map(|p| p.standalone_cycles() * factor)
         .collect()
@@ -97,7 +98,7 @@ pub fn serving_saturation(ctx: &ExperimentContext) -> ResultTable {
     for p in &profs {
         assert_eq!(p[0].clock, profs[0][0].clock, "shared clock");
     }
-    let slo = reference_slo(&tenants, ctx, 8);
+    let slo = reference_slo(&profiles(&Scheme::heter(), &tenants, ctx), 8);
     let capacities: Vec<f64> = profs
         .iter()
         .map(|p| mix_capacity_rps(p, &tenants))
@@ -170,7 +171,7 @@ pub fn serving_batch_tail(ctx: &ExperimentContext) -> ResultTable {
     let tenants = canonical_mix();
     let scheme = Scheme::smart();
     let profs = profiles(&scheme, &tenants, ctx);
-    let slo = reference_slo(&tenants, ctx, 8);
+    let slo = reference_slo(&profiles(&Scheme::heter(), &tenants, ctx), 8);
     let rate = 0.75 * mix_capacity_rps(&profs, &tenants);
     let clock = profs[0].clock;
     let window_us = |us: f64| (us * 1e-6 * clock.as_si()) as u64;
@@ -283,15 +284,20 @@ pub fn serving_tenant_mix(ctx: &ExperimentContext) -> ResultTable {
         ColumnSpec::right("switches", 9),
     ];
 
+    // Each (mix, scheme) profile set once, before the fan-out; the Heter
+    // set (scheme 0) also prices each mix's SLO and offered rate.
+    let profs: Vec<Vec<Vec<TenantProfile>>> = mixes
+        .iter()
+        .map(|(_, tenants, _)| schemes.iter().map(|s| profiles(s, tenants, ctx)).collect())
+        .collect();
     let points: Vec<(usize, usize)> = (0..mixes.len())
         .flat_map(|m| (0..schemes.len()).map(move |s| (m, s)))
         .collect();
     let reports = parallel_map(ctx.jobs, &points, |&(m, s)| {
         let (_, tenants, arrivals) = &mixes[m];
-        let profs = profiles(&schemes[s], tenants, ctx);
-        let slo = reference_slo(tenants, ctx, 8);
-        let heter_profs = profiles(&Scheme::heter(), tenants, ctx);
-        let rate = 0.6 * mix_capacity_rps(&heter_profs, tenants);
+        let heter = &profs[m][0];
+        let slo = reference_slo(heter, 8);
+        let rate = 0.6 * mix_capacity_rps(heter, tenants);
         let w = Workload {
             tenants: tenants.clone(),
             arrivals: *arrivals,
@@ -300,7 +306,7 @@ pub fn serving_tenant_mix(ctx: &ExperimentContext) -> ResultTable {
         };
         let prefix = format!("serving_tenant_mix/{} {}/", mixes[m].0, schemes[s].name);
         simulate_traced(
-            &profs,
+            &profs[m][s],
             &w,
             N,
             &ServingConfig::fcfs().with_slo(slo),
@@ -387,7 +393,7 @@ mod tests {
         let ctx = ExperimentContext::new(2);
         let _ = serving_saturation(&ctx);
         let after_saturation = ctx.metrics_snapshot();
-        // 3 schemes x 2 models; reference_slo's Heter rebuild and every
+        // 3 schemes x 2 models; the SLO's Heter rebuild and every
         // sweep point are hits.
         assert_eq!(after_saturation.counter("timing_cache.misses"), 6);
         let warm_after_saturation = after_saturation.counter("timing_cache.hits")

@@ -255,8 +255,8 @@ fn serving_sim_rejects_slo_deadlines_that_overflow_the_cycle_clock() {
 
 /// A `--requests` count past the simulator's memory bound exits 2 with
 /// one canonical message before any tenant profile is built, instead of
-/// panicking on a capacity overflow (`usize::MAX`) or allocating
-/// gigabytes of arrival trace (bound + 1).
+/// panicking on a capacity overflow (`usize::MAX`) or growing
+/// gigabytes of latency samples (bound + 1).
 #[test]
 fn serving_sim_rejects_request_counts_past_the_memory_bound() {
     let exe = env!("CARGO_BIN_EXE_serving_sim");

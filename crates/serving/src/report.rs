@@ -1,12 +1,17 @@
 //! [`ServingReport`]: what one serving simulation says about tail
 //! latency, goodput, utilization, and SPM thrash.
 //!
-//! The report keeps the full sorted per-request latency sample (cycles)
-//! rather than pre-baked quantiles, so callers can ask for any quantile
-//! — the canonical ones, [`p50`]/[`p99`]/[`p999`], use the nearest-rank
-//! definition (the smallest sample with at least a `q` fraction of the
-//! mass at or below it), which is exact on discrete samples and never
-//! interpolates latencies that no request experienced.
+//! The report keeps every request's latency (cycles), once: each tenant's
+//! sorted sample, rather than pre-baked quantiles, so callers can ask for
+//! any quantile — the canonical ones, [`p50`]/[`p99`]/[`p999`], use the
+//! nearest-rank definition (the smallest sample with at least a `q`
+//! fraction of the mass at or below it), which is exact on discrete
+//! samples and never interpolates latencies that no request experienced.
+//! The aggregate quantiles answer from the per-tenant samples without
+//! merging them: the nearest rank over their union is the least latency
+//! with that many samples at or below it, found by bisecting the latency
+//! range with a binary search per tenant. [`ServingReport::latencies`]
+//! merges the samples for a caller that wants the whole aggregate.
 //!
 //! Rate-style metrics are defined over the *makespan* (first arrival to
 //! last completion): [`goodput_rps`] counts SLO-met completions per
@@ -90,17 +95,60 @@ pub struct ServingReport {
     /// each resumes later, so the event loop ran `batches + preemptions`
     /// layer segments.
     pub preemptions: u64,
-    /// Sorted per-request latencies across all tenants, in cycles.
-    pub latencies: Vec<u64>,
-    /// Per-tenant breakdown, in workload tenant order.
+    /// Per-tenant breakdown, in workload tenant order. Its sorted latency
+    /// samples are the report's only copy of the per-request latencies.
     pub per_tenant: Vec<TenantServingStats>,
 }
 
 impl ServingReport {
-    /// Nearest-rank quantile of the aggregate latency sample, in cycles.
+    /// The per-tenant sorted latency samples.
+    fn samples(&self) -> impl Iterator<Item = &[u64]> {
+        self.per_tenant.iter().map(|t| t.latencies.as_slice())
+    }
+
+    /// Every request's latency in cycles, sorted: the per-tenant samples
+    /// merged.
+    #[must_use]
+    pub fn latencies(&self) -> Vec<u64> {
+        let mut all = Vec::with_capacity(self.samples().map(<[u64]>::len).sum());
+        for s in self.samples() {
+            all.extend_from_slice(s);
+        }
+        // Sorted runs back to back, which the stable sort detects and
+        // merges in linear passes.
+        all.sort();
+        all
+    }
+
+    /// Nearest-rank quantile of the aggregate latency sample (every
+    /// tenant's requests), in cycles; `0` when nothing completed.
     #[must_use]
     pub fn quantile_cycles(&self, q: f64) -> u64 {
-        quantile(&self.latencies, q)
+        let n = self.samples().map(<[u64]>::len).sum();
+        if n == 0 {
+            return 0;
+        }
+        let rank = nearest_rank(q, n);
+        let at_or_below =
+            |v: u64| -> usize { self.samples().map(|s| s.partition_point(|&x| x <= v)).sum() };
+        // The answer is the least latency with `rank` samples at or below
+        // it; the count only steps at sample values, so it is one of them.
+        let mut lo = 0;
+        let mut hi = self
+            .samples()
+            .filter_map(<[u64]>::last)
+            .copied()
+            .max()
+            .unwrap_or(0);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if at_or_below(mid) >= rank {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
     }
 
     /// Nearest-rank quantile as wall-clock time.
@@ -127,13 +175,15 @@ impl ServingReport {
         self.quantile(0.999)
     }
 
-    /// Mean latency in cycles (`0.0` when empty).
+    /// Mean latency over every tenant's requests, in cycles (`0.0` when
+    /// nothing completed).
     #[must_use]
     pub fn mean_cycles(&self) -> f64 {
-        if self.latencies.is_empty() {
+        let n: usize = self.samples().map(<[u64]>::len).sum();
+        if n == 0 {
             0.0
         } else {
-            self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64
+            self.samples().map(|s| s.iter().sum::<u64>()).sum::<u64>() as f64 / n as f64
         }
     }
 
@@ -202,6 +252,13 @@ impl ServingReport {
     }
 }
 
+/// The nearest rank of quantile `q` in a sample of `n >= 1`: `ceil(q * n)`
+/// with `q` clamped to `(0, 1]`, itself clamped to `1..=n`.
+fn nearest_rank(q: f64, n: usize) -> usize {
+    let q = q.clamp(f64::MIN_POSITIVE, 1.0);
+    ((q * n as f64).ceil() as usize).clamp(1, n)
+}
+
 /// Nearest-rank quantile of a **sorted** sample: the smallest element
 /// with at least `ceil(q * n)` elements at or below it. `0` on an empty
 /// sample; `q` is clamped to `(0, 1]`.
@@ -209,14 +266,13 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let q = q.clamp(f64::MIN_POSITIVE, 1.0);
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(q, sorted.len()) - 1]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smart_units::rng::Rng;
 
     #[test]
     fn nearest_rank_matches_hand_computation() {
@@ -229,15 +285,38 @@ mod tests {
         assert_eq!(quantile(&[7], 0.999), 7);
     }
 
+    fn tenant(latencies: Vec<u64>) -> TenantServingStats {
+        TenantServingStats {
+            name: "t".to_owned(),
+            injected: latencies.len() as u64,
+            completed: latencies.len() as u64,
+            slo_met: 0,
+            latencies,
+        }
+    }
+
+    fn report(per_tenant: Vec<TenantServingStats>) -> ServingReport {
+        let n: u64 = per_tenant.iter().map(|t| t.completed).sum();
+        ServingReport {
+            scheme: "SMART",
+            clock: Frequency::from_ghz(52.6),
+            offered_rps: 1e5,
+            injected: n,
+            completed: n,
+            slo_met: 0,
+            makespan_cycles: 0,
+            service_cycles: 0,
+            switch_cycles: 0,
+            switches: 0,
+            batches: 0,
+            preemptions: 0,
+            per_tenant,
+        }
+    }
+
     #[test]
     fn report_metrics_are_consistent() {
-        let clock = Frequency::from_ghz(52.6);
         let r = ServingReport {
-            scheme: "SMART",
-            clock,
-            offered_rps: 1e5,
-            injected: 4,
-            completed: 4,
             slo_met: 3,
             makespan_cycles: 1_000_000,
             service_cycles: 600_000,
@@ -245,9 +324,9 @@ mod tests {
             switches: 2,
             batches: 4,
             preemptions: 1,
-            latencies: vec![100, 200, 300, 400],
-            per_tenant: vec![],
+            ..report(vec![tenant(vec![100, 300]), tenant(vec![200, 400])])
         };
+        assert_eq!(r.latencies(), [100, 200, 300, 400]);
         assert_eq!(r.quantile_cycles(0.5), 200);
         assert_eq!(r.quantile_cycles(0.99), 400);
         assert!(r.p50() < r.p99());
@@ -258,5 +337,47 @@ mod tests {
         assert!((r.goodput_rps() - 3.0 / span_s).abs() < 1e-6);
         assert!(r.throughput_rps() > r.goodput_rps());
         assert!((r.mean_cycles() - 250.0).abs() < 1e-12);
+    }
+
+    /// The aggregate quantiles and mean, answered from the per-tenant
+    /// samples, equal the nearest rank and mean of the merged sorted
+    /// sample, on random reports with empty tenants, single samples,
+    /// repeated latencies and ranks on every side of a tenant boundary.
+    #[test]
+    fn aggregate_metrics_equal_the_merged_sample() {
+        let mut rng = Rng::new(0xa66e);
+        let mut below = |n: u64| rng.next_u64() % n;
+        for case in 0..500 {
+            let per_tenant: Vec<TenantServingStats> = (0..1 + below(4))
+                .map(|_| {
+                    let len = match below(4) {
+                        0 => 0,
+                        1 => 1,
+                        _ => below(200),
+                    };
+                    // A narrow range forces ties within and across tenants.
+                    let range = if below(2) == 0 { 20 } else { 1 << 40 };
+                    let mut lat: Vec<u64> = (0..len).map(|_| below(range)).collect();
+                    lat.sort_unstable();
+                    tenant(lat)
+                })
+                .collect();
+            let r = report(per_tenant);
+            let merged = r.latencies();
+            assert!(merged.windows(2).all(|w| w[0] <= w[1]));
+            for q in [0.0, 1e-9, 0.5, 0.999, 1.0, 2.0] {
+                assert_eq!(
+                    r.quantile_cycles(q),
+                    quantile(&merged, q),
+                    "case {case}, q {q}"
+                );
+            }
+            let mean = if merged.is_empty() {
+                0.0
+            } else {
+                merged.iter().sum::<u64>() as f64 / merged.len() as f64
+            };
+            assert_eq!(r.mean_cycles().to_bits(), mean.to_bits(), "case {case}");
+        }
     }
 }

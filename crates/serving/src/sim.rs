@@ -1,7 +1,8 @@
 //! The queueing/dispatch simulator: time-multiplexing tenant replays on
 //! one systolic array.
 //!
-//! [`simulate`] runs a deterministic event loop over an arrival trace.
+//! [`simulate`] runs a deterministic event loop over a workload's arrival
+//! stream.
 //! One array serves all tenants; at every decision point the dispatcher
 //! picks the *oldest waiting work* (the parked batch or queue head whose
 //! oldest request arrived first — FCFS across tenants, tenant index
@@ -36,10 +37,20 @@
 //! and compute cycles built once per call, and a cold switch into layer
 //! `l` re-stages the same kind of prefix table's tail. So a decision or
 //! a run segment costs O(tenants) whatever the model depth, and
-//! allocates nothing. A test-only reference loop (a scan over a
+//! allocates nothing beyond the amortized growth of the queues and
+//! latency samples. A test-only reference loop (a scan over a
 //! `Vec` of parked batches, priced layer by layer through
 //! [`TenantProfile::batched_layer_cycles`]) checks reports and traces
 //! against this one on random non-uniform profiles.
+//!
+//! Memory per request: the loop reads arrivals from
+//! [`Workload::arrivals`] one block of
+//! [`ARRIVAL_BLOCK`](crate::workload::ARRIVAL_BLOCK) requests at a
+//! time, counts each tenant's requests as it admits them, and keeps each
+//! latency once, in its tenant's sample of the [`ServingReport`]. So a
+//! run holds an 8 B sample per request, plus an 8 B queue slot per
+//! request waiting at the deepest backlog, and one block of arrivals
+//! whatever the request count.
 //!
 //! Determinism: the loop consumes the trace in order, draws no
 //! randomness of its own, and never looks at wall-clock time, so one
@@ -52,7 +63,7 @@ use std::collections::VecDeque;
 
 use crate::profile::TenantProfile;
 use crate::report::{ServingReport, TenantServingStats};
-use crate::workload::Workload;
+use crate::workload::{Arrivals, Request, Workload};
 use smart_trace::{Lane, Tracer};
 
 /// Dispatch-policy knobs of one serving run.
@@ -185,6 +196,44 @@ struct Slot {
     next_layer: usize,
 }
 
+/// The requests not yet admitted: one block of the arrival stream and a
+/// cursor into it. The cursor never rests at the end of a block while
+/// the stream has more, so [`Self::peek`] is `None` exactly when every
+/// request has been admitted.
+struct Pending {
+    stream: Arrivals,
+    block: Vec<Request>,
+    next: usize,
+}
+
+impl Pending {
+    fn new(mut stream: Arrivals) -> Self {
+        let mut block = Vec::new();
+        stream.next_block(&mut block);
+        Self {
+            stream,
+            block,
+            next: 0,
+        }
+    }
+
+    /// The next request to arrive.
+    fn peek(&self) -> Option<Request> {
+        self.block.get(self.next).copied()
+    }
+
+    /// Moves past the request [`Self::peek`] returned.
+    fn advance(&mut self) {
+        self.next += 1;
+        if self.next == self.block.len() {
+            // An exhausted stream leaves the block empty, so the cursor
+            // at 0 is at its end.
+            self.stream.next_block(&mut self.block);
+            self.next = 0;
+        }
+    }
+}
+
 /// Runs `workload`'s first `n` requests through the dispatch simulator
 /// on the given per-tenant profiles (one per workload tenant, same
 /// order, all replayed on the same scheme). The simulator drains: every
@@ -243,7 +292,8 @@ pub fn simulate_traced(
         assert_eq!(p.clock, profiles[0].clock, "profiles must share a clock");
     }
     let clock = profiles[0].clock;
-    let trace = workload.trace(n, clock);
+    let mut pending = Pending::new(workload.arrivals(n, clock));
+    let first_arrival = pending.peek().map_or(0, |r| r.arrival);
     let tenants = profiles.len();
     let max_batch = cfg.max_batch as usize;
     let quantum = cfg.quantum_layers as usize;
@@ -261,13 +311,10 @@ pub fn simulate_traced(
     let traced = tracer.is_enabled();
     let costs: Vec<LayerCosts> = profiles.iter().map(LayerCosts::new).collect();
 
-    // The simulator drains, so each tenant's latency sample ends at
-    // exactly its injected count.
-    let mut injected = vec![0usize; tenants];
-    for r in &trace {
-        injected[usize::from(r.tenant)] += 1;
-    }
-    let mut samples: Vec<Vec<u64>> = injected.iter().map(|&k| Vec::with_capacity(k)).collect();
+    // Per-tenant admissions and latency samples; the simulator drains, so
+    // each sample ends at its tenant's admitted count.
+    let mut injected = vec![0u64; tenants];
+    let mut samples: Vec<Vec<u64>> = vec![Vec::new(); tenants];
 
     // Round-robin bookkeeping (only consulted when a quantum is set):
     // the dispatch sequence number at which each tenant last ran.
@@ -276,7 +323,6 @@ pub fn simulate_traced(
 
     let mut queues: Vec<VecDeque<u64>> = vec![VecDeque::new(); tenants];
     let mut slots: Vec<Slot> = (0..tenants).map(|_| Slot::default()).collect();
-    let mut next_req = 0usize;
     let mut now = 0u64;
     let mut resident: Option<usize> = None;
     let mut service_cycles = 0u64;
@@ -289,13 +335,14 @@ pub fn simulate_traced(
     // Admits every request that has arrived by `now`.
     macro_rules! admit {
         () => {
-            while next_req < trace.len() && trace[next_req].arrival <= now {
-                let r = trace[next_req];
-                queues[usize::from(r.tenant)].push_back(r.arrival);
+            while let Some(r) = pending.peek().filter(|r| r.arrival <= now) {
+                let t = usize::from(r.tenant);
+                queues[t].push_back(r.arrival);
+                injected[t] += 1;
                 if traced {
-                    lanes[usize::from(r.tenant)].instant("arrive", r.arrival);
+                    lanes[t].instant("arrive", r.arrival);
                 }
-                next_req += 1;
+                pending.advance();
             }
         };
     }
@@ -324,10 +371,10 @@ pub fn simulate_traced(
             .min();
         let Some((_, oldest, t)) = best else {
             // Idle: jump to the next arrival or finish.
-            if next_req == trace.len() {
+            let Some(next) = pending.peek() else {
                 break;
-            }
-            now = now.max(trace[next_req].arrival);
+            };
+            now = now.max(next.arrival);
             continue;
         };
 
@@ -337,9 +384,9 @@ pub fn simulate_traced(
             // what is queued).
             let deadline = oldest.saturating_add(cfg.batch_window);
             let full = queues[t].len() >= max_batch;
-            if !full && now < deadline && next_req < trace.len() {
+            if let Some(next) = pending.peek().filter(|_| !full && now < deadline) {
                 // Wait for more co-batchable arrivals or the window.
-                now = deadline.min(trace[next_req].arrival);
+                now = deadline.min(next.arrival);
                 continue;
             }
             let b = queues[t].len().min(max_batch);
@@ -416,33 +463,30 @@ pub fn simulate_traced(
 
     // Assemble the report.
     let mut per_tenant = Vec::with_capacity(tenants);
-    let mut all = Vec::with_capacity(trace.len());
-    let mut slo_met = 0u64;
+    let (mut completed, mut slo_met) = (0u64, 0u64);
     for (t, mut lat) in samples.into_iter().enumerate() {
         lat.sort_unstable();
+        // The report outlives the run; its samples keep no growth slack.
+        lat.shrink_to_fit();
         let slo = cfg.slo_cycles.get(t).copied().unwrap_or(u64::MAX);
         let met = lat.iter().filter(|&&l| l <= slo).count() as u64;
+        completed += lat.len() as u64;
         slo_met += met;
-        all.extend_from_slice(&lat);
         per_tenant.push(TenantServingStats {
             name: profiles[t].name.clone(),
-            injected: injected[t] as u64,
+            injected: injected[t],
             completed: lat.len() as u64,
             slo_met: met,
             latencies: lat,
         });
     }
-    // `all` is the per-tenant sorted runs back to back, which the stable
-    // sort detects and merges in linear passes.
-    all.sort();
 
-    let first_arrival = trace.first().map_or(0, |r| r.arrival);
     ServingReport {
         scheme: profiles[0].scheme,
         clock,
         offered_rps: workload.rate_rps,
-        injected: trace.len() as u64,
-        completed: all.len() as u64,
+        injected: injected.iter().sum(),
+        completed,
         slo_met,
         makespan_cycles: last_completion.saturating_sub(first_arrival),
         service_cycles,
@@ -450,7 +494,6 @@ pub fn simulate_traced(
         switches,
         batches,
         preemptions,
-        latencies: all,
         per_tenant,
     }
 }
@@ -703,7 +746,6 @@ mod oracle {
 
         // Assemble the report.
         let mut per_tenant = Vec::with_capacity(profiles.len());
-        let mut all = Vec::new();
         let mut completed = 0u64;
         let mut slo_met = 0u64;
         for (t, mut lat) in samples.into_iter().enumerate() {
@@ -712,7 +754,6 @@ mod oracle {
             let met = lat.iter().filter(|&&l| l <= slo).count() as u64;
             completed += lat.len() as u64;
             slo_met += met;
-            all.extend_from_slice(&lat);
             per_tenant.push(TenantServingStats {
                 name: profiles[t].name.clone(),
                 injected: injected[t],
@@ -721,7 +762,6 @@ mod oracle {
                 latencies: lat,
             });
         }
-        all.sort_unstable();
 
         let first_arrival = trace.first().map_or(0, |r| r.arrival);
         ServingReport {
@@ -737,7 +777,6 @@ mod oracle {
             switches,
             batches,
             preemptions,
-            latencies: all,
             per_tenant,
         }
     }
@@ -747,7 +786,7 @@ mod oracle {
 mod tests {
     use super::*;
     use crate::profile::mix_capacity_rps;
-    use crate::workload::{ArrivalModel, Tenant};
+    use crate::workload::{ArrivalModel, Tenant, ARRIVAL_BLOCK};
     use smart_systolic::models::ModelId;
     use smart_units::rng::Rng;
     use smart_units::Frequency;
@@ -786,7 +825,7 @@ mod tests {
         let w = Workload::poisson(vec![Tenant::of(ModelId::AlexNet, 1.0)], 10.0, 7);
         let r = simulate(std::slice::from_ref(&p), &w, 1, &ServingConfig::fcfs());
         assert_eq!(r.completed, 1);
-        assert_eq!(r.latencies, vec![p.standalone_cycles()]);
+        assert_eq!(r.latencies(), [p.standalone_cycles()]);
         assert_eq!(r.switch_cycles, 0, "an empty array is warm");
     }
 
@@ -948,7 +987,8 @@ mod tests {
     /// every layer drawing its own total, compute (at most the total) and
     /// re-staging cycles; quantum 0–3, batches of 1–8 with a window of 0
     /// to three mean service times, an optional SLO, and Poisson or
-    /// bursty arrivals at 0.3–1.5x the mix capacity.
+    /// bursty arrivals at 0.3–1.5x the mix capacity; 1–2,000 requests, or
+    /// one to three arrival blocks.
     fn random_case(rng: &mut Rng) -> (Vec<TenantProfile>, Workload, usize, ServingConfig) {
         let tenants = 1 + below(rng, 4) as usize;
         let profiles: Vec<TenantProfile> = (0..tenants)
@@ -1006,7 +1046,14 @@ mod tests {
                 .collect();
             cfg = cfg.with_slo(slo);
         }
-        (profiles, workload, 1 + below(rng, 2_000) as usize, cfg)
+        // One case in eight streams several arrival blocks, so a refill
+        // that drops, repeats or reorders a request shows.
+        let n = if below(rng, 8) == 0 {
+            ARRIVAL_BLOCK + below(rng, 2 * ARRIVAL_BLOCK as u64 + 8) as usize
+        } else {
+            1 + below(rng, 2_000) as usize
+        };
+        (profiles, workload, n, cfg)
     }
 
     /// The slot loop with prefix-sum pricing reproduces the reference
@@ -1016,9 +1063,10 @@ mod tests {
     #[test]
     fn slot_loop_matches_the_reference_loop() {
         let mut rng = Rng::new(0x5e12_71a6);
-        let (mut parks, mut multi, mut switches) = (0, 0, 0);
+        let (mut parks, mut multi, mut switches, mut refills) = (0, 0, 0, 0);
         for case in 0..300 {
             let (profiles, w, n, cfg) = random_case(&mut rng);
+            refills += usize::from(n > ARRIVAL_BLOCK);
             let got = simulate(&profiles, &w, n, &cfg);
             let want = oracle::simulate_traced(&profiles, &w, n, &cfg, &Tracer::disabled(), "");
             assert_eq!(got, want, "case {case}: n {n}, {cfg:?}");
@@ -1035,8 +1083,8 @@ mod tests {
         }
         // The draws reach every regime the loop distinguishes.
         assert!(
-            parks > 0 && multi > 0 && switches > 0,
-            "{parks} {multi} {switches}"
+            parks > 0 && multi > 0 && switches > 0 && refills > 0,
+            "{parks} {multi} {switches} {refills}"
         );
     }
 

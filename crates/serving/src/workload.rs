@@ -6,7 +6,9 @@
 //! [`Workload::trace`] synthesizes a deterministic open-loop trace of
 //! `(arrival_cycle, tenant)` pairs through the hand-rolled
 //! [`smart_units::rng`] generators — the same seed replays byte-identical
-//! on every machine and worker count.
+//! on every machine and worker count. [`Workload::arrivals`] is the same
+//! trace as a stream made [`ARRIVAL_BLOCK`] requests at a time; the
+//! simulator reads it that way, so it never holds the whole trace.
 //!
 //! Arrivals are *open-loop*: request `k`'s arrival never depends on when
 //! request `k - 1` completed, which is what saturates a server and
@@ -19,7 +21,7 @@
 //! dispatch.
 
 use smart_systolic::models::ModelId;
-use smart_units::rng::Rng;
+use smart_units::rng::{Rng, WeightedPicker};
 use smart_units::Frequency;
 
 /// One tenant of the accelerator: a model and its share of the offered
@@ -101,10 +103,10 @@ impl Workload {
         }
     }
 
-    /// Generates the first `n` requests of this workload's arrival
-    /// process at `clock` (the accelerator clock that converts seconds to
-    /// cycles). Deterministic in `(self, n, clock)`; arrivals are
-    /// non-decreasing.
+    /// The first `n` requests of this workload's arrival process at
+    /// `clock` (the accelerator clock that converts seconds to cycles), as
+    /// a stream read a block at a time. Deterministic in
+    /// `(self, n, clock)`; arrivals are non-decreasing.
     ///
     /// The seconds-to-cycles conversion saturates: an arrival later than
     /// `u64::MAX` cycles (about 11 years at 52.6 GHz) is reported at
@@ -115,10 +117,11 @@ impl Workload {
     /// # Panics
     ///
     /// Panics when the workload is degenerate: no tenants, more than
-    /// `u16::MAX` tenants, a non-positive rate, or a bursty model with
-    /// `on_fraction` outside `(0, 1]` or a non-positive period.
+    /// `u16::MAX` tenants, no tenant with positive weight, a non-positive
+    /// rate, or a bursty model with `on_fraction` outside `(0, 1]` or a
+    /// non-positive period.
     #[must_use]
-    pub fn trace(&self, n: usize, clock: Frequency) -> Vec<Request> {
+    pub fn arrivals(&self, n: usize, clock: Frequency) -> Arrivals {
         assert!(
             !self.tenants.is_empty() && self.tenants.len() <= usize::from(u16::MAX),
             "workload needs 1..=65535 tenants"
@@ -127,33 +130,19 @@ impl Workload {
             self.rate_rps > 0.0 && self.rate_rps.is_finite(),
             "offered load must be a positive rate"
         );
-        let hz = clock.as_si();
         let weights: Vec<f64> = self.tenants.iter().map(|t| t.weight).collect();
         assert!(
             weights.iter().any(|w| *w > 0.0),
             "at least one tenant needs positive weight"
         );
 
-        // Two independent substreams: gaps and tenant picks. Keeping them
-        // separate means a different tenant count cannot shift the
-        // arrival times (and vice versa), which the rate-rescaling
-        // monotonicity argument relies on.
-        let mut gaps = Rng::stream(self.seed, 0);
-        let mut picks = Rng::stream(self.seed, 1);
-
-        let mut out = Vec::with_capacity(n);
-        let mut t = 0.0f64; // seconds
-        match self.arrivals {
-            ArrivalModel::Poisson => {
-                let mean_gap = 1.0 / self.rate_rps;
-                for _ in 0..n {
-                    t += gaps.next_exp(mean_gap);
-                    out.push(Request {
-                        arrival: (t * hz) as u64,
-                        tenant: picks.pick_weighted(&weights) as u16,
-                    });
-                }
-            }
+        // Independent substreams: gaps, tenant picks and burst phases.
+        // Keeping them separate means a different tenant count cannot
+        // shift the arrival times (and vice versa), which the
+        // rate-rescaling monotonicity argument relies on.
+        let mut phases = Rng::stream(self.seed, 2);
+        let (mean_gap, bursts, phase_end) = match self.arrivals {
+            ArrivalModel::Poisson => (1.0 / self.rate_rps, None, 0.0),
             ArrivalModel::Bursty {
                 on_fraction,
                 period_s,
@@ -166,30 +155,122 @@ impl Workload {
                     period_s > 0.0 && period_s.is_finite(),
                     "burst period must be positive"
                 );
-                let mut phases = Rng::stream(self.seed, 2);
                 let on_rate = self.rate_rps / on_fraction;
                 let mean_on = period_s * on_fraction;
                 let mean_off = period_s * (1.0 - on_fraction);
-                // Walk ON phases; exponential gaps are memoryless, so
-                // redrawing at each phase boundary is exact.
-                let mut phase_end = phases.next_exp(mean_on);
-                while out.len() < n {
-                    t += gaps.next_exp(1.0 / on_rate);
-                    while t > phase_end {
-                        // Jump over the OFF phase and restart the clock
-                        // of the truncated ON draw at the next ON start.
-                        let off = phases.next_exp(mean_off);
-                        t = phase_end + off + gaps.next_exp(1.0 / on_rate);
-                        phase_end += off + phases.next_exp(mean_on);
-                    }
+                let first_end = phases.next_exp(mean_on);
+                (1.0 / on_rate, Some((mean_on, mean_off)), first_end)
+            }
+        };
+        Arrivals {
+            gaps: Rng::stream(self.seed, 0),
+            picks: Rng::stream(self.seed, 1),
+            phases,
+            picker: WeightedPicker::new(&weights),
+            hz: clock.as_si(),
+            mean_gap,
+            bursts,
+            t: 0.0,
+            phase_end,
+            remaining: n,
+        }
+    }
+
+    /// The first `n` requests of [`Self::arrivals`], collected.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::arrivals`].
+    #[must_use]
+    pub fn trace(&self, n: usize, clock: Frequency) -> Vec<Request> {
+        let mut out = Vec::with_capacity(n);
+        self.arrivals(n, clock).fill(&mut out, n);
+        out
+    }
+}
+
+/// Requests per block of an [`Arrivals`] stream.
+pub const ARRIVAL_BLOCK: usize = 4096;
+
+/// A workload's arrival process as a stream ([`Workload::arrivals`]):
+/// each [`Self::next_block`] call makes the next [`ARRIVAL_BLOCK`]
+/// requests in one tight loop, so a reader holds one block of the trace
+/// at a time instead of all of it.
+#[derive(Debug)]
+pub struct Arrivals {
+    /// Exponential gap draws.
+    gaps: Rng,
+    /// Tenant picks.
+    picks: Rng,
+    /// ON/OFF phase lengths (bursty arrivals only).
+    phases: Rng,
+    /// The tenant weights, prepared once for every pick.
+    picker: WeightedPicker,
+    /// Accelerator cycles per second.
+    hz: f64,
+    /// Mean gap between arrivals in seconds (within ON phases when
+    /// bursty).
+    mean_gap: f64,
+    /// Mean ON and OFF phase lengths in seconds; `None` for Poisson.
+    bursts: Option<(f64, f64)>,
+    /// Time of the last arrival made, in seconds.
+    t: f64,
+    /// End of the current ON phase in seconds (bursty arrivals only).
+    phase_end: f64,
+    /// Requests still to make.
+    remaining: usize,
+}
+
+impl Arrivals {
+    /// Replaces `block` with the next [`ARRIVAL_BLOCK`] requests (fewer at
+    /// the end of the stream). Returns `false`, leaving `block` empty,
+    /// once the stream is exhausted.
+    pub fn next_block(&mut self, block: &mut Vec<Request>) -> bool {
+        block.clear();
+        let k = self.remaining.min(ARRIVAL_BLOCK);
+        self.fill(block, k);
+        k > 0
+    }
+
+    /// Appends the next `k <= remaining` requests to `out`.
+    fn fill(&mut self, out: &mut Vec<Request>, k: usize) {
+        out.reserve(k);
+        let (hz, mean_gap) = (self.hz, self.mean_gap);
+        let (gaps, picks, picker) = (&mut self.gaps, &mut self.picks, &self.picker);
+        let mut t = self.t;
+        match self.bursts {
+            None => {
+                for _ in 0..k {
+                    t += gaps.next_exp(mean_gap);
                     out.push(Request {
                         arrival: (t * hz) as u64,
-                        tenant: picks.pick_weighted(&weights) as u16,
+                        tenant: picks.pick(picker) as u16,
                     });
                 }
             }
+            Some((mean_on, mean_off)) => {
+                // Walk ON phases; exponential gaps are memoryless, so
+                // redrawing at each phase boundary is exact.
+                let mut phase_end = self.phase_end;
+                for _ in 0..k {
+                    t += gaps.next_exp(mean_gap);
+                    while t > phase_end {
+                        // Jump over the OFF phase and restart the clock
+                        // of the truncated ON draw at the next ON start.
+                        let off = self.phases.next_exp(mean_off);
+                        t = phase_end + off + gaps.next_exp(mean_gap);
+                        phase_end += off + self.phases.next_exp(mean_on);
+                    }
+                    out.push(Request {
+                        arrival: (t * hz) as u64,
+                        tenant: picks.pick(picker) as u16,
+                    });
+                }
+                self.phase_end = phase_end;
+            }
         }
-        out
+        self.t = t;
+        self.remaining -= k;
     }
 }
 
@@ -283,6 +364,40 @@ mod tests {
             scv(&b),
             scv(&p)
         );
+    }
+
+    /// Reading the stream block by block carries the generator state
+    /// across every refill: the blocks, back to back, are `trace(n)`.
+    #[test]
+    fn block_stream_equals_the_collected_trace() {
+        let bursty = Workload {
+            arrivals: ArrivalModel::Bursty {
+                on_fraction: 0.25,
+                period_s: 2e-4,
+            },
+            ..Workload::poisson(mix(), 1e5, 21)
+        };
+        for w in [Workload::poisson(mix(), 1e5, 21), bursty] {
+            for n in [0, 1, 4095, 4096, 4097, 3 * ARRIVAL_BLOCK + 7] {
+                let mut stream = w.arrivals(n, clock());
+                let (mut block, mut streamed) = (Vec::new(), Vec::new());
+                while stream.next_block(&mut block) {
+                    assert!(!block.is_empty() && block.len() <= ARRIVAL_BLOCK);
+                    assert!(
+                        streamed.len() % ARRIVAL_BLOCK == 0,
+                        "n {n}: a short block before the last"
+                    );
+                    streamed.extend_from_slice(&block);
+                }
+                assert!(block.is_empty());
+                assert!(
+                    !stream.next_block(&mut block),
+                    "n {n}: refilled after the end"
+                );
+                assert_eq!(streamed.len(), n);
+                assert!(streamed == w.trace(n, clock()), "n {n}: {:?}", w.arrivals);
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   zero and decorrelates adjacent seeds);
 //! * [`Rng`] — an xorshift128+ generator seeded through
 //!   [`splitmix64`], with helpers for unit-interval doubles,
-//!   exponential inter-arrival draws, and weighted choices.
+//!   exponential inter-arrival draws, and weighted choices over a
+//!   [`WeightedPicker`] (the weights prepared once for many draws).
 //!
 //! Determinism is the whole point: a serving trace is keyed by its
 //! `(seed, workload)` pair, and the same seed must replay byte-identically
@@ -97,20 +98,15 @@ impl Rng {
         -mean * (1.0 - self.next_f64()).ln()
     }
 
-    /// A weighted choice: index `i` with probability `weights[i] / total`.
-    /// Zero or negative weights never win; returns 0 if every weight is
-    /// non-positive or `weights` is empty-summed (callers validate their
-    /// mixes — this is a total fallback, not an error path).
-    pub fn pick_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
-        if total <= 0.0 {
+    /// A weighted choice through a prepared [`WeightedPicker`]: index `i`
+    /// with probability `weights[i] / total`, one unit draw per pick
+    /// (none when no weight is positive).
+    pub fn pick(&mut self, picker: &WeightedPicker) -> usize {
+        if picker.total <= 0.0 {
             return 0;
         }
-        let mut target = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if w <= 0.0 {
-                continue;
-            }
+        let mut target = self.next_f64() * picker.total;
+        for &(i, w) in &picker.positive {
             if target < w {
                 return i;
             }
@@ -118,7 +114,42 @@ impl Rng {
         }
         // Float round-off on the last subtraction: the last positive
         // weight wins.
-        weights.iter().rposition(|w| *w > 0.0).unwrap_or(0)
+        picker.last
+    }
+}
+
+/// A weight vector prepared once for many [`Rng::pick`] draws: its
+/// positive weights in order and their sum, so a pick walks the weights
+/// without re-summing them.
+///
+/// Zero, negative and NaN weights never win; when no weight is positive
+/// every pick returns 0 (callers validate their mixes — this is a total
+/// fallback, not an error path).
+#[derive(Debug)]
+pub struct WeightedPicker {
+    /// `(index, weight)` of each positive weight, in index order.
+    positive: Vec<(usize, f64)>,
+    /// The positive weights summed in index order.
+    total: f64,
+    /// Index of the last positive weight (0 when there is none).
+    last: usize,
+}
+
+impl WeightedPicker {
+    /// Prepares `weights` for picking.
+    #[must_use]
+    pub fn new(weights: &[f64]) -> Self {
+        let positive: Vec<(usize, f64)> = weights
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, w)| w > 0.0)
+            .collect();
+        Self {
+            total: positive.iter().map(|&(_, w)| w).sum(),
+            last: positive.last().map_or(0, |&(i, _)| i),
+            positive,
+        }
     }
 }
 
@@ -181,16 +212,68 @@ mod tests {
     #[test]
     fn weighted_pick_follows_weights() {
         let mut rng = Rng::new(5);
-        let weights = [1.0, 0.0, 3.0];
+        let picker = WeightedPicker::new(&[1.0, 0.0, 3.0]);
         let mut counts = [0u32; 3];
         for _ in 0..4000 {
-            counts[rng.pick_weighted(&weights)] += 1;
+            counts[rng.pick(&picker)] += 1;
         }
         assert_eq!(counts[1], 0, "zero weight must never win");
         assert!(counts[2] > counts[0], "3:1 weight ratio inverted");
         assert!(counts[0] > 500, "1/4 of the mass missing: {counts:?}");
-        // Degenerate mixes fall back to index 0.
-        assert_eq!(rng.pick_weighted(&[]), 0);
-        assert_eq!(rng.pick_weighted(&[0.0, -1.0]), 0);
+        // Degenerate mixes fall back to index 0 without drawing.
+        let before = rng.clone();
+        assert_eq!(rng.pick(&WeightedPicker::new(&[])), 0);
+        assert_eq!(rng.pick(&WeightedPicker::new(&[0.0, -1.0])), 0);
+        assert_eq!(rng, before);
+    }
+
+    /// The weighted choice with the sum taken on every draw: total the
+    /// positive weights, scale one unit draw by it, and subtract the
+    /// positive weights in order until the target falls below one.
+    fn pick_summing_per_draw(rng: &mut Rng, weights: &[f64]) -> usize {
+        let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
+        if total <= 0.0 {
+            return 0;
+        }
+        let mut target = rng.next_f64() * total;
+        for (i, &w) in weights.iter().enumerate() {
+            if w <= 0.0 {
+                continue;
+            }
+            if target < w {
+                return i;
+            }
+            target -= w;
+        }
+        weights.iter().rposition(|w| *w > 0.0).unwrap_or(0)
+    }
+
+    #[test]
+    fn prepared_pick_equals_the_per_draw_sum() {
+        let mut case_rng = Rng::new(0x5eed);
+        for case in 0..200 {
+            // 0-8 weights, each zero, negative, or positive at one of two
+            // magnitudes six decades apart.
+            let len = (case_rng.next_u64() % 9) as usize;
+            let weights: Vec<f64> = (0..len)
+                .map(|_| match case_rng.next_u64() % 4 {
+                    0 => 0.0,
+                    1 => -10.0 * case_rng.next_f64(),
+                    2 => 1e-3 * case_rng.next_f64(),
+                    _ => 1e3 * case_rng.next_f64(),
+                })
+                .collect();
+            let picker = WeightedPicker::new(&weights);
+            let seed = case_rng.next_u64();
+            let (mut a, mut b) = (Rng::new(seed), Rng::new(seed));
+            for draw in 0..500 {
+                assert_eq!(
+                    a.pick(&picker),
+                    pick_summing_per_draw(&mut b, &weights),
+                    "case {case}, draw {draw}: {weights:?}"
+                );
+            }
+            assert_eq!(a, b, "case {case}: the two consumed different draws");
+        }
     }
 }

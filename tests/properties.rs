@@ -1274,7 +1274,7 @@ proptest! {
 
         prop_assert_eq!(r.injected, n as u64);
         prop_assert_eq!(r.completed, r.injected);
-        prop_assert_eq!(r.latencies.len(), n);
+        prop_assert_eq!(r.latencies().len(), n);
         prop_assert_eq!(r.per_tenant.iter().map(|t| t.injected).sum::<u64>(), r.injected);
         prop_assert_eq!(r.per_tenant.iter().map(|t| t.completed).sum::<u64>(), r.completed);
         prop_assert!(r.p50() <= r.p99(), "p50 {:?} > p99 {:?}", r.p50(), r.p99());
@@ -1309,7 +1309,7 @@ proptest! {
         let cfg = ServingConfig::fcfs().with_batching(2, 200);
         let a = simulate(&profiles, &w, n, &cfg);
         let b = simulate(&profiles, &w, n, &cfg);
-        prop_assert_eq!(a.latencies, b.latencies);
+        prop_assert_eq!(a.latencies(), b.latencies());
         prop_assert_eq!(a.switch_cycles, b.switch_cycles);
         prop_assert_eq!(a.makespan_cycles, b.makespan_cycles);
     }
@@ -1348,8 +1348,8 @@ proptest! {
             })
             .collect();
         expected.sort_unstable();
-        // The report keeps latencies sorted for the quantile scan.
-        prop_assert_eq!(&r.latencies, &expected);
+        // The merged per-tenant samples come back sorted.
+        prop_assert_eq!(&r.latencies(), &expected);
         prop_assert_eq!(expected[0], standalone);
     }
 }
