@@ -195,35 +195,22 @@ fn bench_josim_ptl_adaptive(c: &mut Criterion) {
 }
 
 /// One VGG16 conv layer replayed through the SMART SPM: mapping, demand,
-/// DAG, and schedule are prepared once, so the loop measures the pure
+/// DAG, and schedule are compiled once, so the loop measures the pure
 /// cycle-level replay engine (the `timing_*` experiments' inner kernel).
 fn bench_timing_vgg_layer_replay(c: &mut Criterion) {
-    use smart_systolic::trace::LayerDemand;
-    use smart_timing::{replay_layer, LayerInstance, TimingConfig};
+    use smart_timing::{compile_scheme_layer, replay_layer, TimingConfig};
 
     let layer = ConvLayer::conv("conv4_2", 28, 28, 512, 512, 3, 1, 1);
     let scheme = Scheme::smart();
-    let mapping = LayerMapping::map(&layer, scheme.config.shape, 1);
-    let demand = LayerDemand::derive(&layer, &mapping);
-    let dag = LayerDag::build(&mapping, 6);
     let spm = smart_timing::hetero_spm(&scheme).expect("heterogeneous");
-    let schedule = compile_layer_ctx(
-        &dag,
-        &smart_timing::params_for(spm, scheme.policy),
-        &SolverContext::new(),
-    );
-    let instance = LayerInstance {
-        name: &layer.name,
-        mapping: &mapping,
-        demand: &demand,
-        dag: &dag,
-        schedule: &schedule,
-    };
+    let compiled =
+        compile_scheme_layer(&scheme, &layer, 6, &SolverContext::new()).expect("heterogeneous");
     let cfg = TimingConfig::nominal();
     c.bench_function("timing_vgg_layer_replay", |b| {
         b.iter(|| {
             replay_layer(
-                black_box(&instance),
+                &layer.name,
+                black_box(&compiled),
                 spm,
                 scheme.config.frequency,
                 black_box(&cfg),

@@ -967,8 +967,8 @@ fn timing_replay(
 /// Timing replay: per-layer stall breakdown of the SMART scheme on VGG16
 /// (every layer) and ResNet50 (aggregated per stage). The exposed-stall
 /// columns carry the paper's Greek class letters; the placement summary
-/// recompiles the most-stalled layer's schedule to show where its bytes
-/// live.
+/// shows where the most-stalled layer's replayed schedule keeps its
+/// bytes.
 #[must_use]
 pub fn timing_stall_breakdown(ctx: &ExperimentContext) -> ResultTable {
     use smart_systolic::trace::DataClass;
@@ -1081,7 +1081,7 @@ pub fn timing_stall_breakdown(ctx: &ExperimentContext) -> ResultTable {
         }
 
         // Whole-model summary plus the placement mix of the most-stalled
-        // layer (its schedule recompiled against the scheme's geometry).
+        // layer (the bytes of the schedule its replay ran).
         t.push_summary(
             format!("{} total", id.name()),
             Value::time(rep.total_time(), Unit::Us, 2).with_unit_suffix(),
@@ -1096,20 +1096,9 @@ pub fn timing_stall_breakdown(ctx: &ExperimentContext) -> ResultTable {
             Value::text(format!("{dominant} ({})", dominant.symbol())),
         );
         if let Some(worst) = rep.layers.iter().max_by_key(|l| l.exposed_total()) {
-            let model = id.build();
-            let layer = model
-                .layers
-                .iter()
-                .find(|l| l.name == worst.name)
-                .expect("replayed layer exists");
-            let compiled = smart_timing::compile_scheme_layer(
-                &scheme,
-                layer,
-                cfg.max_iterations,
-                ctx.timing.solver(),
-            )
-            .expect("heterogeneous");
-            let (shift, random, dram) = compiled.schedule.bytes_by_location(&compiled.dag);
+            let (shift, random, dram) = worst.placement_bytes;
+            // `Schedule::spm_resident_fraction` of the replayed schedule.
+            let resident = (shift + random) as f64 / (shift + random + dram).max(1) as f64;
             t.push_summary(
                 format!("{} most stalled: {}", id.name(), worst.name),
                 Value::text(format!(
@@ -1120,7 +1109,7 @@ pub fn timing_stall_breakdown(ctx: &ExperimentContext) -> ResultTable {
                     smart_compiler::Location::Random,
                     dram / 1024,
                     smart_compiler::Location::Dram,
-                    compiled.schedule.spm_resident_fraction(&compiled.dag) * 100.0
+                    resident * 100.0
                 )),
             );
         }

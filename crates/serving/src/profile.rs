@@ -10,12 +10,13 @@
 //!   compute), which price layer execution and batching;
 //! * **per-layer cold-switch re-staging cost**: when the tenant resumes
 //!   after another tenant used the array, the bytes its schedule keeps
-//!   SPM-resident ([`Schedule::spm_resident_fraction`]'s numerator) must
-//!   be re-staged through the RANDOM channel, priced by the same
-//!   bandwidth-scaled [`RandomCosts`] table the replay itself uses (so a
-//!   `TimingConfig` bandwidth scenario slows context switches by exactly
-//!   the factor it slows prefetches). DRAM-placed objects re-stream on
-//!   use anyway and carry no switch cost;
+//!   SPM-resident (the SHIFT and RANDOM parts of each replayed layer's
+//!   [`TimingReport::placement_bytes`]) must be re-staged through the
+//!   RANDOM channel, priced by the same bandwidth-scaled [`RandomCosts`]
+//!   table the replay itself uses (so a `TimingConfig` bandwidth scenario
+//!   slows context switches by exactly the factor it slows prefetches).
+//!   DRAM-placed objects re-stream on use anyway and carry no switch
+//!   cost;
 //! * the byte-weighted **resident fraction** across layers, reported as
 //!   the thrash exposure of the tenant.
 //!
@@ -25,15 +26,15 @@
 //! batch, which is precisely the amortization the paper's batch figures
 //! (Figs. 19/21) exploit.
 //!
-//! [`Schedule::spm_resident_fraction`]: smart_compiler::schedule::Schedule::spm_resident_fraction
 //! [`TimingReport`]: smart_timing::TimingReport
+//! [`TimingReport::placement_bytes`]: smart_timing::TimingReport::placement_bytes
 
 // lint:allow-file(index, batch buckets are indexed by positions found in the same slice)
 
 use crate::workload::Tenant;
 use smart_core::scheme::Scheme;
 use smart_systolic::models::ModelId;
-use smart_timing::{compile_scheme_layer, hetero_spm, RandomCosts, TimingCache, TimingConfig};
+use smart_timing::{hetero_spm, RandomCosts, TimingCache, TimingConfig};
 use smart_units::{Frequency, Result};
 
 /// The serving-level cost model of one tenant on one scheme: per-layer
@@ -66,10 +67,8 @@ impl TenantProfile {
     /// Builds the profile of `model` on `scheme` under `cfg`, replaying
     /// through `cache` — one `ModelPrepass` per `(scheme, model)` is paid
     /// on the first build and every later build (any config-equal sweep
-    /// point, any experiment) is a cache hit. The per-layer schedules are
-    /// recompiled for the placement bytes through the cache's shared
-    /// [`smart_compiler::SolverContext`], whose exact-match solution memo
-    /// replays the ILP search instead of re-solving it.
+    /// point, any experiment) is a cache hit. The placement bytes come
+    /// from the replayed report too, so a build compiles nothing.
     ///
     /// # Errors
     ///
@@ -85,18 +84,11 @@ impl TenantProfile {
         let spm = hetero_spm(scheme)?;
         let costs = RandomCosts::new(spm, scheme.config.frequency, cfg);
 
-        let built = model.build();
-        assert_eq!(
-            built.layers.len(),
-            report.layers.len(),
-            "replay must cover every layer"
-        );
-        let mut restage_cycles = Vec::with_capacity(built.layers.len());
+        let mut restage_cycles = Vec::with_capacity(report.layers.len());
         let mut resident_bytes = 0u64;
         let mut total_bytes = 0u64;
-        for layer in &built.layers {
-            let compiled = compile_scheme_layer(scheme, layer, cfg.max_iterations, cache.solver())?;
-            let (shift, random, dram) = compiled.schedule.bytes_by_location(&compiled.dag);
+        for l in &report.layers {
+            let (shift, random, dram) = l.placement_bytes;
             // The replay prices loads in words == bytes (see
             // `LayerPrepass::build`), so the re-staging burst does too.
             restage_cycles.push(costs.read(shift + random));
@@ -192,6 +184,18 @@ mod tests {
         for l in 0..p.layers() {
             assert_eq!(p.batched_layer_cycles(l, 1), p.layer_cycles[l]);
             assert!(p.batched_layer_cycles(l, 4) < 4 * p.layer_cycles[l].max(1));
+        }
+        // Each re-staging burst moves the bytes a fresh compile of the
+        // layer (on a new, default `SolverContext`) keeps in SHIFT and
+        // RANDOM.
+        let spm = hetero_spm(&scheme).expect("hetero");
+        let costs = RandomCosts::new(spm, scheme.config.frequency, &cfg);
+        for (l, layer) in ModelId::AlexNet.build().layers.iter().enumerate() {
+            let fresh = &Default::default();
+            let c = smart_timing::compile_scheme_layer(&scheme, layer, cfg.max_iterations, fresh)
+                .expect("hetero");
+            let (shift, random, _) = c.schedule.bytes_by_location(&c.dag);
+            assert_eq!(p.restage_cycles[l], costs.read(shift + random), "{l}");
         }
     }
 

@@ -28,7 +28,9 @@
 
 use smart_units::{Frequency, Time};
 
-/// Per-tenant slice of a serving run.
+/// Per-tenant slice of a serving run. Its latency sample is sorted by
+/// construction ([`TenantServingStats::new`]), which every quantile
+/// relies on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantServingStats {
     /// Tenant display name.
@@ -40,10 +42,34 @@ pub struct TenantServingStats {
     /// Completions that met the tenant's SLO deadline.
     pub slo_met: u64,
     /// Sorted per-request latencies of this tenant, in cycles.
-    pub latencies: Vec<u64>,
+    latencies: Vec<u64>,
 }
 
 impl TenantServingStats {
+    /// The stats of a tenant that injected `injected` requests and
+    /// completed one per entry of `latencies` (cycles, in any order): the
+    /// sample is sorted and trimmed, and `completed` and `slo_met` (the
+    /// latencies at or under `slo_cycles`) are counted from it.
+    #[must_use]
+    pub fn new(name: String, injected: u64, mut latencies: Vec<u64>, slo_cycles: u64) -> Self {
+        latencies.sort_unstable();
+        // The report outlives the run; its sample keeps no growth slack.
+        latencies.shrink_to_fit();
+        Self {
+            name,
+            injected,
+            completed: latencies.len() as u64,
+            slo_met: latencies.partition_point(|&l| l <= slo_cycles) as u64,
+            latencies,
+        }
+    }
+
+    /// This tenant's per-request latencies in cycles, sorted.
+    #[must_use]
+    pub fn latencies(&self) -> &[u64] {
+        &self.latencies
+    }
+
     /// Nearest-rank quantile of this tenant's latency sample, in cycles
     /// (`0` when the tenant completed nothing).
     #[must_use]
@@ -286,13 +312,7 @@ mod tests {
     }
 
     fn tenant(latencies: Vec<u64>) -> TenantServingStats {
-        TenantServingStats {
-            name: "t".to_owned(),
-            injected: latencies.len() as u64,
-            completed: latencies.len() as u64,
-            slo_met: 0,
-            latencies,
-        }
+        TenantServingStats::new("t".to_owned(), latencies.len() as u64, latencies, u64::MAX)
     }
 
     fn report(per_tenant: Vec<TenantServingStats>) -> ServingReport {
@@ -327,6 +347,7 @@ mod tests {
             ..report(vec![tenant(vec![100, 300]), tenant(vec![200, 400])])
         };
         assert_eq!(r.latencies(), [100, 200, 300, 400]);
+        assert_eq!(r.per_tenant[1].latencies(), [200, 400]);
         assert_eq!(r.quantile_cycles(0.5), 200);
         assert_eq!(r.quantile_cycles(0.99), 400);
         assert!(r.p50() < r.p99());
@@ -357,9 +378,7 @@ mod tests {
                     };
                     // A narrow range forces ties within and across tenants.
                     let range = if below(2) == 0 { 20 } else { 1 << 40 };
-                    let mut lat: Vec<u64> = (0..len).map(|_| below(range)).collect();
-                    lat.sort_unstable();
-                    tenant(lat)
+                    tenant((0..len).map(|_| below(range)).collect())
                 })
                 .collect();
             let r = report(per_tenant);
@@ -378,6 +397,28 @@ mod tests {
                 merged.iter().sum::<u64>() as f64 / merged.len() as f64
             };
             assert_eq!(r.mean_cycles().to_bits(), mean.to_bits(), "case {case}");
+        }
+    }
+
+    /// Stats built from a shuffled sample answer every quantile, alone
+    /// and as a report's only tenant, as the sorted sample does.
+    #[test]
+    fn stats_from_a_shuffled_sample_equal_the_sorted_ones() {
+        let mut rng = Rng::new(0x5047);
+        let sorted: Vec<u64> = (0..500).map(|i| i / 3).collect();
+        let mut shuffled = sorted.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        let t = TenantServingStats::new("t".to_owned(), 500, shuffled, 100);
+        assert_eq!(
+            (t.latencies(), t.completed, t.slo_met),
+            (&sorted[..], 500, 303)
+        );
+        let alone = report(vec![t.clone()]);
+        for q in [0.0, 1e-9, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0, 2.0] {
+            assert_eq!(t.quantile_cycles(q), quantile(&sorted, q), "q {q}");
+            assert_eq!(alone.quantile_cycles(q), quantile(&sorted, q), "q {q}");
         }
     }
 }

@@ -461,33 +461,14 @@ pub fn simulate_traced(
         }
     }
 
-    // Assemble the report.
-    let mut per_tenant = Vec::with_capacity(tenants);
-    let (mut completed, mut slo_met) = (0u64, 0u64);
-    for (t, mut lat) in samples.into_iter().enumerate() {
-        lat.sort_unstable();
-        // The report outlives the run; its samples keep no growth slack.
-        lat.shrink_to_fit();
-        let slo = cfg.slo_cycles.get(t).copied().unwrap_or(u64::MAX);
-        let met = lat.iter().filter(|&&l| l <= slo).count() as u64;
-        completed += lat.len() as u64;
-        slo_met += met;
-        per_tenant.push(TenantServingStats {
-            name: profiles[t].name.clone(),
-            injected: injected[t],
-            completed: lat.len() as u64,
-            slo_met: met,
-            latencies: lat,
-        });
-    }
-
+    let per_tenant = tenant_stats(profiles, &injected, samples, cfg);
     ServingReport {
         scheme: profiles[0].scheme,
         clock,
         offered_rps: workload.rate_rps,
         injected: injected.iter().sum(),
-        completed,
-        slo_met,
+        completed: per_tenant.iter().map(|s| s.completed).sum(),
+        slo_met: per_tenant.iter().map(|s| s.slo_met).sum(),
         makespan_cycles: last_completion.saturating_sub(first_arrival),
         service_cycles,
         switch_cycles,
@@ -496,6 +477,25 @@ pub fn simulate_traced(
         preemptions,
         per_tenant,
     }
+}
+
+/// Each tenant's stats, in tenant order, from its unsorted latency sample
+/// and injected count, graded against its SLO deadline (none when
+/// `cfg.slo_cycles` is empty).
+fn tenant_stats(
+    profiles: &[TenantProfile],
+    injected: &[u64],
+    samples: Vec<Vec<u64>>,
+    cfg: &ServingConfig,
+) -> Vec<TenantServingStats> {
+    samples
+        .into_iter()
+        .enumerate()
+        .map(|(t, lat)| {
+            let slo = cfg.slo_cycles.get(t).copied().unwrap_or(u64::MAX);
+            TenantServingStats::new(profiles[t].name.clone(), injected[t], lat, slo)
+        })
+        .collect()
 }
 
 /// The reference event loop for the differential tests: the dispatch
@@ -507,7 +507,7 @@ pub fn simulate_traced(
 mod oracle {
     use super::ServingConfig;
     use crate::profile::TenantProfile;
-    use crate::report::{ServingReport, TenantServingStats};
+    use crate::report::ServingReport;
     use crate::workload::Workload;
     use smart_trace::{Lane, Tracer};
     use std::collections::VecDeque;
@@ -744,33 +744,15 @@ mod oracle {
             }
         }
 
-        // Assemble the report.
-        let mut per_tenant = Vec::with_capacity(profiles.len());
-        let mut completed = 0u64;
-        let mut slo_met = 0u64;
-        for (t, mut lat) in samples.into_iter().enumerate() {
-            lat.sort_unstable();
-            let slo = cfg.slo_cycles.get(t).copied().unwrap_or(u64::MAX);
-            let met = lat.iter().filter(|&&l| l <= slo).count() as u64;
-            completed += lat.len() as u64;
-            slo_met += met;
-            per_tenant.push(TenantServingStats {
-                name: profiles[t].name.clone(),
-                injected: injected[t],
-                completed: lat.len() as u64,
-                slo_met: met,
-                latencies: lat,
-            });
-        }
-
+        let per_tenant = super::tenant_stats(profiles, &injected, samples, cfg);
         let first_arrival = trace.first().map_or(0, |r| r.arrival);
         ServingReport {
             scheme: profiles[0].scheme,
             clock,
             offered_rps: workload.rate_rps,
             injected: trace.len() as u64,
-            completed,
-            slo_met,
+            completed: per_tenant.iter().map(|s| s.completed).sum(),
+            slo_met: per_tenant.iter().map(|s| s.slo_met).sum(),
             makespan_cycles: last_completion.saturating_sub(first_arrival),
             service_cycles,
             switch_cycles,

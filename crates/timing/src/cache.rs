@@ -129,6 +129,7 @@ impl TimingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::compile_scheme_layer;
 
     #[test]
     fn second_lookup_hits_and_shares() {
@@ -262,6 +263,32 @@ mod tests {
         cache.sweep(&scheme, ModelId::AlexNet, &cfgs).expect("ok");
         assert_eq!(cache.stats().misses, cfgs.len() as u64);
         assert_eq!(cache.solver().stats(), one.stats());
+    }
+
+    #[test]
+    fn replayed_placement_equals_a_fresh_compile() {
+        // A report carries the placement of the schedule its replay ran:
+        // a fresh compile of each layer places the same bytes.
+        let cache = TimingCache::new();
+        let nominal = TimingConfig::nominal();
+        let coarse = TimingConfig {
+            max_iterations: 4,
+            ..nominal.with_bandwidth_pct(25)
+        };
+        for scheme in [Scheme::smart(), Scheme::pipe()] {
+            for model in [ModelId::AlexNet, ModelId::MobileNet] {
+                for cfg in [nominal, coarse] {
+                    let report = cache.report(&scheme, model, &cfg).expect("hetero");
+                    for (got, layer) in report.layers.iter().zip(&model.build().layers) {
+                        let fresh = SolverContext::new();
+                        let c = compile_scheme_layer(&scheme, layer, cfg.max_iterations, &fresh)
+                            .expect("hetero");
+                        let want = c.schedule.bytes_by_location(&c.dag);
+                        assert_eq!(got.placement_bytes, want, "{}: {cfg:?}", layer.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod validate;
 
 pub use cache::TimingCache;
 pub use config::TimingConfig;
-pub use replay::{replay_layer, LayerInstance, LayerPrepass, RandomCosts};
+pub use replay::{replay_layer, LayerPrepass, RandomCosts};
 pub use report::{ModelTimingReport, TimingReport};
 pub use trace::trace_model_replay;
 pub use validate::{

@@ -12,9 +12,9 @@
 //!   or version-mismatched file loads as zero entries, and so does one
 //!   holding a report whose layers are not those of the model it names;
 //! * **exact values** — every `f64` travels as its IEEE bit pattern, and
-//!   cycle counts as `u64`s, so a warm run's output is byte-identical to
-//!   the cold run that produced the store (pinned by the
-//!   `timing_warm_reload_is_byte_identical` property test and the
+//!   cycle counts and placement bytes as `u64`s, so a warm run's output
+//!   is byte-identical to the cold run that produced the store (pinned by
+//!   the `timing_warm_reload_is_byte_identical` property test and the
 //!   golden-snapshot CI job's warm pass);
 //! * **keys are content hashes** — a [`TimingCache`] key is a full
 //!   `(Scheme, ModelId, TimingConfig)` value; the store keys its entries
@@ -31,7 +31,9 @@ use std::path::Path;
 
 impl Persist for ModelTimingReport {
     const TAG: &'static str = "smart-timing-cache";
-    const VERSION: u32 = 1;
+    /// Version 2 records each layer's placement bytes; a version-1 store
+    /// has none, so it loads zero entries.
+    const VERSION: u32 = 2;
     const FILE_NAME: &'static str = "timing-cache.bin";
 
     fn write(&self, w: &mut ByteWriter) {
@@ -41,6 +43,10 @@ impl Persist for ModelTimingReport {
         w.u64(self.layers.len() as u64);
         for l in &self.layers {
             w.str(&l.name);
+            let (shift, random, dram) = l.placement_bytes;
+            w.u64(shift);
+            w.u64(random);
+            w.u64(dram);
             w.u64(l.total_cycles);
             w.u64(l.compute_cycles);
             w.u64(l.stream_stall_cycles);
@@ -63,6 +69,7 @@ impl Persist for ModelTimingReport {
             // Struct fields evaluate in the order written: the write order.
             layers.push(TimingReport {
                 name: r.str()?,
+                placement_bytes: (r.u64()?, r.u64()?, r.u64()?),
                 total_cycles: r.u64()?,
                 compute_cycles: r.u64()?,
                 stream_stall_cycles: r.u64()?,

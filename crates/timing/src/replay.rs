@@ -53,32 +53,14 @@
 
 use crate::config::TimingConfig;
 use crate::report::TimingReport;
-use smart_compiler::schedule::{Location, Schedule};
+use crate::validate::LayerCompilation;
+use smart_compiler::schedule::Location;
 use smart_core::config::DRAM_BANDWIDTH;
 use smart_core::eval::PSUM_SPILL_FACTOR;
 use smart_spm::hetero::HeterogeneousSpm;
 use smart_spm::service::SpmService;
-use smart_systolic::dag::LayerDag;
-use smart_systolic::mapping::LayerMapping;
-use smart_systolic::trace::{DataClass, LayerDemand};
+use smart_systolic::trace::DataClass;
 use smart_units::Frequency;
-
-/// Everything the replay needs to know about one compiled layer: the
-/// mapping, its derived demand, the iteration DAG, and the compiler
-/// schedule built *for that DAG*.
-#[derive(Debug, Clone, Copy)]
-pub struct LayerInstance<'a> {
-    /// Layer name (copied into the report).
-    pub name: &'a str,
-    /// Weight-stationary mapping of the layer.
-    pub mapping: &'a LayerMapping,
-    /// Per-layer memory demand derived from the mapping.
-    pub demand: &'a LayerDemand,
-    /// The iteration DAG the schedule was compiled against.
-    pub dag: &'a LayerDag,
-    /// The compiler schedule to replay.
-    pub schedule: &'a Schedule,
-}
 
 /// Precomputed per-word RANDOM-array latency math for one
 /// `(scheme, clock, config)` point — the bandwidth-scaled read/write
@@ -280,6 +262,9 @@ fn proportional_shares(total: u64, folds_per_iter: &[u64], folds_total: u64) -> 
 pub struct LayerPrepass {
     /// Layer name (copied into each report).
     name: String,
+    /// (SHIFT, RANDOM, DRAM) bytes of the replayed schedule (copied into
+    /// each report).
+    placement_bytes: (u64, u64, u64),
     /// Iteration count of the DAG the schedule was compiled against.
     iterations: u32,
     /// Matrix-unit busy cycles per iteration.
@@ -304,21 +289,25 @@ pub struct LayerPrepass {
 }
 
 impl LayerPrepass {
-    /// Runs the config-independent prepass for one compiled layer.
+    /// Runs the config-independent prepass for the compiled layer `name`.
     ///
     /// # Panics
     ///
-    /// Panics if the instance's `dag`/`schedule` disagree on object count
-    /// (they must come from the same compilation).
+    /// Panics if the compilation's `dag`/`schedule` disagree on object
+    /// count (they must come from the same compilation).
     #[must_use]
-    pub fn build(layer: &LayerInstance<'_>, spm: &HeterogeneousSpm, clock: Frequency) -> Self {
-        let LayerInstance {
-            name,
+    pub fn build(
+        name: &str,
+        layer: &LayerCompilation,
+        spm: &HeterogeneousSpm,
+        clock: Frequency,
+    ) -> Self {
+        let LayerCompilation {
             mapping,
             demand,
             dag,
             schedule,
-        } = *layer;
+        } = layer;
         assert_eq!(
             dag.objects.len(),
             schedule.placements.len(),
@@ -428,6 +417,7 @@ impl LayerPrepass {
 
         Self {
             name: name.to_owned(),
+            placement_bytes: schedule.bytes_by_location(dag),
             iterations: dag.iterations,
             compute_per_iter,
             dur_per_iter,
@@ -574,6 +564,7 @@ impl LayerPrepass {
 
         TimingReport {
             name: self.name.clone(),
+            placement_bytes: self.placement_bytes,
             total_cycles: prev_end,
             compute_cycles,
             stream_stall_cycles: stream_stall,
@@ -600,65 +591,40 @@ fn class_idx(c: DataClass) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if the instance's `dag`/`schedule` disagree on object count
+/// Panics if the compilation's `dag`/`schedule` disagree on object count
 /// (they must come from the same compilation).
 #[must_use]
 pub fn replay_layer(
-    layer: &LayerInstance<'_>,
+    name: &str,
+    layer: &LayerCompilation,
     spm: &HeterogeneousSpm,
     clock: Frequency,
     cfg: &TimingConfig,
 ) -> TimingReport {
-    let prepass = LayerPrepass::build(layer, spm, clock);
+    let prepass = LayerPrepass::build(name, layer, spm, clock);
     prepass.replay(&RandomCosts::new(spm, clock, cfg), cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smart_compiler::formulation::{compile_layer_ctx, FormulationParams};
+    use crate::validate::compile_scheme_layer;
     use smart_compiler::SolverContext;
+    use smart_core::scheme::Scheme;
     use smart_systolic::layer::ConvLayer;
-    use smart_systolic::mapping::ArrayShape;
+    use smart_systolic::mapping::{ArrayShape, LayerMapping};
 
-    struct Compiled {
-        layer: ConvLayer,
-        mapping: LayerMapping,
-        demand: LayerDemand,
-        dag: LayerDag,
-        schedule: Schedule,
-    }
-
-    fn compile(cfg: &TimingConfig) -> Compiled {
+    /// AlexNet's conv2 compiled for SMART, whose formulation parameters
+    /// are `FormulationParams::smart_default()` on a 64x256 array.
+    fn compile(cfg: &TimingConfig) -> LayerCompilation {
         let layer = ConvLayer::conv("conv2", 27, 27, 96, 256, 5, 1, 2);
-        let mapping = LayerMapping::map(&layer, ArrayShape::new(64, 256), 1);
-        let demand = LayerDemand::derive(&layer, &mapping);
-        let dag = LayerDag::build(&mapping, cfg.max_iterations);
-        let params = FormulationParams::smart_default();
-        let schedule = compile_layer_ctx(&dag, &params, &SolverContext::new());
-        Compiled {
-            layer,
-            mapping,
-            demand,
-            dag,
-            schedule,
-        }
-    }
-
-    fn instance(c: &Compiled) -> LayerInstance<'_> {
-        LayerInstance {
-            name: &c.layer.name,
-            mapping: &c.mapping,
-            demand: &c.demand,
-            dag: &c.dag,
-            schedule: &c.schedule,
-        }
+        let ctx = SolverContext::new();
+        compile_scheme_layer(&Scheme::smart(), &layer, cfg.max_iterations, &ctx).expect("hetero")
     }
 
     fn fixture(cfg: &TimingConfig) -> TimingReport {
-        let c = compile(cfg);
         let spm = HeterogeneousSpm::smart_default();
-        replay_layer(&instance(&c), &spm, Frequency::from_ghz(52.6), cfg)
+        replay_layer("conv2", &compile(cfg), &spm, Frequency::from_ghz(52.6), cfg)
     }
 
     #[test]
@@ -723,12 +689,12 @@ mod tests {
         let c = compile(&nominal);
         let spm = HeterogeneousSpm::smart_default();
         let clock = Frequency::from_ghz(52.6);
-        let prepass = LayerPrepass::build(&instance(&c), &spm, clock);
+        let prepass = LayerPrepass::build("conv2", &c, &spm, clock);
         for depth in [1, 2, 3, 5] {
             for pct in [10, 25, 50, 100, 400] {
                 let cfg = nominal.with_depth(depth).with_bandwidth_pct(pct);
                 let delta = prepass.replay(&RandomCosts::new(&spm, clock, &cfg), &cfg);
-                let full = replay_layer(&instance(&c), &spm, clock, &cfg);
+                let full = replay_layer("conv2", &c, &spm, clock, &cfg);
                 assert_eq!(delta, full, "depth {depth}, bandwidth {pct}%");
             }
         }

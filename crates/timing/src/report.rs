@@ -23,6 +23,10 @@ use smart_units::{Frequency, Time};
 pub struct TimingReport {
     /// Layer name.
     pub name: String,
+    /// (SHIFT, RANDOM, DRAM) bytes of the replayed schedule's placement,
+    /// as [`smart_compiler::schedule::Schedule::bytes_by_location`] counts
+    /// them: the compiler's allocation decision, kept with its replay.
+    pub placement_bytes: (u64, u64, u64),
     /// End-to-end replay length in accelerator cycles.
     pub total_cycles: u64,
     /// Matrix-unit busy cycles (identical to the analytic
@@ -181,6 +185,7 @@ mod tests {
     fn report() -> TimingReport {
         TimingReport {
             name: "t".to_owned(),
+            placement_bytes: (1024, 2048, 512),
             total_cycles: 130,
             compute_cycles: 100,
             stream_stall_cycles: 10,
@@ -209,6 +214,7 @@ mod tests {
 
         let empty = TimingReport {
             name: "empty".to_owned(),
+            placement_bytes: (0, 0, 0),
             total_cycles: 0,
             compute_cycles: 0,
             stream_stall_cycles: 0,

@@ -76,6 +76,7 @@ mod tests {
     fn layer(name: &str, compute: u64, stream: u64, exposed: [u64; 4]) -> TimingReport {
         TimingReport {
             name: name.to_owned(),
+            placement_bytes: (0, 0, 0),
             total_cycles: compute + stream + exposed.iter().sum::<u64>(),
             compute_cycles: compute,
             stream_stall_cycles: stream,

@@ -14,7 +14,7 @@
 //! analytic `overlap_fraction` cannot, which is the simulator's purpose.
 
 use crate::config::TimingConfig;
-use crate::replay::{LayerInstance, LayerPrepass, RandomCosts};
+use crate::replay::{LayerPrepass, RandomCosts};
 use crate::report::ModelTimingReport;
 use smart_compiler::formulation::{compile_layer_ctx, FormulationParams};
 use smart_compiler::schedule::Schedule;
@@ -68,10 +68,12 @@ pub fn params_for(spm: &HeterogeneousSpm, policy: AllocationPolicy) -> Formulati
 }
 
 /// One layer taken through the full compile pipeline: mapping → demand →
-/// iteration DAG → ILP schedule. This is the plumbing every consumer of the
-/// compiler shares — the replay prepass ([`prepare_model_ctx`]), the
-/// stall-breakdown experiment, and the design-space search — deduplicated
-/// here so the pipeline exists exactly once.
+/// iteration DAG → ILP schedule. It is what the replay consumes
+/// ([`LayerPrepass::build`], [`crate::replay_layer`]) and what the
+/// design-space search prices placements from, so the pipeline exists
+/// exactly once. The replay copies the schedule's placement bytes into
+/// every [`crate::TimingReport`] it finishes, so a reader of a replay needs
+/// no second compile.
 #[derive(Debug, Clone)]
 pub struct LayerCompilation {
     /// The layer's fold mapping onto the scheme's array shape (batch 1).
@@ -82,29 +84,6 @@ pub struct LayerCompilation {
     pub dag: LayerDag,
     /// The ILP (or provably-optimal greedy) allocation schedule.
     pub schedule: Schedule,
-}
-
-impl LayerCompilation {
-    /// The config-independent replay prepass of this compilation.
-    #[must_use]
-    pub fn prepass(
-        &self,
-        name: &str,
-        spm: &HeterogeneousSpm,
-        clock: smart_units::Frequency,
-    ) -> LayerPrepass {
-        LayerPrepass::build(
-            &LayerInstance {
-                name,
-                mapping: &self.mapping,
-                demand: &self.demand,
-                dag: &self.dag,
-                schedule: &self.schedule,
-            },
-            spm,
-            clock,
-        )
-    }
 }
 
 /// Compiles one layer of `scheme` end to end — mapping, demand, DAG, and
@@ -229,11 +208,8 @@ pub fn prepare_model_ctx(
         .layers
         .iter()
         .map(|layer| {
-            compile_layer_for(layer, scheme, &params, max_iterations, solver).prepass(
-                &layer.name,
-                spm,
-                scheme.config.frequency,
-            )
+            let compiled = compile_layer_for(layer, scheme, &params, max_iterations, solver);
+            LayerPrepass::build(&layer.name, &compiled, spm, scheme.config.frequency)
         })
         .collect();
     Ok(ModelPrepass {
