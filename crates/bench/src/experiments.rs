@@ -1097,8 +1097,7 @@ pub fn timing_stall_breakdown(ctx: &ExperimentContext) -> ResultTable {
         );
         if let Some(worst) = rep.layers.iter().max_by_key(|l| l.exposed_total()) {
             let (shift, random, dram) = worst.placement_bytes;
-            // `Schedule::spm_resident_fraction` of the replayed schedule.
-            let resident = (shift + random) as f64 / (shift + random + dram).max(1) as f64;
+            let resident = smart_compiler::resident_fraction(worst.placement_bytes);
             t.push_summary(
                 format!("{} most stalled: {}", id.name(), worst.name),
                 Value::text(format!(
@@ -1343,6 +1342,10 @@ pub fn search_warm_vs_cold(ctx: &ExperimentContext) -> ResultTable {
         .add("search.nodes", warm.stats.nodes + cold.stats.nodes);
     ctx.metrics
         .add("search.pivots", warm.stats.pivots + cold.stats.pivots);
+    ctx.metrics.add(
+        "search.bound_flips",
+        warm.stats.bound_flips + cold.stats.bound_flips,
+    );
 
     let mut t = ResultTable::new(
         "search_warm_vs_cold",

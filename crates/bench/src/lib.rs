@@ -174,6 +174,7 @@ impl ExperimentContext {
         reg.add("ilp.cold_solves", solver.cold_solves);
         reg.add("ilp.solution_hits", solver.solution_hits);
         reg.add("ilp.pivots", solver.pivots);
+        reg.add("ilp.bound_flips", solver.bound_flips);
         reg.add("ilp.refactorizations", solver.refactorizations);
         reg.add("ilp.nodes", solver.nodes);
         reg.add("ilp.rows", solver.rows);

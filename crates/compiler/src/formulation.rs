@@ -33,6 +33,7 @@ use smart_ilp::SolverContext;
 use smart_systolic::dag::{LayerDag, MemoryObject};
 use smart_systolic::trace::DataClass;
 use smart_units::codec::content_hash;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Relative time saved per byte when streaming from SHIFT instead of DRAM
@@ -186,25 +187,32 @@ impl Formulation {
     /// Builds the problem at `params`' capacities, recording which rows
     /// hold a capacity. Adjacent edges usually see the same live/fetch
     /// sets, so the per-edge loops produce long runs of *identical* rows;
-    /// those are deduplicated
-    /// before reaching the solver (a duplicate constraint cannot change the
-    /// feasible region, but every extra row widens the simplex basis). Two
-    /// rows are identical when their terms and right-hand sides are. Rows of
-    /// one kind share their right-hand side, and rows of different kinds
-    /// have different terms, except that a RANDOM-capacity row and a bank
-    /// row (both over `r` variables) have the same terms when every object
-    /// of the one is 1 byte and they hold the same objects. So the rows and
-    /// their order depend on the capacities only through whether the RANDOM
-    /// capacity equals the bank count, which [`structure_key`] records.
+    /// those are deduplicated ([`Rows`]) before reaching the solver (a
+    /// duplicate constraint cannot change the feasible region, but every
+    /// extra row widens the simplex basis). Two rows are identical when
+    /// their terms and right-hand sides are. Rows of one kind share their
+    /// right-hand side, and rows of different kinds have different terms,
+    /// except that a RANDOM-capacity row and a bank row (both over `r`
+    /// variables) have the same terms when every object of the one is 1
+    /// byte and they hold the same objects. So the rows and their order
+    /// depend on the capacities only through whether the RANDOM capacity
+    /// equals the bank count, which [`structure_key`] records.
     fn build(dag: &LayerDag, params: &FormulationParams, lifespans: &[Lifespan]) -> Self {
         let n_objects = dag.objects.len();
 
         let mut p = Problem::new(Sense::Maximize);
         let mut h_vars = Vec::with_capacity(n_objects);
         let mut r_vars = Vec::with_capacity(n_objects);
+        let mut name = String::new();
+        let mut binary = |p: &mut Problem, prefix: char, id: u32| {
+            name.clear();
+            // Writing to a `String` cannot fail.
+            let _ = write!(name, "{prefix}_{id}");
+            p.binary(&name)
+        };
         for o in &dag.objects {
-            let h = p.binary(&format!("h_{}", o.id));
-            let r = p.binary(&format!("r_{}", o.id));
+            let h = binary(&mut p, 'h', o.id);
+            let r = binary(&mut p, 'r', o.id);
             let bytes = o.bytes as f64;
             // Eq. 5: saving minus load cost, folded per object.
             p.set_objective(h, bytes * (SHIFT_SAVING_PER_BYTE - SHIFT_LOAD_PER_BYTE));
@@ -214,81 +222,49 @@ impl Formulation {
             r_vars.push(r);
         }
 
-        let mut capacities = vec![None; p.num_constraints()];
-        let mut seen = std::collections::HashSet::new();
-        let mut add_unique =
-            |p: &mut Problem, terms: &[(VarId, f64)], rhs: f64, capacity: Option<Capacity>| {
-                if terms.is_empty() {
-                    return;
+        let h = |o: &MemoryObject| h_vars[o.id as usize];
+        let r = |o: &MemoryObject| r_vars[o.id as usize];
+        let (shift, random, banks) = (Capacity::Shift, Capacity::Random, Capacity::Banks);
+        let mut rows = Rows::default();
+        // The objects live on an edge and those fetched there, in object
+        // order; each row of the edge reads one of the two lists.
+        let (mut live, mut fetched) = (Vec::new(), Vec::new());
+        for edge in 0..dag.edges.len() as u32 {
+            live.clear();
+            fetched.clear();
+            for o in &dag.objects {
+                let ls = &lifespans[o.id as usize];
+                if ls.first_edge <= edge && edge <= ls.last_edge {
+                    live.push(o);
                 }
-                let mut key = Vec::with_capacity(terms.len() * 2 + 1);
-                for (v, k) in terms {
-                    key.push(v.index() as u64);
-                    key.push(k.to_bits());
+                if ls.first_edge == edge {
+                    fetched.push(o);
                 }
-                key.push(rhs.to_bits());
-                if seen.insert(key) {
-                    capacities.push(capacity);
-                    p.add_constraint(terms, Relation::Le, rhs);
-                }
-            };
-
-        let live_on = |o: &MemoryObject, edge: u32| {
-            let ls = &lifespans[o.id as usize];
-            ls.first_edge <= edge && edge <= ls.last_edge
-        };
-        let fetched_on = |o: &MemoryObject, edge: u32| lifespans[o.id as usize].first_edge == edge;
-        let edges = dag.edges.len() as u32;
-        for edge in 0..edges {
+            }
             // SHIFT capacity per class.
             for class in DataClass::ALL {
-                let terms: Vec<_> = dag
-                    .objects
-                    .iter()
-                    .filter(|o| o.class == class && live_on(o, edge))
-                    .map(|o| (h_vars[o.id as usize], o.bytes as f64))
-                    .collect();
-                let shift = Capacity::Shift;
-                add_unique(&mut p, &terms, shift.of(params), Some(shift));
+                let of_class = live.iter().filter(|o| o.class == class);
+                let terms = of_class.map(|o| (h(o), o.bytes as f64));
+                rows.push(terms, shift.of(params), Some(shift));
             }
             // RANDOM capacity (shared).
-            let terms: Vec<_> = dag
-                .objects
-                .iter()
-                .filter(|o| live_on(o, edge))
-                .map(|o| (r_vars[o.id as usize], o.bytes as f64))
-                .collect();
-            let random = Capacity::Random;
-            add_unique(&mut p, &terms, random.of(params), Some(random));
+            let terms = live.iter().map(|o| (r(o), o.bytes as f64));
+            rows.push(terms, random.of(params), Some(random));
             // Bandwidth: objects whose fetch edge is this edge.
-            let fetch_terms: Vec<_> = dag
-                .objects
+            let terms = fetched
                 .iter()
-                .filter(|o| fetched_on(o, edge))
-                .flat_map(|o| {
-                    [
-                        (h_vars[o.id as usize], o.bytes as f64),
-                        (r_vars[o.id as usize], o.bytes as f64),
-                    ]
-                })
-                .collect();
-            add_unique(
-                &mut p,
-                &fetch_terms,
-                params.bytes_per_iteration as f64,
-                None,
-            );
+                .flat_map(|o| [(h(o), o.bytes as f64), (r(o), o.bytes as f64)]);
+            rows.push(terms, params.bytes_per_iteration as f64, None);
             // Sub-bank: count of simultaneous RANDOM fetches.
-            let bank_terms: Vec<_> = dag
-                .objects
-                .iter()
-                .filter(|o| fetched_on(o, edge))
-                .map(|o| (r_vars[o.id as usize], 1.0))
-                .collect();
-            let banks = Capacity::Banks;
-            add_unique(&mut p, &bank_terms, banks.of(params), Some(banks));
+            let terms = fetched.iter().map(|o| (r(o), 1.0));
+            rows.push(terms, banks.of(params), Some(banks));
         }
 
+        let mut capacities = vec![None; p.num_constraints()];
+        for (terms, rhs, capacity) in rows.iter() {
+            p.add_constraint(terms, Relation::Le, rhs);
+            capacities.push(capacity);
+        }
         p.shrink_to_fit();
         capacities.shrink_to_fit();
         Self {
@@ -310,6 +286,74 @@ impl Formulation {
         }
         p
     }
+}
+
+/// The distinct rows of a formulation, in the order first pushed: their
+/// terms in one flat buffer, and an index of `(hash, row)` pairs sorted by
+/// a hash of each row's terms and right-hand side, which finds a
+/// duplicate without a key allocation per row.
+#[derive(Debug, Default)]
+struct Rows {
+    terms: Vec<(VarId, f64)>,
+    /// Each row's end in `terms`, right-hand side and capacity.
+    rows: Vec<(usize, f64, Option<Capacity>)>,
+    index: Vec<(u64, usize)>,
+}
+
+impl Rows {
+    /// Adds the row `terms <= rhs`, whose right-hand side is `capacity`
+    /// if any, unless it is empty or a row with the same terms and
+    /// right-hand side, to the bit, is already there.
+    fn push(
+        &mut self,
+        terms: impl Iterator<Item = (VarId, f64)>,
+        rhs: f64,
+        capacity: Option<Capacity>,
+    ) {
+        let start = self.terms.len();
+        self.terms.extend(terms);
+        let new = &self.terms[start..];
+        if new.is_empty() {
+            return;
+        }
+        let hash = new.iter().fold(rhs.to_bits(), |h, &(v, k)| {
+            mix(mix(h, v.index() as u64), k.to_bits())
+        });
+        let at = self.index.partition_point(|&(h, _)| h < hash);
+        let duplicate = self.index[at..]
+            .iter()
+            .take_while(|&&(h, _)| h == hash)
+            .any(|&(_, row)| {
+                let (terms, row_rhs, _) = self.row(row);
+                let bits = |&(v, k): &(VarId, f64)| (v, k.to_bits());
+                row_rhs.to_bits() == rhs.to_bits()
+                    && terms.iter().map(bits).eq(new.iter().map(bits))
+            });
+        if duplicate {
+            self.terms.truncate(start);
+        } else {
+            self.index.insert(at, (hash, self.rows.len()));
+            self.rows.push((self.terms.len(), rhs, capacity));
+        }
+    }
+
+    /// Row `i`: its terms, right-hand side and capacity.
+    fn row(&self, i: usize) -> (&[(VarId, f64)], f64, Option<Capacity>) {
+        let start = i.checked_sub(1).map_or(0, |j| self.rows[j].0);
+        let (end, rhs, capacity) = self.rows[i];
+        (&self.terms[start..end], rhs, capacity)
+    }
+
+    /// Every row, in order.
+    fn iter(&self) -> impl Iterator<Item = (&[(VarId, f64)], f64, Option<Capacity>)> {
+        (0..self.rows.len()).map(|i| self.row(i))
+    }
+}
+
+/// One step of the dedupe's row hash (a multiplicative mix; a collision
+/// costs one comparison of the two rows, never a wrong merge).
+fn mix(h: u64, x: u64) -> u64 {
+    (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 /// The formulation of `dag` under `params`' structure, from `solver`'s

@@ -41,6 +41,6 @@ pub mod schedule;
 
 pub use formulation::{compile_layer_ctx, FormulationParams};
 pub use lifespan::{analyze, resident_bytes_on_edge, Lifespan};
-pub use schedule::{Location, Placement, Schedule, ScheduleSource};
+pub use schedule::{resident_fraction, Location, Placement, Schedule, ScheduleSource};
 pub use smart_ilp::{SolverContext, SolverContextStats};
 pub use smart_units::{Result, SmartError};

@@ -79,7 +79,8 @@ impl Schedule {
         self.placements[object as usize].location
     }
 
-    /// Bytes allocated to each location across the layer.
+    /// Bytes allocated to each location across the layer: (SHIFT,
+    /// RANDOM, DRAM), the triple [`resident_fraction`] reads.
     #[must_use]
     pub fn bytes_by_location(&self, dag: &LayerDag) -> (u64, u64, u64) {
         let mut shift = 0;
@@ -94,20 +95,6 @@ impl Schedule {
             }
         }
         (shift, random, dram)
-    }
-
-    /// Fraction of the layer's bytes the schedule keeps SPM-resident
-    /// (SHIFT or RANDOM). Returns `0.0` for an empty or zero-byte DAG
-    /// instead of NaN, like [`Schedule::prefetched_fraction`].
-    #[must_use]
-    pub fn spm_resident_fraction(&self, dag: &LayerDag) -> f64 {
-        let (shift, random, dram) = self.bytes_by_location(dag);
-        let total = shift + random + dram;
-        if total == 0 {
-            0.0
-        } else {
-            (shift + random) as f64 / total as f64
-        }
     }
 
     /// Fraction of SPM-resident bytes whose loads are prefetched at least
@@ -163,6 +150,20 @@ impl Schedule {
             exposed += (load - hidden).max(Time::ZERO);
         }
         exposed
+    }
+}
+
+/// Fraction of the (SHIFT, RANDOM, DRAM) bytes of
+/// [`Schedule::bytes_by_location`] (or a sum of such triples) that is
+/// SPM-resident, in SHIFT or RANDOM. Returns `0.0` for a zero total
+/// instead of NaN, like [`Schedule::prefetched_fraction`].
+#[must_use]
+pub fn resident_fraction((shift, random, dram): (u64, u64, u64)) -> f64 {
+    let total = shift + random + dram;
+    if total == 0 {
+        0.0
+    } else {
+        (shift + random) as f64 / total as f64
     }
 }
 
@@ -258,7 +259,7 @@ mod tests {
     fn zero_byte_dag_fractions_are_zero_not_nan() {
         let (dag, s) = zero_byte_fixture();
         let prefetched = s.prefetched_fraction(&dag);
-        let resident = s.spm_resident_fraction(&dag);
+        let resident = resident_fraction(s.bytes_by_location(&dag));
         assert!(!prefetched.is_nan() && !resident.is_nan());
         assert_eq!(prefetched, 0.0);
         assert_eq!(resident, 0.0);
@@ -267,10 +268,10 @@ mod tests {
     #[test]
     fn spm_resident_fraction_counts_both_arrays() {
         let (dag, mut s) = fixture(3);
-        assert!((s.spm_resident_fraction(&dag) - 1.0).abs() < 1e-12);
+        assert!((resident_fraction(s.bytes_by_location(&dag)) - 1.0).abs() < 1e-12);
         // Push one object to DRAM: the fraction must drop below one.
         s.placements[0].location = Location::Dram;
-        let f = s.spm_resident_fraction(&dag);
+        let f = resident_fraction(s.bytes_by_location(&dag));
         assert!(f < 1.0 && f > 0.0);
     }
 

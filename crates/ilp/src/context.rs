@@ -78,6 +78,10 @@ pub struct SolverContextStats {
     pub stored_solutions: usize,
     /// Simplex pivots across every solve (both phases, all nodes).
     pub pivots: u64,
+    /// Primal simplex iterations that ended in a bound flip (the entering
+    /// column crossed to its other bound, no basis change), across every
+    /// solve.
+    pub bound_flips: u64,
     /// Basis-inverse refactorizations across every solve.
     pub refactorizations: u64,
     /// Branch & bound nodes explored across every solve.
@@ -110,6 +114,7 @@ pub struct SolverContextStats {
 #[derive(Debug, Default)]
 pub(crate) struct SearchWork {
     pub pivots: u64,
+    pub bound_flips: u64,
     pub refactorizations: u64,
     pub nodes: usize,
     /// Constraint rows of the searched problem.
@@ -146,6 +151,7 @@ pub struct SolverContext {
     cold_solves: AtomicU64,
     solution_hits: AtomicU64,
     pivots: AtomicU64,
+    bound_flips: AtomicU64,
     refactorizations: AtomicU64,
     nodes: AtomicU64,
     rows: AtomicU64,
@@ -178,6 +184,7 @@ impl SolverContext {
             solution_hits: self.solution_hits.load(Ordering::Relaxed),
             stored_solutions: self.solutions.len(),
             pivots: self.pivots.load(Ordering::Relaxed),
+            bound_flips: self.bound_flips.load(Ordering::Relaxed),
             refactorizations: self.refactorizations.load(Ordering::Relaxed),
             nodes: self.nodes.load(Ordering::Relaxed),
             rows: self.rows.load(Ordering::Relaxed),
@@ -207,6 +214,8 @@ impl SolverContext {
     /// Folds one finished search's work counters into the context.
     pub(crate) fn note_search(&self, work: &SearchWork) {
         self.pivots.fetch_add(work.pivots, Ordering::Relaxed);
+        self.bound_flips
+            .fetch_add(work.bound_flips, Ordering::Relaxed);
         self.refactorizations
             .fetch_add(work.refactorizations, Ordering::Relaxed);
         self.nodes.fetch_add(work.nodes as u64, Ordering::Relaxed);

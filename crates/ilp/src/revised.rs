@@ -31,7 +31,8 @@
 //! the dense oracle checks.
 //!
 //! Only an `m x m` basis inverse is maintained (product-form updates with
-//! periodic refactorization); pricing walks the sparse columns. An `Lp`
+//! periodic refactorization); pricing walks the sparse columns, once per
+//! basis: a primal bound flip re-prices nothing. An `Lp`
 //! workspace is long-lived — branch & bound keeps one per search — and
 //! every solve goes through `Lp::solve_pinned`, which sets the bounds
 //! from the form's defaults and compact `(column, value)` pins. A solve
@@ -187,31 +188,38 @@ impl StandardForm {
 
         let row_scale: Vec<f64> = rows.iter().map(|&i| row_scale(p, i)).collect();
 
-        // Gather per-column entries (accumulating duplicates).
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        // CSC in two passes over the kept rows: count each column's
+        // distinct rows, then scatter the scaled terms in row order, so
+        // every column lists its rows ascending. A column repeated within
+        // a row accumulates into one entry.
+        let mut col_ptr = vec![0; n + 1];
+        let mut last_row = vec![usize::MAX; n];
         for (r, &i) in rows.iter().enumerate() {
-            for &(v, k) in p.constraint(i).terms {
-                cols[v.index()].push((r, k / row_scale[r]));
-            }
-        }
-        let mut col_ptr = Vec::with_capacity(n + 1);
-        let mut row_idx = Vec::new();
-        let mut val = Vec::new();
-        col_ptr.push(0);
-        for entries in &mut cols {
-            entries.sort_unstable_by_key(|&(r, _)| r);
-            let mut last_row = usize::MAX;
-            for &(r, v) in entries.iter() {
-                if r == last_row {
-                    // lint:allow(panic_freedom, last_mut follows the push in this same loop iteration)
-                    *val.last_mut().expect("entry just pushed") += v;
-                } else {
-                    row_idx.push(r);
-                    val.push(v);
-                    last_row = r;
+            for &(v, _) in p.constraint(i).terms {
+                let j = v.index();
+                if std::mem::replace(&mut last_row[j], r) != r {
+                    col_ptr[j + 1] += 1;
                 }
             }
-            col_ptr.push(row_idx.len());
+        }
+        for j in 0..n {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let nnz = col_ptr[n];
+        let (mut row_idx, mut val) = (vec![0; nnz], vec![0.0; nnz]);
+        let mut next = col_ptr[..n].to_vec();
+        for (r, &i) in rows.iter().enumerate() {
+            for &(v, k) in p.constraint(i).terms {
+                let j = v.index();
+                let scaled = k / row_scale[r];
+                if next[j] > col_ptr[j] && row_idx[next[j] - 1] == r {
+                    val[next[j] - 1] += scaled;
+                } else {
+                    row_idx[next[j]] = r;
+                    val[next[j]] = scaled;
+                    next[j] += 1;
+                }
+            }
         }
 
         let obj_scale = p
@@ -587,6 +595,9 @@ pub(crate) struct SolveTrace {
     pub warm_used: bool,
     /// Simplex pivots this solve performed (both phases).
     pub pivots: u64,
+    /// Primal iterations that ended in a bound flip: the entering column
+    /// crossed to its other bound, with no basis change.
+    pub bound_flips: u64,
     /// Basis-inverse refactorizations this solve performed.
     pub refactorizations: u64,
 }
@@ -651,10 +662,11 @@ pub(crate) struct Lp<'a> {
     /// Values of the basic variables, by row.
     xb: Vec<f64>,
     pivots: usize,
-    /// Lifetime pivot / refactorization tallies (never reset;
+    /// Lifetime pivot / bound flip / refactorization tallies (never reset;
     /// [`Lp::solve_pinned`] reports per-solve deltas through
     /// [`SolveTrace`]).
     total_pivots: u64,
+    total_flips: u64,
     total_refactors: u64,
     /// The workspace holds a clean optimal basis (no artificials basic)
     /// from the previous solve, usable via [`Warm::Live`].
@@ -664,6 +676,8 @@ pub(crate) struct Lp<'a> {
     scratch_w: Vec<f64>,
     scratch_d: Vec<f64>,
     scratch_a: Vec<f64>,
+    /// The primal's entering candidates `(column, violation)`.
+    scratch_c: Vec<(usize, f64)>,
     /// Bounds of the previous solve (for incremental rebinds on dives).
     /// Valid only while the installed basic values were computed under
     /// them, that is after a [`Warm::Live`] solve: installing a stored
@@ -688,12 +702,14 @@ impl<'a> Lp<'a> {
             xb: vec![0.0; m],
             pivots: 0,
             total_pivots: 0,
+            total_flips: 0,
             total_refactors: 0,
             live_ok: false,
             scratch_y: vec![0.0; m],
             scratch_w: vec![0.0; m],
             scratch_d: Vec::new(),
             scratch_a: Vec::new(),
+            scratch_c: Vec::new(),
             prev_lo: Vec::new(),
             prev_up: Vec::new(),
         }
@@ -727,10 +743,11 @@ impl<'a> Lp<'a> {
             self.up[i] = v;
         }
         // This solve's work is the growth of the lifetime tallies.
-        let (pivots_before, refactors_before) = (self.total_pivots, self.total_refactors);
+        let before = (self.total_pivots, self.total_flips, self.total_refactors);
         let outcome = self.solve_prepared(p, warm, trace, want_basis);
-        trace.pivots = self.total_pivots - pivots_before;
-        trace.refactorizations = self.total_refactors - refactors_before;
+        trace.pivots = self.total_pivots - before.0;
+        trace.bound_flips = self.total_flips - before.1;
+        trace.refactorizations = self.total_refactors - before.2;
         outcome
     }
 
@@ -943,10 +960,14 @@ impl<'a> Lp<'a> {
         self.total_pivots += 1;
     }
 
-    fn maybe_refactor(&mut self) {
-        if self.pivots >= REFACTOR_EVERY && self.invert_basis() {
+    /// Refactorizes the inverse once `REFACTOR_EVERY` pivots have updated
+    /// it; whether it did.
+    fn maybe_refactor(&mut self) -> bool {
+        let refactored = self.pivots >= REFACTOR_EVERY && self.invert_basis();
+        if refactored {
             self.compute_xb();
         }
+        refactored
     }
 
     /// Bounded-variable primal simplex on the current-phase objective.
@@ -954,42 +975,47 @@ impl<'a> Lp<'a> {
     fn primal(&mut self) -> PrimalEnd {
         let mut y = std::mem::take(&mut self.scratch_y);
         let mut w = std::mem::take(&mut self.scratch_w);
+        let mut candidates = std::mem::take(&mut self.scratch_c);
+        let end = self.primal_loop(&mut y, &mut w, &mut candidates);
+        self.scratch_y = y;
+        self.scratch_w = w;
+        self.scratch_c = candidates;
+        end
+    }
+
+    /// The primal iterations. Pricing happens once per basis: a bound flip
+    /// changes neither the basis nor any reduced cost, so it only retires
+    /// the flipped column from the candidates (its violation changes sign),
+    /// and the next iteration picks among the rest without re-pricing. A
+    /// basis change or a refactorization re-prices.
+    fn primal_loop(
+        &mut self,
+        y: &mut [f64],
+        w: &mut [f64],
+        candidates: &mut Vec<(usize, f64)>,
+    ) -> PrimalEnd {
+        let mut priced = false;
         let mut bland = false;
         let mut stalls = 0usize;
         for _ in 0..MAX_ITERS {
-            self.maybe_refactor();
-            self.compute_y(&mut y);
-
-            // Entering column: Dantzig (largest violation), Bland on stall.
-            let mut entering: Option<(usize, f64)> = None;
-            for j in 0..self.ncols() {
-                if self.status[j] == Status::Basic || !self.movable(j) {
-                    continue;
-                }
-                let d = self.reduced_cost(j, &y);
-                let viol = match self.status[j] {
-                    Status::Lower => d,
-                    Status::Upper => -d,
-                    // lint:allow(panic_freedom, this loop iterates nonbasic columns only)
-                    Status::Basic => unreachable!(),
-                };
-                if viol > DUAL_TOL {
-                    if bland {
-                        entering = Some((j, d));
-                        break;
-                    }
-                    if entering.is_none_or(|(_, best)| viol > best.abs()) {
-                        entering = Some((j, d));
-                    }
-                }
+            if self.maybe_refactor() || !priced {
+                self.price(y, candidates);
+                priced = true;
             }
-            let Some((q, _)) = entering else {
-                self.scratch_y = y;
-                self.scratch_w = w;
+
+            // Entering column: Dantzig (the first candidate of largest
+            // violation), Bland (the first candidate) on stall.
+            let pick = if bland {
+                (!candidates.is_empty()).then_some(0)
+            } else {
+                (0..candidates.len()).min_by(|&a, &b| candidates[b].1.total_cmp(&candidates[a].1))
+            };
+            let Some(k) = pick else {
                 return PrimalEnd::Optimal;
             };
+            let q = candidates[k].0;
 
-            self.ftran(q, &mut w);
+            self.ftran(q, w);
             let dir = if self.status[q] == Status::Lower {
                 1.0
             } else {
@@ -1028,8 +1054,6 @@ impl<'a> Lp<'a> {
                 }
             }
             if t_best.is_infinite() {
-                self.scratch_y = y;
-                self.scratch_w = w;
                 return PrimalEnd::Unbounded;
             }
             if t_best < 1e-10 {
@@ -1054,19 +1078,44 @@ impl<'a> Lp<'a> {
                     } else {
                         Status::Lower
                     };
+                    candidates.remove(k);
+                    self.total_flips += 1;
                 }
                 Some((r, side)) => {
                     self.status[self.basic[r]] = side;
                     self.basic[r] = q;
                     self.status[q] = Status::Basic;
                     self.xb[r] = xq;
-                    self.pivot_update(r, &w);
+                    self.pivot_update(r, w);
+                    priced = false;
                 }
             }
         }
-        self.scratch_y = y;
-        self.scratch_w = w;
         PrimalEnd::IterLimit
+    }
+
+    /// Prices every nonbasic column that can move and collects those whose
+    /// violation (the reduced cost, negated at the upper bound) exceeds
+    /// `DUAL_TOL`, by ascending column: the entering rules' picks are then
+    /// the first candidate (Bland) and the first of largest violation
+    /// (Dantzig), the columns a full pricing scan would pick.
+    fn price(&self, y: &mut [f64], candidates: &mut Vec<(usize, f64)>) {
+        self.compute_y(y);
+        candidates.clear();
+        for j in 0..self.ncols() {
+            if self.status[j] == Status::Basic || !self.movable(j) {
+                continue;
+            }
+            let d = self.reduced_cost(j, y);
+            let viol = if self.status[j] == Status::Upper {
+                -d
+            } else {
+                d
+            };
+            if viol > DUAL_TOL {
+                candidates.push((j, viol));
+            }
+        }
     }
 
     /// Scaled feasibility tolerance for column `j` (infinite bounds do not
@@ -1667,6 +1716,31 @@ mod tests {
         };
         assert!((s.objective - 2.0).abs() < 1e-6);
         assert!(s.values[0].abs() < 1e-9);
+    }
+
+    #[test]
+    fn bound_flips_are_counted_apart_from_pivots() {
+        // `max 3a + 2b + 2c` over `[0, 1]` columns with `a + b + c <= 2.5`:
+        // from the slack basis, `a` and then `b` (the lower index of a
+        // tie) reach their upper bounds before the row blocks them (two
+        // flips, no basis change), and `c` stops at 0.5 where the row
+        // binds (one pivot).
+        let mut p = Problem::new(Sense::Maximize);
+        let vars: Vec<_> = (0..3)
+            .map(|i| p.continuous(&format!("x{i}"), 0.0, 1.0))
+            .collect();
+        for (&v, c) in vars.iter().zip([3.0, 2.0, 2.0]) {
+            p.set_objective(v, c);
+        }
+        let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+        p.add_constraint(&terms, Relation::Le, 2.5);
+        let form = StandardForm::build(&p, None);
+        let mut trace = SolveTrace::default();
+        let (LpResult::Optimal(s), _) = solve_with_pins(&form, &p, &[], None, &mut trace) else {
+            panic!("expected optimal")
+        };
+        assert_eq!(s.values, vec![1.0, 1.0, 0.5]);
+        assert_eq!((trace.pivots, trace.bound_flips), (1, 2));
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl Solver {
 
     /// The branch & bound search behind [`Solver::solve`] from the
     /// validated `seed` (values and objective); records its pivots,
-    /// refactorizations, explored nodes and rows in `work`.
+    /// bound flips, refactorizations, explored nodes and rows in `work`.
     fn search(
         &self,
         problem: &Problem,
@@ -230,6 +230,7 @@ impl Solver {
             ctx.note_cold();
         }
         work.pivots += trace.pivots;
+        work.bound_flips += trace.bound_flips;
         work.refactorizations += trace.refactorizations;
         if let Some(l) = lane {
             l.span("root relaxation", 0, work.pivots);
@@ -313,6 +314,7 @@ impl Solver {
             let node_t0 = work.pivots;
             let outcome = lp.solve_pinned(problem, &node.pins, warm, &mut trace, false);
             work.pivots += trace.pivots;
+            work.bound_flips += trace.bound_flips;
             work.refactorizations += trace.refactorizations;
             if let Some(l) = lane {
                 l.span(&format!("node {}", work.nodes), node_t0, work.pivots);

@@ -25,7 +25,7 @@
 
 use crate::pareto::{epsilon_survivors, pareto_frontier, Objectives};
 use crate::space::SearchSpace;
-use smart_compiler::SolverContext;
+use smart_compiler::{resident_fraction, SolverContext};
 use smart_core::area::ChipArea;
 use smart_core::cache::EvalCache;
 use smart_core::eval::evaluate;
@@ -94,12 +94,7 @@ impl IlpMetrics {
     /// Fraction of scheduled bytes resident in the SPM (SHIFT + RANDOM).
     #[must_use]
     pub fn resident_fraction(&self) -> f64 {
-        let total = self.shift_bytes + self.random_bytes + self.dram_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            (self.shift_bytes + self.random_bytes) as f64 / total as f64
-        }
+        resident_fraction((self.shift_bytes, self.random_bytes, self.dram_bytes))
     }
 }
 
@@ -149,6 +144,8 @@ pub struct SearchStats {
     pub nodes: u64,
     /// Simplex pivots, over the same contexts.
     pub pivots: u64,
+    /// Primal simplex bound flips, over the same contexts.
+    pub bound_flips: u64,
 }
 
 /// One evaluated design point.
@@ -331,6 +328,7 @@ pub fn search(
         solution_hits: solver_after.solution_hits - solver_before.solution_hits,
         nodes: solver_after.nodes - solver_before.nodes,
         pivots: solver_after.pivots - solver_before.pivots,
+        bound_flips: solver_after.bound_flips - solver_before.bound_flips,
     };
 
     let points = params
@@ -396,6 +394,7 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
         solver_totals.solution_hits += s.solution_hits;
         solver_totals.nodes += s.nodes;
         solver_totals.pivots += s.pivots;
+        solver_totals.bound_flips += s.bound_flips;
     }
 
     let survivors: Vec<usize> = (0..schemes.len()).collect();
@@ -403,7 +402,7 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
 
     // Each frontier replay is a full simulation on a fresh context of its
     // own, as `simulate_scheme` runs it; its branch & bound work counts in
-    // the run's nodes and pivots.
+    // the run's nodes, pivots and bound flips.
     let mut replay: Vec<Option<ReplayCheck>> = vec![None; schemes.len()];
     for &i in &frontier {
         let solver = SolverContext::new();
@@ -412,6 +411,7 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
         let s = solver.stats();
         solver_totals.nodes += s.nodes;
         solver_totals.pivots += s.pivots;
+        solver_totals.bound_flips += s.bound_flips;
         let latency = report.total_time();
         replay[i] = Some(ReplayCheck {
             latency,
@@ -458,6 +458,7 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smart_units::rng::Rng;
 
     fn tiny() -> SearchSpace {
         SearchSpace {
@@ -501,6 +502,67 @@ mod tests {
         for (i, p) in fast.points.iter().enumerate() {
             assert_eq!(p.ilp.is_some(), fast.survivors.contains(&i));
             assert_eq!(p.replay.is_some(), fast.frontier.contains(&i));
+        }
+    }
+
+    /// Up to `n` distinct values of `axis`, in grid order.
+    fn draw<T: Copy>(rng: &mut Rng, axis: &[T], n: usize) -> Vec<T> {
+        let mut picked: Vec<usize> = (0..axis.len()).collect();
+        for i in 0..n.min(axis.len()) {
+            let j = i + (rng.next_u64() % (axis.len() - i) as u64) as usize;
+            picked.swap(i, j);
+        }
+        picked.truncate(n);
+        picked.sort_unstable();
+        picked.into_iter().map(|i| axis[i]).collect()
+    }
+
+    #[test]
+    fn engine_and_naive_agree_on_random_grids() {
+        // Grids of at most 8 points, each axis one or two values of the
+        // 1000-point grid's: the naive run compiles every layer on a fresh
+        // context (the cold root LP), the engine warm-starts and replays
+        // from its memo, and both must land on the same bits.
+        let full = SearchSpace::default_grid();
+        let mut rng = Rng::new(0x5eed_0005);
+        for grid in 0..8 {
+            let mut sizes = [0; 5].map(|_| 1 + (rng.next_u64() % 2) as usize);
+            while sizes.iter().product::<usize>() > 8 {
+                sizes[(rng.next_u64() % 5) as usize] = 1;
+            }
+            let space = SearchSpace {
+                windows: draw(&mut rng, &full.windows, sizes[0]),
+                random_banks: draw(&mut rng, &full.random_banks, sizes[1]),
+                kinds: draw(&mut rng, &full.kinds, sizes[2]),
+                shift_kb: draw(&mut rng, &full.shift_kb, sizes[3]),
+                random_mb: draw(&mut rng, &full.random_mb, sizes[4]),
+                shift_banks: full.shift_banks,
+            };
+            let cfg = SearchConfig::new(2);
+            let fast = search(&space, &cfg, &EvalCache::new(), &TimingCache::new()).expect("ok");
+            let naive = search_naive(&space, &cfg).expect("searches");
+            assert_eq!(fast.frontier, naive.frontier, "grid {grid}: {space:?}");
+            let bits = |o: &Objectives| [o.latency.as_s(), o.energy.as_j(), o.area.as_mm2()];
+            for (a, b) in fast.points.iter().zip(&naive.points) {
+                let (a, b) = (bits(&a.objectives), bits(&b.objectives));
+                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "grid {grid}");
+            }
+            for &i in &fast.survivors {
+                let (a, b) = (
+                    fast.points[i].ilp.expect("survivor"),
+                    naive.points[i].ilp.expect("all naive points"),
+                );
+                assert_eq!(
+                    a.objective.to_bits(),
+                    b.objective.to_bits(),
+                    "grid {grid} point {i}"
+                );
+                assert_eq!(
+                    (a.shift_bytes, a.random_bytes, a.dram_bytes),
+                    (b.shift_bytes, b.random_bytes, b.dram_bytes),
+                    "grid {grid} point {i}"
+                );
+            }
         }
     }
 

@@ -22,8 +22,12 @@ pub struct SearchSpace {
     /// Prefetch windows; `None` is static allocation (the `Pipe` family).
     /// Outermost axis — the window changes the ILP's constraint structure.
     pub windows: Vec<Option<u32>>,
-    /// RANDOM bank (port) counts. Changes the formulation's saving
-    /// coefficients, so it also sits outside the capacity axes.
+    /// RANDOM bank (port) counts. The bank count only sets the right-hand
+    /// side of the formulation's sub-bank rows (the Eq. 5 costs are
+    /// constants), and those rows never bind, so the presolve drops them
+    /// and the solution memo's key leaves them out: like the technology
+    /// axis, a second bank count replays the first one's problems from
+    /// the memo.
     pub random_banks: Vec<u32>,
     /// RANDOM memory technologies (no ILP impact; outside the capacity
     /// axes so each technology replays the previous one's exact problems).

@@ -17,7 +17,8 @@
 //!   slows context switches by exactly the factor it slows prefetches).
 //!   DRAM-placed objects re-stream on use anyway and carry no switch
 //!   cost;
-//! * the byte-weighted **resident fraction** across layers, reported as
+//! * the byte-weighted **resident fraction** across layers
+//!   ([`resident_fraction`] of the summed placement bytes), reported as
 //!   the thrash exposure of the tenant.
 //!
 //! Batching model: a batch of `b` requests of one tenant replays each
@@ -34,7 +35,7 @@
 use crate::workload::Tenant;
 use smart_core::scheme::Scheme;
 use smart_systolic::models::ModelId;
-use smart_timing::{hetero_spm, RandomCosts, TimingCache, TimingConfig};
+use smart_timing::{hetero_spm, resident_fraction, RandomCosts, TimingCache, TimingConfig};
 use smart_units::{Frequency, Result};
 
 /// The serving-level cost model of one tenant on one scheme: per-layer
@@ -85,15 +86,13 @@ impl TenantProfile {
         let costs = RandomCosts::new(spm, scheme.config.frequency, cfg);
 
         let mut restage_cycles = Vec::with_capacity(report.layers.len());
-        let mut resident_bytes = 0u64;
-        let mut total_bytes = 0u64;
+        let mut bytes = (0, 0, 0);
         for l in &report.layers {
             let (shift, random, dram) = l.placement_bytes;
             // The replay prices loads in words == bytes (see
             // `LayerPrepass::build`), so the re-staging burst does too.
             restage_cycles.push(costs.read(shift + random));
-            resident_bytes += shift + random;
-            total_bytes += shift + random + dram;
+            bytes = (bytes.0 + shift, bytes.1 + random, bytes.2 + dram);
         }
 
         Ok(Self {
@@ -104,11 +103,7 @@ impl TenantProfile {
             layer_cycles: report.layers.iter().map(|l| l.total_cycles).collect(),
             layer_compute: report.layers.iter().map(|l| l.compute_cycles).collect(),
             restage_cycles,
-            resident_fraction: if total_bytes == 0 {
-                0.0
-            } else {
-                resident_bytes as f64 / total_bytes as f64
-            },
+            resident_fraction: resident_fraction(bytes),
         })
     }
 

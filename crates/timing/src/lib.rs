@@ -64,7 +64,9 @@ pub mod validate;
 pub use cache::TimingCache;
 pub use config::TimingConfig;
 pub use replay::{replay_layer, LayerPrepass, RandomCosts};
+// The SPM-resident share of a report's `placement_bytes`.
 pub use report::{ModelTimingReport, TimingReport};
+pub use smart_compiler::schedule::resident_fraction;
 pub use trace::trace_model_replay;
 pub use validate::{
     compile_scheme_layer, hetero_spm, max_layer_deviation, params_for, prefetch_window,
