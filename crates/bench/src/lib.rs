@@ -169,24 +169,12 @@ impl ExperimentContext {
             reg.set_gauge(&format!("{name}.entries"), stats.entries as u64);
         }
         let solver = self.timing.solver().stats();
-        reg.add("ilp.warm_attempts", solver.warm_attempts);
-        reg.add("ilp.warm_hits", solver.warm_hits);
-        reg.add("ilp.cold_solves", solver.cold_solves);
-        reg.add("ilp.solution_hits", solver.solution_hits);
-        reg.add("ilp.pivots", solver.pivots);
-        reg.add("ilp.bound_flips", solver.bound_flips);
-        reg.add("ilp.refactorizations", solver.refactorizations);
-        reg.add("ilp.nodes", solver.nodes);
-        reg.add("ilp.rows", solver.rows);
-        reg.add("ilp.rows_kept", solver.rows_kept);
-        reg.add("ilp.cols", solver.cols);
-        reg.add("ilp.nonzeros", solver.nonzeros);
-        reg.add("ilp.cols_fixed", solver.cols_fixed);
-        reg.add("ilp.rows_rounded", solver.rows_rounded);
-        reg.add("ilp.node_limited", solver.node_limited);
-        reg.set_gauge("ilp.stored_bases", solver.stored_bases as u64);
-        reg.set_gauge("ilp.stored_solutions", solver.stored_solutions as u64);
-        reg.set_gauge("ilp.structures", solver.structures as u64);
+        for (name, value) in solver.counters() {
+            reg.add(&format!("ilp.{name}"), value);
+        }
+        for (name, value) in solver.gauges() {
+            reg.set_gauge(&format!("ilp.{name}"), value as u64);
+        }
         let mut snap = reg.snapshot();
         let stored = self.metrics.snapshot();
         snap.counters.extend(stored.counters);
@@ -387,6 +375,24 @@ mod tests {
             ]
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ilp_metric_names_are_pinned() {
+        // The `ilp.*` names are `SolverContextStats`' field names, so
+        // renaming a field renames a `--metrics` counter: the committed
+        // metrics snapshots and perfbench's counter metrics read these.
+        let snap = ExperimentContext::single_threaded().metrics_snapshot();
+        let ilp = |metrics: &std::collections::BTreeMap<String, u64>| {
+            let names = metrics.keys().filter_map(|k| k.strip_prefix("ilp."));
+            names.collect::<Vec<_>>().join(" ")
+        };
+        let counters = "bound_flips cold_solves cols cols_fixed node_limited nodes nonzeros \
+                        pivots refactorizations rows rows_kept rows_rounded solution_hits \
+                        warm_attempts warm_hits";
+        assert_eq!(ilp(&snap.counters), counters);
+        let gauges = "stored_bases stored_solutions structures";
+        assert_eq!(ilp(&snap.gauges), gauges);
     }
 
     #[test]

@@ -43,9 +43,9 @@
 //! so each file falls back cold on its own; the structures never persist.
 //!
 //! The context is `Sync`: one instance can be shared across the experiment
-//! runner's worker threads (the tables are mutex-guarded, the counters are
-//! atomic), matching how `smart_report::parallel_map` fans sweep points
-//! out.
+//! runner's worker threads (the tables and the counters are
+//! mutex-guarded), matching how `smart_report::parallel_map` fans sweep
+//! points out.
 
 use crate::problem::Problem;
 use crate::revised::{never_binds, Basis, Status};
@@ -55,82 +55,107 @@ use smart_units::codec::{content_hash, ByteReader, ByteWriter};
 use smart_units::memo::{Persist, Table};
 use smart_units::sync::lock;
 use std::any::Any;
+use std::ops::AddAssign;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Counters describing how much reuse a [`SolverContext`] delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SolverContextStats {
-    /// Solves that found a stored basis for their problem structure.
-    pub warm_attempts: u64,
-    /// Warm attempts that actually reoptimized from the stored basis
-    /// (no cold fallback).
-    pub warm_hits: u64,
-    /// Solves that started cold (no stored basis, or fallback).
-    pub cold_solves: u64,
-    /// Distinct problem structures with a stored basis.
-    pub stored_bases: usize,
-    /// Solves answered verbatim from the exact-match solution memo
-    /// (branch & bound skipped entirely).
-    pub solution_hits: u64,
-    /// Distinct exact problems with a memoized solution.
-    pub stored_solutions: usize,
-    /// Simplex pivots across every solve (both phases, all nodes).
-    pub pivots: u64,
-    /// Primal simplex iterations that ended in a bound flip (the entering
-    /// column crossed to its other bound, no basis change), across every
-    /// solve.
-    pub bound_flips: u64,
-    /// Basis-inverse refactorizations across every solve.
-    pub refactorizations: u64,
-    /// Branch & bound nodes explored across every solve.
-    pub nodes: u64,
-    /// Constraint rows of every searched problem (memo hits excluded).
-    pub rows: u64,
-    /// LP rows the presolve kept of those `rows`; the rest could never
-    /// bind and were dropped.
-    pub rows_kept: u64,
-    /// Columns (variables) of every searched problem.
-    pub cols: u64,
-    /// Nonzero constraint coefficients of every searched problem.
-    pub nonzeros: u64,
-    /// Integer columns whose bounds the presolve tightened, over every
-    /// searched problem ([`crate::revised::StandardForm::tighten`]).
-    pub cols_fixed: u64,
-    /// Rows whose right-hand side the presolve's gcd rounding moved, over
-    /// every searched problem.
-    pub rows_rounded: u64,
-    /// Searches that stopped at the node limit with open nodes (their
-    /// solutions are not proven optimal).
-    pub node_limited: u64,
-    /// Problem structures in the in-memory table
-    /// ([`SolverContext::structure`]).
-    pub structures: usize,
+/// Declares [`SolverContextStats`] from one list of counters (`u64`) and
+/// gauges (`usize`, table sizes), each named as its `ilp.*` metric; the
+/// list alone yields `counters()`, `gauges()`, `since` and `+=`.
+macro_rules! solver_stats {
+    (
+        counters { $($(#[$counter_doc:meta])* $counter:ident,)* }
+        gauges { $($(#[$gauge_doc:meta])* $gauge:ident,)* }
+    ) => {
+        /// How much reuse a [`SolverContext`] delivered and how much work
+        /// its searches did, plus the sizes of its tables. Each search
+        /// counts into a record of its own, added to the context's.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct SolverContextStats {
+            $($(#[$counter_doc])* pub $counter: u64,)*
+            $($(#[$gauge_doc])* pub $gauge: usize,)*
+        }
+
+        impl SolverContextStats {
+            /// Every counter as `(name, value)`, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($counter), self.$counter)),*].into_iter()
+            }
+
+            /// Every gauge as `(name, value)`, in declaration order.
+            pub fn gauges(&self) -> impl Iterator<Item = (&'static str, usize)> {
+                [$((stringify!($gauge), self.$gauge)),*].into_iter()
+            }
+
+            /// The counters' growth since `before`, an earlier record of
+            /// the same context; the gauges are this record's.
+            #[must_use]
+            pub fn since(&self, before: &Self) -> Self {
+                Self {
+                    $($counter: self.$counter - before.$counter,)*
+                    ..*self
+                }
+            }
+        }
+
+        /// Adds the counters of `work`; the gauges stay as they are.
+        impl AddAssign for SolverContextStats {
+            fn add_assign(&mut self, work: Self) {
+                $(self.$counter += work.$counter;)*
+            }
+        }
+    };
 }
 
-/// The work one branch & bound search performed, folded into the
-/// context's counters by [`SolverContext::note_search`].
-#[derive(Debug, Default)]
-pub(crate) struct SearchWork {
-    pub pivots: u64,
-    pub bound_flips: u64,
-    pub refactorizations: u64,
-    pub nodes: usize,
-    /// Constraint rows of the searched problem.
-    pub rows: usize,
-    /// LP rows its presolved form kept.
-    pub rows_kept: usize,
-    /// Columns of the searched problem.
-    pub cols: usize,
-    /// Nonzero constraint coefficients of the searched problem.
-    pub nonzeros: usize,
-    /// Integer columns whose bounds the presolve tightened.
-    pub cols_fixed: usize,
-    /// Rows whose right-hand side the presolve rounded.
-    pub rows_rounded: usize,
-    /// The search stopped at the node limit with open nodes.
-    pub node_limited: bool,
+solver_stats! {
+    counters {
+        /// Solves that found a stored basis for their problem structure.
+        warm_attempts,
+        /// Warm attempts that actually reoptimized from the stored basis
+        /// (no cold fallback).
+        warm_hits,
+        /// Solves that started cold (no stored basis, or fallback).
+        cold_solves,
+        /// Solves answered verbatim from the exact-match solution memo
+        /// (branch & bound skipped entirely).
+        solution_hits,
+        /// Simplex pivots across every solve (both phases, all nodes).
+        pivots,
+        /// Primal simplex iterations that ended in a bound flip (no basis
+        /// change), across every solve.
+        bound_flips,
+        /// Basis-inverse refactorizations across every solve.
+        refactorizations,
+        /// Branch & bound nodes explored across every solve.
+        nodes,
+        /// Constraint rows of every searched problem (memo hits excluded).
+        rows,
+        /// LP rows the presolve kept of those `rows`; the rest could never
+        /// bind and were dropped.
+        rows_kept,
+        /// Columns (variables) of every searched problem.
+        cols,
+        /// Nonzero constraint coefficients of every searched problem.
+        nonzeros,
+        /// Integer columns whose bounds the presolve tightened, over every
+        /// searched problem ([`crate::revised::StandardForm::tighten`]).
+        cols_fixed,
+        /// Rows whose right-hand side the presolve's gcd rounding moved,
+        /// over every searched problem.
+        rows_rounded,
+        /// Searches that stopped at the node limit with open nodes (their
+        /// solutions are not proven optimal).
+        node_limited,
+    }
+    gauges {
+        /// Distinct problem structures with a stored basis.
+        stored_bases,
+        /// Distinct exact problems with a memoized solution.
+        stored_solutions,
+        /// Problem structures in the in-memory table
+        /// ([`SolverContext::structure`]).
+        structures,
+    }
 }
 
 /// Shared warm-start state, solution memo and work counters: the one
@@ -146,21 +171,9 @@ pub struct SolverContext {
     solutions: Table<MipSolution>,
     /// Caller-built structures by key; never persisted.
     structures: Table<dyn Any + Send + Sync>,
-    warm_attempts: AtomicU64,
-    warm_hits: AtomicU64,
-    cold_solves: AtomicU64,
-    solution_hits: AtomicU64,
-    pivots: AtomicU64,
-    bound_flips: AtomicU64,
-    refactorizations: AtomicU64,
-    nodes: AtomicU64,
-    rows: AtomicU64,
-    rows_kept: AtomicU64,
-    cols: AtomicU64,
-    nonzeros: AtomicU64,
-    cols_fixed: AtomicU64,
-    rows_rounded: AtomicU64,
-    node_limited: AtomicU64,
+    /// Running counter totals; the gauges stay zero here and are read
+    /// from the tables by [`SolverContext::stats`].
+    stats: Mutex<SolverContextStats>,
     /// Span sink for per-node solver instrumentation; disabled (free)
     /// unless a driver installs an enabled tracer.
     tracer: Mutex<Tracer>,
@@ -173,28 +186,14 @@ impl SolverContext {
         Self::default()
     }
 
-    /// Current counters.
+    /// Current counters, with the tables' sizes as the gauges.
     #[must_use]
     pub fn stats(&self) -> SolverContextStats {
         SolverContextStats {
-            warm_attempts: self.warm_attempts.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            cold_solves: self.cold_solves.load(Ordering::Relaxed),
             stored_bases: self.bases.len(),
-            solution_hits: self.solution_hits.load(Ordering::Relaxed),
             stored_solutions: self.solutions.len(),
-            pivots: self.pivots.load(Ordering::Relaxed),
-            bound_flips: self.bound_flips.load(Ordering::Relaxed),
-            refactorizations: self.refactorizations.load(Ordering::Relaxed),
-            nodes: self.nodes.load(Ordering::Relaxed),
-            rows: self.rows.load(Ordering::Relaxed),
-            rows_kept: self.rows_kept.load(Ordering::Relaxed),
-            cols: self.cols.load(Ordering::Relaxed),
-            nonzeros: self.nonzeros.load(Ordering::Relaxed),
-            cols_fixed: self.cols_fixed.load(Ordering::Relaxed),
-            rows_rounded: self.rows_rounded.load(Ordering::Relaxed),
-            node_limited: self.node_limited.load(Ordering::Relaxed),
             structures: self.structures.len(),
+            ..*lock(&self.stats)
         }
     }
 
@@ -211,26 +210,9 @@ impl SolverContext {
         lock(&self.tracer).clone()
     }
 
-    /// Folds one finished search's work counters into the context.
-    pub(crate) fn note_search(&self, work: &SearchWork) {
-        self.pivots.fetch_add(work.pivots, Ordering::Relaxed);
-        self.bound_flips
-            .fetch_add(work.bound_flips, Ordering::Relaxed);
-        self.refactorizations
-            .fetch_add(work.refactorizations, Ordering::Relaxed);
-        self.nodes.fetch_add(work.nodes as u64, Ordering::Relaxed);
-        self.rows.fetch_add(work.rows as u64, Ordering::Relaxed);
-        self.rows_kept
-            .fetch_add(work.rows_kept as u64, Ordering::Relaxed);
-        self.cols.fetch_add(work.cols as u64, Ordering::Relaxed);
-        self.nonzeros
-            .fetch_add(work.nonzeros as u64, Ordering::Relaxed);
-        self.cols_fixed
-            .fetch_add(work.cols_fixed as u64, Ordering::Relaxed);
-        self.rows_rounded
-            .fetch_add(work.rows_rounded as u64, Ordering::Relaxed);
-        self.node_limited
-            .fetch_add(u64::from(work.node_limited), Ordering::Relaxed);
+    /// Adds one finished search's work record to the context's counters.
+    pub(crate) fn note_search(&self, work: SolverContextStats) {
+        *lock(&self.stats) += work;
     }
 
     /// The structure `build` returns, built on the first request for `key`
@@ -253,22 +235,12 @@ impl SolverContext {
 
     pub(crate) fn lookup(&self, fp: u64) -> Option<Arc<Basis>> {
         let found = self.bases.get(u128::from(fp));
-        if found.is_some() {
-            self.warm_attempts.fetch_add(1, Ordering::Relaxed);
-        }
+        lock(&self.stats).warm_attempts += u64::from(found.is_some());
         found
     }
 
     pub(crate) fn store(&self, fp: u64, basis: Arc<Basis>) {
         self.bases.insert(u128::from(fp), basis);
-    }
-
-    pub(crate) fn note_warm_hit(&self) {
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_cold(&self) {
-        self.cold_solves.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The memoized solution under `key` if `accept` takes it, counted as
@@ -279,9 +251,7 @@ impl SolverContext {
         accept: impl FnOnce(&MipSolution) -> bool,
     ) -> Option<Arc<MipSolution>> {
         let found = self.solutions.get(key).filter(|s| accept(s));
-        if found.is_some() {
-            self.solution_hits.fetch_add(1, Ordering::Relaxed);
-        }
+        lock(&self.stats).solution_hits += u64::from(found.is_some());
         found
     }
 
@@ -678,6 +648,45 @@ mod tests {
                 "a rejected basis is a warm attempt that solves cold: {stats:?}"
             );
         }
+    }
+
+    /// A record whose fields hold `base + 1`, `base + 2`, ... in
+    /// declaration order: every value distinct.
+    fn numbered(base: u64) -> SolverContextStats {
+        let n = |k: u64| base + k;
+        SolverContextStats {
+            warm_attempts: n(1),
+            warm_hits: n(2),
+            cold_solves: n(3),
+            solution_hits: n(4),
+            pivots: n(5),
+            bound_flips: n(6),
+            refactorizations: n(7),
+            nodes: n(8),
+            rows: n(9),
+            rows_kept: n(10),
+            cols: n(11),
+            nonzeros: n(12),
+            cols_fixed: n(13),
+            rows_rounded: n(14),
+            node_limited: n(15),
+            stored_bases: n(16) as usize,
+            stored_solutions: n(17) as usize,
+            structures: n(18) as usize,
+        }
+    }
+
+    #[test]
+    fn one_declaration_lists_sums_and_subtracts_every_counter() {
+        let (a, b) = (numbered(0), numbered(100));
+        assert!(a.counters().map(|c| c.1).eq(1..=15), "declaration order");
+        assert!(a.gauges().map(|g| g.1).eq(16..=18), "the table sizes");
+        let mut sum = a;
+        sum += b;
+        let sums = a.counters().zip(b.counters()).map(|(x, y)| x.1 + y.1);
+        assert!(sum.counters().map(|c| c.1).eq(sums), "{sum:?}");
+        assert!(sum.gauges().eq(a.gauges()), "+= leaves the gauges: {sum:?}");
+        assert_eq!(sum.since(&b), a);
     }
 
     #[test]

@@ -56,6 +56,7 @@
 
 // lint:allow-file(index, revised simplex kernel; basis and factor indices are maintained invariants of the algorithm, exercised by the property tests)
 
+use crate::context::SolverContextStats;
 use crate::problem::{Problem, Relation, Sense, VarId, Variable};
 use crate::simplex::{LpResult, LpSolution};
 use crate::solver::INT_TOL;
@@ -158,9 +159,9 @@ fn row_scale(p: &Problem, i: usize) -> f64 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tightening {
     /// Integer columns whose bounds tightened.
-    pub cols_fixed: usize,
+    pub cols_fixed: u64,
     /// Rows whose right-hand side the gcd rounding moved.
-    pub rows_rounded: usize,
+    pub rows_rounded: u64,
 }
 
 impl StandardForm {
@@ -351,7 +352,8 @@ impl StandardForm {
     /// coordinates when one is storable.
     #[must_use]
     pub fn relaxation(&self, p: &Problem, pins: &[Option<f64>]) -> (LpResult, Option<Basis>) {
-        solve_with_pins(self, p, pins, None, &mut SolveTrace::default())
+        let (result, basis, _) = solve_with_pins(self, p, pins, None);
+        (result, basis)
     }
 
     /// Strengthens this form of `p` with two exact integer presolve rules,
@@ -408,7 +410,7 @@ impl StandardForm {
             }
         }
         Tightening {
-            cols_fixed: moved.iter().filter(|&&m| m).count(),
+            cols_fixed: moved.iter().filter(|&&m| m).count() as u64,
             rows_rounded,
         }
     }
@@ -587,31 +589,16 @@ pub(crate) enum Warm<'a> {
     Cold,
 }
 
-/// Per-solve instrumentation (aggregated by the solver/context layers).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SolveTrace {
-    /// A warm start (live or stored basis) was actually used — no cold
-    /// fallback.
-    pub warm_used: bool,
-    /// Simplex pivots this solve performed (both phases).
-    pub pivots: u64,
-    /// Primal iterations that ended in a bound flip: the entering column
-    /// crossed to its other bound, with no basis change.
-    pub bound_flips: u64,
-    /// Basis-inverse refactorizations this solve performed.
-    pub refactorizations: u64,
-}
-
 /// One-shot relaxation solve behind [`StandardForm::relaxation`] and the
 /// warm-start unit tests: a fresh workspace solves under the pins
-/// `x[i] = v` (`None` is free), and the outcome maps to [`LpResult`].
+/// `x[i] = v` (`None` is free), and the outcome maps to [`LpResult`], next
+/// to whether the warm start held.
 pub(crate) fn solve_with_pins(
     form: &StandardForm,
     p: &Problem,
     pins: &[Option<f64>],
     warm: Option<&Basis>,
-    trace: &mut SolveTrace,
-) -> (LpResult, Option<Basis>) {
+) -> (LpResult, Option<Basis>, bool) {
     let pins: Vec<(usize, f64)> = pins
         .iter()
         .enumerate()
@@ -619,7 +606,8 @@ pub(crate) fn solve_with_pins(
         .collect();
     let mut lp = Lp::new(form);
     let warm = warm.map_or(Warm::Cold, Warm::Basis);
-    match lp.solve_pinned(p, &pins, warm, trace, true) {
+    let (outcome, held) = lp.solve_pinned(p, &pins, warm, true);
+    let (result, basis) = match outcome {
         SolveOutcome::Optimal {
             values,
             objective,
@@ -627,7 +615,8 @@ pub(crate) fn solve_with_pins(
         } => (LpResult::Optimal(LpSolution { objective, values }), basis),
         SolveOutcome::Infeasible => (LpResult::Infeasible, None),
         SolveOutcome::Unbounded => (LpResult::Unbounded, None),
-    }
+    };
+    (result, basis, held)
 }
 
 enum PrimalEnd {
@@ -662,9 +651,8 @@ pub(crate) struct Lp<'a> {
     /// Values of the basic variables, by row.
     xb: Vec<f64>,
     pivots: usize,
-    /// Lifetime pivot / bound flip / refactorization tallies (never reset;
-    /// [`Lp::solve_pinned`] reports per-solve deltas through
-    /// [`SolveTrace`]).
+    /// Lifetime pivot / bound flip / refactorization tallies, never reset
+    /// ([`Lp::count_work`]).
     total_pivots: u64,
     total_flips: u64,
     total_refactors: u64,
@@ -722,15 +710,15 @@ impl<'a> Lp<'a> {
     /// refilled in place, and the previous solve's are kept so that a
     /// [`Warm::Live`] start updates the basic values from the few columns
     /// whose bound moved (`rebind`). `Live` and `Basis` fall back to a
-    /// cold start when the warm basis cannot be reused.
+    /// cold start when the warm basis cannot be reused; the flag returned
+    /// next to the outcome says whether the warm start held.
     pub(crate) fn solve_pinned(
         &mut self,
         p: &Problem,
         pins: &[(usize, f64)],
         warm: Warm,
-        trace: &mut SolveTrace,
         want_basis: bool,
-    ) -> SolveOutcome {
+    ) -> (SolveOutcome, bool) {
         self.drop_artificials();
         std::mem::swap(&mut self.lo, &mut self.prev_lo);
         std::mem::swap(&mut self.up, &mut self.prev_up);
@@ -742,13 +730,19 @@ impl<'a> Lp<'a> {
             self.lo[i] = v;
             self.up[i] = v;
         }
-        // This solve's work is the growth of the lifetime tallies.
-        let before = (self.total_pivots, self.total_flips, self.total_refactors);
-        let outcome = self.solve_prepared(p, warm, trace, want_basis);
-        trace.pivots = self.total_pivots - before.0;
-        trace.bound_flips = self.total_flips - before.1;
-        trace.refactorizations = self.total_refactors - before.2;
-        outcome
+        self.live_ok = false;
+        let warm_outcome = match warm {
+            // A live basis was optimal for this same objective, so it
+            // stays dual feasible under any bound change: skip the pricing
+            // scan.
+            Warm::Live => self.reoptimize(p, false, want_basis),
+            Warm::Basis(basis) => self.try_warm(basis, p, want_basis),
+            Warm::Cold => None,
+        };
+        match warm_outcome {
+            Some(outcome) => (outcome, true),
+            None => (self.solve_cold(p, want_basis), false),
+        }
     }
 
     /// Whether [`Warm::Live`] is currently possible.
@@ -756,36 +750,12 @@ impl<'a> Lp<'a> {
         self.live_ok
     }
 
-    /// The solve body behind [`Lp::solve_pinned`], which has set the
-    /// bounds and dropped the artificial columns.
-    fn solve_prepared(
-        &mut self,
-        p: &Problem,
-        warm: Warm,
-        trace: &mut SolveTrace,
-        want_basis: bool,
-    ) -> SolveOutcome {
-        self.live_ok = false;
-        match warm {
-            Warm::Live => {
-                // A live basis was optimal for this same objective, so it
-                // stays dual feasible under any bound change: skip the
-                // pricing scan.
-                if let Some(outcome) = self.reoptimize(p, false, want_basis) {
-                    trace.warm_used = true;
-                    return outcome;
-                }
-                self.solve_cold(p, want_basis)
-            }
-            Warm::Basis(basis) => {
-                if let Some(outcome) = self.try_warm(basis, p, want_basis) {
-                    trace.warm_used = true;
-                    return outcome;
-                }
-                self.solve_cold(p, want_basis)
-            }
-            Warm::Cold => self.solve_cold(p, want_basis),
-        }
+    /// Writes the pivots, bound flips and refactorizations of every solve
+    /// so far into `work`: a search runs on one workspace, so they are its.
+    pub(crate) fn count_work(&self, work: &mut SolverContextStats) {
+        work.pivots = self.total_pivots;
+        work.bound_flips = self.total_flips;
+        work.refactorizations = self.total_refactors;
     }
 
     /// Removes any artificial columns left over from a previous cold
@@ -1735,12 +1705,13 @@ mod tests {
         let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         p.add_constraint(&terms, Relation::Le, 2.5);
         let form = StandardForm::build(&p, None);
-        let mut trace = SolveTrace::default();
-        let (LpResult::Optimal(s), _) = solve_with_pins(&form, &p, &[], None, &mut trace) else {
+        let mut lp = Lp::new(&form);
+        let (SolveOutcome::Optimal { values, .. }, _) = lp.solve_pinned(&p, &[], Warm::Cold, true)
+        else {
             panic!("expected optimal")
         };
-        assert_eq!(s.values, vec![1.0, 1.0, 0.5]);
-        assert_eq!((trace.pivots, trace.bound_flips), (1, 2));
+        assert_eq!(values, vec![1.0, 1.0, 0.5]);
+        assert_eq!((lp.total_pivots, lp.total_flips), (1, 2));
     }
 
     #[test]
@@ -1756,8 +1727,7 @@ mod tests {
         p.add_constraint(&terms, Relation::Le, 4.0);
 
         let form = StandardForm::build(&p, None);
-        let mut trace = SolveTrace::default();
-        let (res, basis) = solve_with_pins(&form, &p, &[], None, &mut trace);
+        let (res, basis, _) = solve_with_pins(&form, &p, &[], None);
         let LpResult::Optimal(cold) = res else {
             panic!("cold solve failed")
         };
@@ -1767,15 +1737,12 @@ mod tests {
         let mut tighter = p.clone();
         tighter.set_rhs(0, 2.0);
         let tight_form = StandardForm::build(&tighter, None);
-        let mut warm_trace = SolveTrace::default();
-        let (warm_res, _) =
-            solve_with_pins(&tight_form, &tighter, &[], Some(&basis), &mut warm_trace);
+        let (warm_res, _, warm_held) = solve_with_pins(&tight_form, &tighter, &[], Some(&basis));
         let LpResult::Optimal(warm) = warm_res else {
             panic!("warm solve failed")
         };
-        assert!(warm_trace.warm_used, "warm path must be taken");
-        let (cold_res, _) =
-            solve_with_pins(&tight_form, &tighter, &[], None, &mut SolveTrace::default());
+        assert!(warm_held, "warm path must be taken");
+        let (cold_res, _, _) = solve_with_pins(&tight_form, &tighter, &[], None);
         let LpResult::Optimal(cold2) = cold_res else {
             panic!("cold re-solve failed")
         };
@@ -1860,8 +1827,8 @@ mod tests {
         let (small, large) = (knapsack(10.0), knapsack(20.0));
         let mut small_form = StandardForm::build(&small, None);
         assert_eq!(small_form.tighten(&small).cols_fixed, 1);
-        let (LpResult::Optimal(_), Some(stored)) =
-            solve_with_pins(&small_form, &small, &[], None, &mut SolveTrace::default())
+        let (LpResult::Optimal(_), Some(stored), _) =
+            solve_with_pins(&small_form, &small, &[], None)
         else {
             panic!("optimal with a storable basis")
         };
@@ -1872,10 +1839,9 @@ mod tests {
 
         let mut large_form = StandardForm::build(&large, None);
         assert_eq!(large_form.tighten(&large), Tightening::default());
-        let mut trace = SolveTrace::default();
-        let (warm, _) = solve_with_pins(&large_form, &large, &[], Some(&stored), &mut trace);
-        assert!(trace.warm_used, "the stored basis must be reused");
-        let (cold, _) = solve_with_pins(&large_form, &large, &[], None, &mut SolveTrace::default());
+        let (warm, _, warm_held) = solve_with_pins(&large_form, &large, &[], Some(&stored));
+        assert!(warm_held, "the stored basis must be reused");
+        let (cold, _, _) = solve_with_pins(&large_form, &large, &[], None);
         let (LpResult::Optimal(w), LpResult::Optimal(c)) = (warm, cold) else {
             panic!("both solves must be optimal")
         };
@@ -1890,16 +1856,15 @@ mod tests {
         let p = branchy_knapsack();
 
         let form = StandardForm::build(&p, None);
-        let (root, basis) = solve_with_pins(&form, &p, &[], None, &mut SolveTrace::default());
+        let (root, basis, _) = solve_with_pins(&form, &p, &[], None);
         let LpResult::Optimal(_) = root else {
             panic!("root failed")
         };
         let basis = basis.expect("storable basis");
         for pin in [0.0, 1.0] {
             let pins = vec![None, None, Some(pin)];
-            let mut trace = SolveTrace::default();
-            let (warm, _) = solve_with_pins(&form, &p, &pins, Some(&basis), &mut trace);
-            let (cold, _) = solve_with_pins(&form, &p, &pins, None, &mut SolveTrace::default());
+            let (warm, _, _) = solve_with_pins(&form, &p, &pins, Some(&basis));
+            let (cold, _, _) = solve_with_pins(&form, &p, &pins, None);
             match (warm, cold) {
                 (LpResult::Optimal(w), LpResult::Optimal(c)) => {
                     assert!(
@@ -1921,21 +1886,14 @@ mod tests {
         let form = StandardForm::build(&p, None);
 
         let mut lp = Lp::new(&form);
-        let root = lp.solve_pinned(&p, &[], Warm::Cold, &mut SolveTrace::default(), true);
+        let (root, _) = lp.solve_pinned(&p, &[], Warm::Cold, true);
         assert!(matches!(root, SolveOutcome::Optimal { .. }));
         assert!(lp.live_available());
 
         for pins in [vec![(2, 1.0)], vec![(2, 0.0)], vec![(0, 1.0), (2, 1.0)]] {
-            let mut trace = SolveTrace::default();
-            let live = lp.solve_pinned(&p, &pins, Warm::Live, &mut trace, false);
-            assert!(trace.warm_used, "{pins:?}: the live basis must be reused");
-            let fresh = Lp::new(&form).solve_pinned(
-                &p,
-                &pins,
-                Warm::Cold,
-                &mut SolveTrace::default(),
-                false,
-            );
+            let (live, live_held) = lp.solve_pinned(&p, &pins, Warm::Live, false);
+            assert!(live_held, "{pins:?}: the live basis must be reused");
+            let (fresh, _) = Lp::new(&form).solve_pinned(&p, &pins, Warm::Cold, false);
             match (live, fresh) {
                 (
                     SolveOutcome::Optimal { objective, .. },
@@ -1966,16 +1924,18 @@ mod tests {
         let root = root.expect("storable basis");
         let mut lp = Lp::new(&form);
         for pins in [vec![(2, 0.0)], vec![(2, 1.0)], vec![(0, 1.0), (1, 1.0)]] {
-            lp.solve_pinned(&p, &pins, Warm::Cold, &mut SolveTrace::default(), false);
+            lp.solve_pinned(&p, &pins, Warm::Cold, false);
         }
-        let mut trace = SolveTrace::default();
-        let SolveOutcome::Optimal {
-            values, objective, ..
-        } = lp.solve_pinned(&p, &[], Warm::Basis(&root), &mut trace, true)
+        let (
+            SolveOutcome::Optimal {
+                values, objective, ..
+            },
+            warm_held,
+        ) = lp.solve_pinned(&p, &[], Warm::Basis(&root), true)
         else {
             panic!("the root relaxation is optimal")
         };
-        assert!(trace.warm_used, "the stored basis must be reused");
+        assert!(warm_held, "the stored basis must be reused");
         assert_eq!(LpResult::Optimal(LpSolution { objective, values }), cold);
     }
 

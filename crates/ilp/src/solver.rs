@@ -21,9 +21,9 @@
 
 // lint:allow-file(index, branch-and-bound indexes variable arrays sized by the formulation)
 
-use crate::context::{solution_key, SearchWork, SolverContext};
+use crate::context::{solution_key, SolverContext, SolverContextStats};
 use crate::problem::{Problem, Relation, Sense};
-use crate::revised::{Lp, SolveOutcome, SolveTrace, StandardForm, Warm};
+use crate::revised::{Lp, SolveOutcome, StandardForm, Warm};
 use smart_trace::Lane;
 use smart_units::{Result, SmartError};
 use std::collections::BinaryHeap;
@@ -166,9 +166,9 @@ impl Solver {
         if let Some(l) = &lane {
             l.begin("solve", 0);
         }
-        let mut work = SearchWork::default();
+        let mut work = SolverContextStats::default();
         let result = self.search(problem, seed, ctx, lane.as_ref(), &mut work);
-        ctx.note_search(&work);
+        ctx.note_search(work);
         if let Some(l) = &lane {
             l.end("solve", work.pivots);
         }
@@ -179,15 +179,15 @@ impl Solver {
     }
 
     /// The branch & bound search behind [`Solver::solve`] from the
-    /// validated `seed` (values and objective); records its pivots,
-    /// bound flips, refactorizations, explored nodes and rows in `work`.
+    /// validated `seed` (values and objective); counts its work, start
+    /// mode included, in `work`, on every exit.
     fn search(
         &self,
         problem: &Problem,
         seed: Option<(&[f64], f64)>,
         ctx: &SolverContext,
         lane: Option<&Lane>,
-        work: &mut SearchWork,
+        work: &mut SolverContextStats,
     ) -> Result<MipSolution> {
         let int_vars = problem.integer_vars();
         let sign = match problem.sense() {
@@ -216,22 +216,15 @@ impl Solver {
         let mut form = StandardForm::build(problem, stored.as_deref());
         let tightening = form.tighten(problem);
         (work.cols_fixed, work.rows_rounded) = (tightening.cols_fixed, tightening.rows_rounded);
-        work.cols = problem.num_vars();
-        work.nonzeros = problem.constraints().map(|c| c.terms.len()).sum();
-        (work.rows, work.rows_kept) = (problem.num_constraints(), form.m);
+        work.cols = problem.num_vars() as u64;
+        work.nonzeros = problem.constraints().map(|c| c.terms.len() as u64).sum();
+        (work.rows, work.rows_kept) = (problem.num_constraints() as u64, form.m as u64);
         let mut lp = Lp::new(&form);
-        let mut trace = SolveTrace::default();
         let restricted = stored.and_then(|b| form.restrict(&b));
         let root_warm = restricted.as_ref().map_or(Warm::Cold, Warm::Basis);
-        let root_outcome = lp.solve_pinned(problem, &[], root_warm, &mut trace, true);
-        if trace.warm_used {
-            ctx.note_warm_hit();
-        } else {
-            ctx.note_cold();
-        }
-        work.pivots += trace.pivots;
-        work.bound_flips += trace.bound_flips;
-        work.refactorizations += trace.refactorizations;
+        let (root_outcome, warm_held) = lp.solve_pinned(problem, &[], root_warm, true);
+        (work.warm_hits, work.cold_solves) = (u64::from(warm_held), u64::from(!warm_held));
+        lp.count_work(work);
         if let Some(l) = lane {
             l.span("root relaxation", 0, work.pivots);
         }
@@ -290,7 +283,7 @@ impl Solver {
         // Check the limit before taking a node: discarding a popped-but-
         // unexplored node would leave the search empty and misclassify the
         // incumbent as proven optimal below.
-        while work.nodes < self.node_limit {
+        while work.nodes < self.node_limit as u64 {
             let node = match dive.take() {
                 Some(node) => node,
                 None => match heap.pop() {
@@ -310,12 +303,9 @@ impl Solver {
             } else {
                 Warm::Cold
             };
-            let mut trace = SolveTrace::default();
             let node_t0 = work.pivots;
-            let outcome = lp.solve_pinned(problem, &node.pins, warm, &mut trace, false);
-            work.pivots += trace.pivots;
-            work.bound_flips += trace.bound_flips;
-            work.refactorizations += trace.refactorizations;
+            let (outcome, _) = lp.solve_pinned(problem, &node.pins, warm, false);
+            lp.count_work(work);
             if let Some(l) = lane {
                 l.span(&format!("node {}", work.nodes), node_t0, work.pivots);
             }
@@ -361,7 +351,7 @@ impl Solver {
                         incumbent = Some(MipSolution {
                             objective,
                             values,
-                            nodes: work.nodes,
+                            nodes: work.nodes as usize,
                             proven_optimal: false,
                         });
                     }
@@ -391,15 +381,15 @@ impl Solver {
             }
         }
 
-        work.node_limited = dive.is_some() || !heap.is_empty();
+        work.node_limited = u64::from(dive.is_some() || !heap.is_empty());
         match incumbent {
             Some(mut s) => {
-                s.nodes = work.nodes;
-                s.proven_optimal = !work.node_limited;
+                s.nodes = work.nodes as usize;
+                s.proven_optimal = work.node_limited == 0;
                 Ok(s)
             }
             // Greedy fallback: round the root relaxation and check.
-            None => greedy_round(problem, &root_values, work.nodes)
+            None => greedy_round(problem, &root_values, work.nodes as usize)
                 .ok_or_else(|| SmartError::infeasible("integer program")),
         }
     }
@@ -673,14 +663,30 @@ mod tests {
     fn try_solve_reports_unbounded() {
         // A free continuous variable with positive objective and no upper
         // bound: Err(Unbounded), not a panic.
-        let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let y = p.continuous("y", 0.0, f64::INFINITY);
-        p.set_objective(a, 1.0);
-        p.set_objective(y, 1.0);
-        p.add_constraint(&[(a, 1.0), (y, 1.0)], Relation::Ge, 0.0);
-        let err = solve_once(Solver::new(), &p).unwrap_err();
+        let err = solve_once(Solver::new(), &unbounded_relaxation()).unwrap_err();
         assert!(matches!(err, SmartError::Unbounded { .. }), "{err}");
+    }
+
+    #[test]
+    fn failed_searches_count_their_work() {
+        // Both searches end at the root relaxation, which starts cold: the
+        // infeasible one flips both binaries to their upper bounds, the
+        // unbounded one flips the binary before `y` can grow without
+        // bound. No compiler solve gets here: each has a feasible seed.
+        for (p, bound_flips) in [(unsatisfiable(), 2), (unbounded_relaxation(), 1)] {
+            let ctx = SolverContext::new();
+            assert!(Solver::new().solve(&p, &ctx).is_err());
+            let expected = SolverContextStats {
+                cold_solves: 1,
+                bound_flips,
+                rows: 1,
+                rows_kept: 1,
+                cols: 2,
+                nonzeros: 2,
+                ..SolverContextStats::default()
+            };
+            assert_eq!(ctx.stats(), expected);
+        }
     }
 
     #[test]
@@ -744,6 +750,18 @@ mod tests {
         p.set_objective(b, 9.0);
         p.set_objective(c, 16.0);
         p.add_constraint(&[(a, 5.0), (b, 5.0), (c, 8.0)], Relation::Le, 10.0);
+        p
+    }
+
+    /// `max a + y` over a binary `a` and `y >= 0` with no upper bound, with
+    /// `a + y >= 0`: the relaxation is unbounded.
+    fn unbounded_relaxation() -> Problem {
+        let mut p = Problem::new(Sense::Maximize);
+        let a = p.binary("a");
+        let y = p.continuous("y", 0.0, f64::INFINITY);
+        p.set_objective(a, 1.0);
+        p.set_objective(y, 1.0);
+        p.add_constraint(&[(a, 1.0), (y, 1.0)], Relation::Ge, 0.0);
         p
     }
 

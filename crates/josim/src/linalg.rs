@@ -8,6 +8,8 @@
 
 // lint:allow-file(index, LU kernel; pivot and row indices are bounded by the square dimension asserted at entry)
 
+use crate::sparse::SingularMatrix;
+
 /// A dense row-major square matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -115,21 +117,6 @@ impl Matrix {
         Ok(LuFactors { n, lu, perm })
     }
 }
-
-/// Error returned when a matrix cannot be factorized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SingularMatrix {
-    /// Column at which elimination broke down.
-    pub column: usize,
-}
-
-impl std::fmt::Display for SingularMatrix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "singular matrix at column {}", self.column)
-    }
-}
-
-impl std::error::Error for SingularMatrix {}
 
 /// LU factors produced by [`Matrix::lu`], reusable across right-hand sides.
 #[derive(Debug, Clone)]

@@ -27,11 +27,24 @@
 
 // lint:allow-file(index, CSR kernel; offsets come from the sparsity pattern built beside them)
 
-use crate::linalg::SingularMatrix;
-
 /// Pivot magnitude below which the factorization reports singularity.
 /// Matches the dense path's threshold in [`crate::linalg::Matrix::lu`].
 const PIVOT_TINY: f64 = 1e-300;
+
+/// Error returned when a matrix cannot be factorized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SingularMatrix {
+    /// Column at which elimination broke down.
+    pub column: usize,
+}
+
+impl std::fmt::Display for SingularMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "singular matrix at column {}", self.column)
+    }
+}
+
+impl std::error::Error for SingularMatrix {}
 
 /// A fixed CSR sparsity pattern: sorted, deduplicated column indices per
 /// row, with the diagonal always present (every MNA row produced by the

@@ -25,7 +25,7 @@
 
 use crate::pareto::{epsilon_survivors, pareto_frontier, Objectives};
 use crate::space::SearchSpace;
-use smart_compiler::{resident_fraction, SolverContext};
+use smart_compiler::{resident_fraction, SolverContext, SolverContextStats};
 use smart_core::area::ChipArea;
 use smart_core::cache::EvalCache;
 use smart_core::eval::evaluate;
@@ -110,7 +110,8 @@ pub struct ReplayCheck {
 
 /// Work and reuse counters of one search run. Cache and solver counters
 /// are **deltas** over the run (after minus before), so a shared cache's
-/// prior history does not leak in.
+/// prior history does not leak in; work that other threads do on the same
+/// caches during the run is included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Points in the space.
@@ -146,6 +147,22 @@ pub struct SearchStats {
     pub pivots: u64,
     /// Primal simplex bound flips, over the same contexts.
     pub bound_flips: u64,
+}
+
+impl SearchStats {
+    /// Stats whose seven solver fields are `ilp`'s; every other field is 0.
+    fn of_solver(ilp: &SolverContextStats) -> Self {
+        Self {
+            warm_attempts: ilp.warm_attempts,
+            warm_hits: ilp.warm_hits,
+            cold_solves: ilp.cold_solves,
+            solution_hits: ilp.solution_hits,
+            nodes: ilp.nodes,
+            pivots: ilp.pivots,
+            bound_flips: ilp.bound_flips,
+            ..Self::default()
+        }
+    }
 }
 
 /// One evaluated design point.
@@ -306,7 +323,7 @@ pub fn search(
 
     let eval_after = eval.stats();
     let timing_after = timing.stats();
-    let solver_after = timing.solver().stats();
+    let solver = timing.solver().stats().since(&solver_before);
     let stats = SearchStats {
         space: params.len(),
         pruned: params.len() - survivors.len(),
@@ -322,13 +339,7 @@ pub fn search(
         timing_hits: (timing_after.hits + timing_after.coalesced)
             - (timing_before.hits + timing_before.coalesced),
         timing_misses: timing_after.misses - timing_before.misses,
-        warm_attempts: solver_after.warm_attempts - solver_before.warm_attempts,
-        warm_hits: solver_after.warm_hits - solver_before.warm_hits,
-        cold_solves: solver_after.cold_solves - solver_before.cold_solves,
-        solution_hits: solver_after.solution_hits - solver_before.solution_hits,
-        nodes: solver_after.nodes - solver_before.nodes,
-        pivots: solver_after.pivots - solver_before.pivots,
-        bound_flips: solver_after.bound_flips - solver_before.bound_flips,
+        ..SearchStats::of_solver(&solver)
     };
 
     let points = params
@@ -371,7 +382,7 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
 
     let mut objectives = Vec::with_capacity(schemes.len());
     let mut ilp = Vec::with_capacity(schemes.len());
-    let mut solver_totals = SearchStats::default();
+    let mut solver_totals = SolverContextStats::default();
     for scheme in &schemes {
         let report = evaluate(scheme, &model, cfg.batch);
         objectives.push(objectives_of(
@@ -387,14 +398,7 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
             cfg.timing.max_iterations,
             &solver,
         )?));
-        let s = solver.stats();
-        solver_totals.warm_attempts += s.warm_attempts;
-        solver_totals.warm_hits += s.warm_hits;
-        solver_totals.cold_solves += s.cold_solves;
-        solver_totals.solution_hits += s.solution_hits;
-        solver_totals.nodes += s.nodes;
-        solver_totals.pivots += s.pivots;
-        solver_totals.bound_flips += s.bound_flips;
+        solver_totals += solver.stats();
     }
 
     let survivors: Vec<usize> = (0..schemes.len()).collect();
@@ -429,7 +433,7 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
         eval_misses: schemes.len() as u64,
         timing_hits: 0,
         timing_misses: frontier.len() as u64,
-        ..solver_totals
+        ..SearchStats::of_solver(&solver_totals)
     };
 
     let points = params

@@ -14,7 +14,9 @@
 //! is poisoned.
 //!
 //! Do **not** use this for locks protecting multi-step invariants — only
-//! for maps whose entries are inserted atomically.
+//! for maps whose entries are inserted atomically, and for records of
+//! independent counters (`SolverContext`'s work totals), where an
+//! interrupted update can lose counts but leaves every field a count.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
