@@ -32,8 +32,9 @@ use smart_ilp::solver::{MipSolution, Solver};
 use smart_ilp::SolverContext;
 use smart_systolic::dag::{LayerDag, MemoryObject};
 use smart_systolic::trace::DataClass;
-use smart_units::codec::content_hash;
+use smart_units::codec::ContentHasher;
 use std::fmt::Write;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Relative time saved per byte when streaming from SHIFT instead of DRAM
@@ -373,19 +374,24 @@ fn formulation(
 /// their order and its objective depend on. That is the DAG's objects
 /// and edge count, the lifespans, the bandwidth budget, and whether the
 /// RANDOM capacity equals the bank count (see [`Formulation::build`]); the
-/// capacities themselves are right-hand sides.
+/// capacities themselves are right-hand sides. The words stream straight
+/// into one [`ContentHasher`].
 fn structure_key(dag: &LayerDag, params: &FormulationParams, lifespans: &[Lifespan]) -> u128 {
     let merged = Capacity::Random.of(params).to_bits() == Capacity::Banks.of(params).to_bits();
-    let mut words = Vec::with_capacity(3 * dag.objects.len() + lifespans.len() + 3);
-    words.push(dag.edges.len() as u64);
+    let mut h = ContentHasher::default();
+    h.write_u64(params.bytes_per_iteration);
+    h.write_u64(u64::from(merged));
+    h.write_usize(dag.edges.len());
+    h.write_usize(dag.objects.len());
     for o in &dag.objects {
-        words.extend([u64::from(o.id), o.class as u64, o.bytes]);
+        h.write_u64(u64::from(o.id));
+        h.write_u64(o.class as u64);
+        h.write_u64(o.bytes);
     }
     for ls in lifespans {
-        words.push(u64::from(ls.first_edge) << 32 | u64::from(ls.last_edge));
+        h.write_u64(u64::from(ls.first_edge) << 32 | u64::from(ls.last_edge));
     }
-    words.extend([params.bytes_per_iteration, u64::from(merged)]);
-    content_hash(&words)
+    h.finish128()
 }
 
 /// Decodes a MIP solution into object placements.
@@ -821,9 +827,9 @@ mod tests {
         );
     }
 
-    /// Rewrites the solution store in `dir` with every memoized solution
-    /// cut to its first value.
-    fn truncate_solutions(dir: &std::path::Path) {
+    /// Rewrites the solution store in `dir`, passing every memoized
+    /// solution through `damage`.
+    fn rewrite_solutions(dir: &std::path::Path, damage: impl Fn(&mut MipSolution)) {
         let path = dir.join(MipSolution::FILE_NAME);
         let payload = Store::read_file(&path, MipSolution::TAG, MipSolution::VERSION)
             .expect("the solution store opens");
@@ -834,7 +840,7 @@ mod tests {
         for _ in 0..n {
             w.u128(r.u128().expect("key"));
             let mut solution = MipSolution::read(&mut r).expect("solution");
-            solution.values.truncate(1);
+            damage(&mut solution);
             solution.write(&mut w);
         }
         assert!(r.is_empty());
@@ -847,25 +853,36 @@ mod tests {
         .expect("rewrites");
     }
 
-    #[test]
-    fn a_stored_solution_of_the_wrong_length_compiles_instead_of_panicking() {
+    /// Compiles a layer on a fresh context that loads the store of a
+    /// writer context after `damage` rewrote each memoized solution; the
+    /// compile must equal the writer's and replay nothing.
+    fn compiles_past_damaged_solutions(tag: &str, damage: impl Fn(&mut MipSolution)) {
         let dag = dag_for(&ConvLayer::conv("c", 13, 13, 64, 64, 3, 1, 1));
         let params = FormulationParams::smart_default();
         let writer = SolverContext::new();
         let expected = compile_layer_ctx(&dag, &params, &writer);
-        let dir = std::env::temp_dir().join(format!(
-            "smart-compiler-short-solution-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("smart-compiler-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         writer.save_to(&dir).expect("saves");
-        truncate_solutions(&dir);
+        rewrite_solutions(&dir, damage);
         let ctx = SolverContext::new();
         let loaded = ctx.load_from(&dir);
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(loaded, writer.stats().stored_bases + 1, "the store loads");
         assert_eq!(compile_layer_ctx(&dag, &params, &ctx), expected);
         assert_eq!(ctx.stats().solution_hits, 0);
+    }
+
+    #[test]
+    fn a_stored_solution_of_the_wrong_length_compiles_instead_of_panicking() {
+        compiles_past_damaged_solutions("short-solution", |s| s.values.truncate(1));
+    }
+
+    #[test]
+    fn a_stored_infeasible_solution_is_validated_not_replayed() {
+        // Of the right length but not the seed: every placement variable
+        // at 1 puts each object in SHIFT and in RANDOM at once.
+        compiles_past_damaged_solutions("infeasible-solution", |s| s.values.fill(1.0));
     }
 
     #[test]

@@ -51,10 +51,11 @@ use crate::problem::Problem;
 use crate::revised::{never_binds, Basis, Status};
 use crate::solver::MipSolution;
 use smart_trace::Tracer;
-use smart_units::codec::{content_hash, ByteReader, ByteWriter};
+use smart_units::codec::{ByteReader, ByteWriter, ContentHasher};
 use smart_units::memo::{Persist, Table};
 use smart_units::sync::lock;
 use std::any::Any;
+use std::hash::Hasher;
 use std::ops::AddAssign;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -361,11 +362,11 @@ impl Persist for MipSolution {
 }
 
 /// 128-bit solve key for the solution memo: everything that determines a
-/// deterministic solve's outcome. One pass over the structure's digests
-/// lays out the variable digest, the number of rows the search can see and
-/// the digest and right-hand side of each of them, then the validated
-/// incumbent seed (`None` when there is none or it was rejected) and the
-/// solver configuration; the key is the content hash of that sequence.
+/// deterministic solve's outcome. The variable digest, the solver
+/// configuration and the validated incumbent seed (`None` when there is
+/// none or it was rejected) go first, then the digest and right-hand side
+/// of each row the search can see and, last, how many rows that was; the
+/// words stream straight into one [`ContentHasher`].
 /// Rows that [`never_binds`] holds are left out: they hold everywhere
 /// inside the variable bounds, so they change neither the feasible set nor
 /// the presolved LP, and a problem that differs from an earlier one only in
@@ -378,27 +379,31 @@ pub(crate) fn solution_key(
     node_limit: usize,
     warm_start: bool,
 ) -> u128 {
-    let halves = |x: u128| [(x >> 64) as u64, x as u64];
     let digests = problem.digests();
-    let seed_len = seed.map_or(0, <[f64]>::len);
-    let mut words = Vec::with_capacity(3 * digests.rows.len() + seed_len + 7);
-    words.extend(halves(digests.variables));
+    let mut h = ContentHasher::default();
+    h.write_u128(digests.variables);
+    h.write_usize(node_limit);
+    h.write_u64(u64::from(warm_start));
+    match seed {
+        None => h.write_u64(0),
+        Some(vals) => {
+            h.write_u64(1);
+            h.write_usize(vals.len());
+            for v in vals {
+                h.write_u64(v.to_bits());
+            }
+        }
+    }
+    let mut rows = 0usize;
     for (i, row) in digests.rows.iter().enumerate() {
         if !never_binds(problem, i) {
-            words.extend(halves(row.hash));
-            words.push(problem.constraint(i).rhs.to_bits());
+            h.write_u128(row.hash);
+            h.write_u64(problem.constraint(i).rhs.to_bits());
+            rows += 1;
         }
     }
-    words.insert(2, (words.len() as u64 - 2) / 3);
-    match seed {
-        None => words.push(0),
-        Some(vals) => {
-            words.extend([1, vals.len() as u64]);
-            words.extend(vals.iter().map(|v| v.to_bits()));
-        }
-    }
-    words.extend([node_limit as u64, u64::from(warm_start)]);
-    content_hash(&words)
+    h.write_usize(rows);
+    h.finish128()
 }
 
 #[cfg(test)]

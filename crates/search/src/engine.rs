@@ -252,6 +252,48 @@ fn ilp_metrics(
     Ok(m)
 }
 
+/// The outcome of a search: every point with its objectives and its
+/// evaluation depth (ILP metrics, replay check), in enumeration order,
+/// and `stats` with the space, pruned, survivor and frontier counts.
+fn outcome(
+    params: Vec<GeometryParams>,
+    schemes: Vec<Scheme>,
+    objectives: Vec<Objectives>,
+    depth: impl IntoIterator<Item = (Option<IlpMetrics>, Option<ReplayCheck>)>,
+    survivors: Vec<usize>,
+    frontier: Vec<usize>,
+    stats: SearchStats,
+) -> SearchOutcome {
+    let stats = SearchStats {
+        space: params.len(),
+        pruned: params.len() - survivors.len(),
+        survivors: survivors.len(),
+        frontier: frontier.len(),
+        ..stats
+    };
+    let points = params
+        .into_iter()
+        .zip(schemes)
+        .zip(objectives)
+        .zip(depth)
+        .map(
+            |(((params, scheme), objectives), (ilp, replay))| EvaluatedPoint {
+                params,
+                scheme,
+                objectives,
+                ilp,
+                replay,
+            },
+        )
+        .collect();
+    SearchOutcome {
+        points,
+        survivors,
+        frontier,
+        stats,
+    }
+}
+
 /// Searches `space` through the staged engine: parallel analytic
 /// objectives for every point, ε-dominance pruning, warm-started ILP
 /// enrichment of the survivors, and cycle-level replay confirmation of the
@@ -325,10 +367,6 @@ pub fn search(
     let timing_after = timing.stats();
     let solver = timing.solver().stats().since(&solver_before);
     let stats = SearchStats {
-        space: params.len(),
-        pruned: params.len() - survivors.len(),
-        survivors: survivors.len(),
-        frontier: frontier.len(),
         ilp_compiles,
         // Hits include coalesced waits on in-flight work: the split
         // between the two depends on worker timing, but their sum is
@@ -342,27 +380,15 @@ pub fn search(
         ..SearchStats::of_solver(&solver)
     };
 
-    let points = params
-        .into_iter()
-        .zip(schemes)
-        .zip(objectives)
-        .zip(ilp.into_iter().zip(replay))
-        .map(
-            |(((params, scheme), objectives), (ilp, replay))| EvaluatedPoint {
-                params,
-                scheme,
-                objectives,
-                ilp,
-                replay,
-            },
-        )
-        .collect();
-    Ok(SearchOutcome {
-        points,
+    Ok(outcome(
+        params,
+        schemes,
+        objectives,
+        ilp.into_iter().zip(replay),
         survivors,
         frontier,
         stats,
-    })
+    ))
 }
 
 /// The baseline the engine's speedup is measured against: every point of
@@ -424,10 +450,6 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
     }
 
     let stats = SearchStats {
-        space: params.len(),
-        pruned: 0,
-        survivors: survivors.len(),
-        frontier: frontier.len(),
         ilp_compiles: schemes.len() as u64 * model.layers.len() as u64,
         eval_hits: 0,
         eval_misses: schemes.len() as u64,
@@ -436,27 +458,15 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
         ..SearchStats::of_solver(&solver_totals)
     };
 
-    let points = params
-        .into_iter()
-        .zip(schemes)
-        .zip(objectives)
-        .zip(ilp.into_iter().zip(replay))
-        .map(
-            |(((params, scheme), objectives), (ilp, replay))| EvaluatedPoint {
-                params,
-                scheme,
-                objectives,
-                ilp,
-                replay,
-            },
-        )
-        .collect();
-    Ok(SearchOutcome {
-        points,
+    Ok(outcome(
+        params,
+        schemes,
+        objectives,
+        ilp.into_iter().zip(replay),
         survivors,
         frontier,
         stats,
-    })
+    ))
 }
 
 #[cfg(test)]

@@ -29,9 +29,11 @@
 //!    `CellSpec`, an ILP fingerprint) are persisted as 128-bit content
 //!    hashes ([`content_hash`]), not serialized key structures — the
 //!    in-memory cache still compares real keys, and the persisted side map
-//!    is only consulted on a miss. Hashes are deterministic within one
-//!    build of the workspace; a toolchain bump at worst empties the warm
-//!    store (the app version gate catches intentional layout changes).
+//!    is only consulted on a miss. The hash is this module's own
+//!    [`ContentHasher`], so keys stay the same across toolchains; a change
+//!    to it bumps the container format version, which empties every warm
+//!    store at once (the app version gate catches intentional layout
+//!    changes of one store).
 //!
 //! ```
 //! use smart_units::codec::{ByteReader, ByteWriter, Store};
@@ -55,7 +57,6 @@
 //! ```
 
 use crate::sync::lock;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
@@ -64,8 +65,11 @@ use std::sync::Mutex;
 /// Magic prefix of every store file.
 const MAGIC: &[u8; 4] = b"SMRT";
 
-/// Container format revision (bump when the header layout changes).
-const FORMAT_VERSION: u32 = 1;
+/// Container format revision. Bump it when the header layout changes, and
+/// when [`content_hash`] derives other keys, since it covers the keys of
+/// every store (2: [`ContentHasher`] replaced two passes of std's
+/// `SipHash`-1-3, whose algorithm std leaves unspecified across releases).
+const FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a over a byte slice: the store checksum. Deliberately simple —
 /// this guards against truncation and bit rot, not adversaries.
@@ -79,21 +83,204 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A 128-bit content hash of any `Hash` value, built from two
-/// domain-separated [`DefaultHasher`] passes. Used as the persisted key of
-/// cache entries: collisions would need two live keys agreeing on both
-/// independent 64-bit halves, which is negligible at cache scale (and a
-/// collision degrades to a stale-looking entry the in-memory layer never
-/// confirms, not to silent corruption of the exact-key map).
+/// A 128-bit content hash of any `Hash` value: one [`ContentHasher`]
+/// pass over it. Used as the persisted key of cache entries. The hash is
+/// the workspace's own, so a key is the same under every toolchain that
+/// keeps std's `Hash` encoding of the key's types (the known-answer test
+/// pins both); changing it bumps the container format version. A
+/// collision would need two live keys agreeing on all 128 bits, which is
+/// negligible at cache scale (and degrades to a stale-looking entry the
+/// in-memory layer never confirms, not to silent corruption of the
+/// exact-key map).
 #[must_use]
 pub fn content_hash<K: Hash>(key: &K) -> u128 {
-    let mut a = DefaultHasher::new();
-    0xa5a5_a5a5_u32.hash(&mut a);
-    key.hash(&mut a);
-    let mut b = DefaultHasher::new();
-    0x5a5a_5a5a_u32.hash(&mut b);
-    key.hash(&mut b);
-    (u128::from(a.finish()) << 64) | u128::from(b.finish())
+    let mut h = ContentHasher::default();
+    key.hash(&mut h);
+    h.finish128()
+}
+
+/// Odd multiplier of the lane step (the 64-bit golden ratio).
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Start state of the four lanes (hex digits of pi).
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// One word into one lane: xor, multiply by an odd constant, rotate. Each
+/// of the three is a bijection of the lane, so no word can collapse two
+/// states into one, and two words into the same state give two states.
+fn lane_step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(LANE_MUL).rotate_left(31)
+}
+
+/// The murmur3 64-bit finalizer: full avalanche of one word.
+fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+/// Up to eight bytes as a little-endian word, zero-padded.
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    for (w, b) in word.iter_mut().zip(bytes) {
+        *w = *b;
+    }
+    u64::from_le_bytes(word)
+}
+
+/// The 128-bit [`Hasher`] behind [`content_hash`], for callers that
+/// stream a key's words straight in instead of collecting them first.
+///
+/// The hash is a function of the byte stream alone, read as little-endian
+/// 64-bit words: how the bytes are split into `write` calls does not
+/// matter, so std's prefix-free `Hash` encodings stay collision-free. Word
+/// `i` goes to lane `i % 4` of four independent 64-bit lanes, by a step
+/// that is a bijection of the lane; a slice takes a 32-byte block, one
+/// word per lane, per step. [`ContentHasher::finish128`] folds the lanes
+/// into two words, each fold again a bijection of either lane, and mixes
+/// them with the byte count in three Feistel half-rounds of the murmur3
+/// finalizer: two streams of equal length that differ in one word always
+/// hash apart. Integers are written little-endian and `usize` as 64 bits,
+/// so keys do not depend on the host's pointer width.
+#[derive(Debug, Clone)]
+pub struct ContentHasher {
+    /// The lanes, rotated so that the next word's lane comes first.
+    lanes: [u64; 4],
+    /// Bytes written so far.
+    len: u64,
+    /// The `len % 8` bytes past the last whole word, little-endian.
+    tail: u64,
+}
+
+impl Default for ContentHasher {
+    fn default() -> Self {
+        Self {
+            lanes: LANE_SEEDS,
+            len: 0,
+            tail: 0,
+        }
+    }
+}
+
+impl ContentHasher {
+    /// The 128-bit hash of everything written so far.
+    #[must_use]
+    pub fn finish128(&self) -> u128 {
+        let mut lanes = self.lanes;
+        if self.shift() > 0 {
+            lanes = Self::absorb(lanes, self.tail);
+        }
+        let [l0, l1, l2, l3] = lanes;
+        let mut hi = lane_step(l0, l2) ^ self.len;
+        let mut lo = lane_step(l1, l3);
+        hi ^= fmix64(lo);
+        lo ^= fmix64(hi);
+        hi ^= fmix64(lo);
+        u128::from(hi) << 64 | u128::from(lo)
+    }
+
+    /// `lanes` after one word into the first lane, which then goes last.
+    fn absorb([a, b, c, d]: [u64; 4], word: u64) -> [u64; 4] {
+        [b, c, d, lane_step(a, word)]
+    }
+
+    /// Bits of the pending partial word.
+    fn shift(&self) -> u32 {
+        8 * (self.len % 8) as u32
+    }
+
+    /// The word completed by the low bytes of `word` when `shift` bits are
+    /// pending; its high bytes become the pending ones, as many as before.
+    fn carry(&mut self, word: u64, shift: u32) -> u64 {
+        if shift == 0 {
+            return word;
+        }
+        let done = self.tail | word << shift;
+        self.tail = word >> (64 - shift);
+        done
+    }
+
+    /// Appends the low `n < 8` bytes of `v`.
+    fn write_short(&mut self, v: u64, n: u32) {
+        let shift = self.shift();
+        self.len += u64::from(n);
+        if shift + 8 * n < 64 {
+            self.tail |= v << shift;
+        } else {
+            let word = self.carry(v, shift);
+            self.lanes = Self::absorb(self.lanes, word);
+        }
+    }
+}
+
+impl Hasher for ContentHasher {
+    /// The low half of [`ContentHasher::finish128`].
+    fn finish(&self) -> u64 {
+        self.finish128() as u64
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let shift = self.shift();
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            let mut words = [0u64; 4];
+            for (w, b) in words.iter_mut().zip(block.chunks_exact(8)) {
+                *w = self.carry(le_word(b), shift);
+            }
+            let [a, b, c, d] = self.lanes;
+            let [w0, w1, w2, w3] = words;
+            self.lanes = [
+                lane_step(a, w0),
+                lane_step(b, w1),
+                lane_step(c, w2),
+                lane_step(d, w3),
+            ];
+        }
+        let mut words = blocks.remainder().chunks_exact(8);
+        for w in &mut words {
+            let word = self.carry(le_word(w), shift);
+            self.lanes = Self::absorb(self.lanes, word);
+        }
+        let rest = words.remainder();
+        self.len += (bytes.len() - rest.len()) as u64;
+        if !rest.is_empty() {
+            self.write_short(le_word(rest), rest.len() as u32);
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_short(v.into(), 1);
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write_short(v.into(), 2);
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_short(v.into(), 4);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let word = self.carry(v, self.shift());
+        self.len += 8;
+        self.lanes = Self::absorb(self.lanes, word);
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.write_u64(v as u64);
+        self.write_u64((v >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
 }
 
 /// Little-endian append-only byte sink.
@@ -439,6 +626,83 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, c);
         assert_ne!(a >> 64, a & u128::from(u64::MAX), "halves independent");
+    }
+
+    #[test]
+    fn content_hash_known_answers() {
+        // Pinned keys: a change to `ContentHasher`, or to std's `Hash`
+        // encoding of strings, tuples and slices, moves these and must
+        // bump `FORMAT_VERSION`.
+        assert_eq!(FORMAT_VERSION, 2);
+        let empty: &[u64] = &[];
+        let cases = [
+            (content_hash(&()), 0xb602_f248_1f0b_c6de_cd34_669c_87d8_1b36),
+            (
+                content_hash(&42u64),
+                0x53ff_31a8_774c_2a3f_70ac_2ed0_1aee_4fad,
+            ),
+            (
+                content_hash(&("SMART", 3u32)),
+                0xa953_72c2_19d6_2ca0_0074_bf59_aa90_8ddf,
+            ),
+            (
+                content_hash(&vec![1u64, 2, 3, u64::MAX, 5]),
+                0xff3d_db7e_f984_6fa8_2397_754e_d373_71fd,
+            ),
+            (
+                content_hash(&empty),
+                0x6a58_b84b_ed44_838a_d591_1bee_ff18_a0e6,
+            ),
+        ];
+        for (i, (got, want)) in cases.into_iter().enumerate() {
+            assert_eq!(got, want, "case {i}: {got:#034x}");
+        }
+    }
+
+    #[test]
+    fn content_hash_depends_on_the_bytes_not_on_how_they_are_written() {
+        let mut rng = crate::rng::Rng::new(29);
+        let mut draw = |k: u64| (rng.next_u64() % k) as usize;
+        for _ in 0..500 {
+            let bytes: Vec<u8> = (0..draw(100)).map(|_| draw(256) as u8).collect();
+            let mut whole = ContentHasher::default();
+            whole.write(&bytes);
+            // The same bytes as random u8, u16, u32 and u64 writes and
+            // slices of up to 40 bytes, so every alignment meets every
+            // kind of write.
+            let mut parts = ContentHasher::default();
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                let kind = draw(5);
+                let width = if kind < 4 { 1 << kind } else { draw(41) };
+                let (part, tail) = rest.split_at(width.min(rest.len()));
+                match (kind, part) {
+                    (0, &[a]) => parts.write_u8(a),
+                    (1, &[a, b]) => parts.write_u16(u16::from_le_bytes([a, b])),
+                    (2, &[a, b, c, d]) => parts.write_u32(u32::from_le_bytes([a, b, c, d])),
+                    (3, _) if part.len() == 8 => parts.write_u64(le_word(part)),
+                    _ => parts.write(part),
+                }
+                rest = tail;
+            }
+            assert_eq!(whole.finish128(), parts.finish128(), "{bytes:?}");
+            assert_eq!(whole.finish(), whole.finish128() as u64);
+        }
+        let mut wide = ContentHasher::default();
+        wide.write_u128(u128::MAX - 7);
+        wide.write_usize(9);
+        assert_eq!(
+            wide.finish128(),
+            content_hash(&(u64::MAX - 7, u64::MAX, 9u64)),
+            "u128 is two little-endian words, usize one word"
+        );
+    }
+
+    #[test]
+    fn a_store_from_format_version_1_opens_cold() {
+        let mut old = Store::seal("unit-test", 3, sample_payload());
+        old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert!(Store::open(&old, "unit-test", 3).is_none());
     }
 
     #[test]
