@@ -27,13 +27,12 @@
 
 use crate::lifespan::{analyze, Lifespan};
 use crate::schedule::{Location, Placement, Schedule, ScheduleSource};
-use smart_ilp::problem::{Problem, Relation, Sense, VarId};
+use smart_ilp::problem::{Edit, Problem, Relation, Sense, VarId};
 use smart_ilp::solver::{MipSolution, Solver};
 use smart_ilp::SolverContext;
 use smart_systolic::dag::{LayerDag, MemoryObject};
 use smart_systolic::trace::DataClass;
 use smart_units::codec::ContentHasher;
-use std::fmt::Write;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -185,10 +184,11 @@ struct Formulation {
 }
 
 impl Formulation {
-    /// Builds the problem at `params`' capacities, recording which rows
-    /// hold a capacity. Adjacent edges usually see the same live/fetch
-    /// sets, so the per-edge loops produce long runs of *identical* rows;
-    /// those are deduplicated ([`Rows`]) before reaching the solver (a
+    /// Builds the problem at `params`' capacities in one pass, recording
+    /// which rows hold a capacity. Adjacent edges usually see the same
+    /// live/fetch sets, so the per-edge loops produce long runs of
+    /// *identical* rows; those are deduplicated
+    /// ([`Edit::add_distinct_constraint`]) before reaching the solver (a
     /// duplicate constraint cannot change the feasible region, but every
     /// extra row widens the simplex basis). Two rows are identical when
     /// their terms and right-hand sides are. Rows of one kind share their
@@ -200,36 +200,42 @@ impl Formulation {
     /// equals the bank count, which [`structure_key`] records.
     fn build(dag: &LayerDag, params: &FormulationParams, lifespans: &[Lifespan]) -> Self {
         let n_objects = dag.objects.len();
-
-        let mut p = Problem::new(Sense::Maximize);
+        let mut problem = Problem::new(Sense::Maximize);
+        let mut p = problem.edit();
+        // Two terms per object's exclusivity row, and per edge six rows: a
+        // term per live object in a SHIFT row and in the RANDOM row, and
+        // three per fetched one (each object is fetched once).
+        let live_edges: usize = lifespans
+            .iter()
+            .map(|ls| ls.last_edge.saturating_sub(ls.first_edge) as usize + 1)
+            .sum();
+        let rows = n_objects + 6 * dag.edges.len();
+        p.reserve(2 * n_objects, rows, 5 * n_objects + 2 * live_edges);
         let mut h_vars = Vec::with_capacity(n_objects);
         let mut r_vars = Vec::with_capacity(n_objects);
-        let mut name = String::new();
-        let mut binary = |p: &mut Problem, prefix: char, id: u32| {
-            name.clear();
-            // Writing to a `String` cannot fail.
-            let _ = write!(name, "{prefix}_{id}");
-            p.binary(&name)
-        };
         for o in &dag.objects {
-            let h = binary(&mut p, 'h', o.id);
-            let r = binary(&mut p, 'r', o.id);
+            let (h, r) = (p.binary(), p.binary());
             let bytes = o.bytes as f64;
             // Eq. 5: saving minus load cost, folded per object.
             p.set_objective(h, bytes * (SHIFT_SAVING_PER_BYTE - SHIFT_LOAD_PER_BYTE));
             p.set_objective(r, bytes * (RANDOM_SAVING_PER_BYTE - RANDOM_LOAD_PER_BYTE));
-            p.add_constraint(&[(h, 1.0), (r, 1.0)], Relation::Le, 1.0);
+            p.add_constraint([(h, 1.0), (r, 1.0)], Relation::Le, 1.0);
             h_vars.push(h);
             r_vars.push(r);
         }
 
         let h = |o: &MemoryObject| h_vars[o.id as usize];
         let r = |o: &MemoryObject| r_vars[o.id as usize];
-        let (shift, random, banks) = (Capacity::Shift, Capacity::Random, Capacity::Banks);
-        let mut rows = Rows::default();
+        let mut capacities = Vec::with_capacity(rows);
+        capacities.resize(n_objects, None);
+        // Each kind of edge row's right-hand side and the capacity it is.
+        let [shift, random, banks] =
+            [Capacity::Shift, Capacity::Random, Capacity::Banks].map(|c| (c.of(params), Some(c)));
+        let bandwidth = (params.bytes_per_iteration as f64, None);
         // The objects live on an edge and those fetched there, in object
         // order; each row of the edge reads one of the two lists.
-        let (mut live, mut fetched) = (Vec::new(), Vec::new());
+        let mut live = Vec::with_capacity(n_objects);
+        let mut fetched = Vec::with_capacity(n_objects);
         for edge in 0..dag.edges.len() as u32 {
             live.clear();
             fetched.clear();
@@ -246,30 +252,25 @@ impl Formulation {
             for class in DataClass::ALL {
                 let of_class = live.iter().filter(|o| o.class == class);
                 let terms = of_class.map(|o| (h(o), o.bytes as f64));
-                rows.push(terms, shift.of(params), Some(shift));
+                push_row(&mut p, &mut capacities, terms, shift);
             }
             // RANDOM capacity (shared).
             let terms = live.iter().map(|o| (r(o), o.bytes as f64));
-            rows.push(terms, random.of(params), Some(random));
+            push_row(&mut p, &mut capacities, terms, random);
             // Bandwidth: objects whose fetch edge is this edge.
             let terms = fetched
                 .iter()
                 .flat_map(|o| [(h(o), o.bytes as f64), (r(o), o.bytes as f64)]);
-            rows.push(terms, params.bytes_per_iteration as f64, None);
+            push_row(&mut p, &mut capacities, terms, bandwidth);
             // Sub-bank: count of simultaneous RANDOM fetches.
             let terms = fetched.iter().map(|o| (r(o), 1.0));
-            rows.push(terms, banks.of(params), Some(banks));
+            push_row(&mut p, &mut capacities, terms, banks);
         }
 
-        let mut capacities = vec![None; p.num_constraints()];
-        for (terms, rhs, capacity) in rows.iter() {
-            p.add_constraint(terms, Relation::Le, rhs);
-            capacities.push(capacity);
-        }
-        p.shrink_to_fit();
+        problem.shrink_to_fit();
         capacities.shrink_to_fit();
         Self {
-            problem: p,
+            problem,
             h_vars,
             r_vars,
             capacities,
@@ -289,72 +290,17 @@ impl Formulation {
     }
 }
 
-/// The distinct rows of a formulation, in the order first pushed: their
-/// terms in one flat buffer, and an index of `(hash, row)` pairs sorted by
-/// a hash of each row's terms and right-hand side, which finds a
-/// duplicate without a key allocation per row.
-#[derive(Debug, Default)]
-struct Rows {
-    terms: Vec<(VarId, f64)>,
-    /// Each row's end in `terms`, right-hand side and capacity.
-    rows: Vec<(usize, f64, Option<Capacity>)>,
-    index: Vec<(u64, usize)>,
-}
-
-impl Rows {
-    /// Adds the row `terms <= rhs`, whose right-hand side is `capacity`
-    /// if any, unless it is empty or a row with the same terms and
-    /// right-hand side, to the bit, is already there.
-    fn push(
-        &mut self,
-        terms: impl Iterator<Item = (VarId, f64)>,
-        rhs: f64,
-        capacity: Option<Capacity>,
-    ) {
-        let start = self.terms.len();
-        self.terms.extend(terms);
-        let new = &self.terms[start..];
-        if new.is_empty() {
-            return;
-        }
-        let hash = new.iter().fold(rhs.to_bits(), |h, &(v, k)| {
-            mix(mix(h, v.index() as u64), k.to_bits())
-        });
-        let at = self.index.partition_point(|&(h, _)| h < hash);
-        let duplicate = self.index[at..]
-            .iter()
-            .take_while(|&&(h, _)| h == hash)
-            .any(|&(_, row)| {
-                let (terms, row_rhs, _) = self.row(row);
-                let bits = |&(v, k): &(VarId, f64)| (v, k.to_bits());
-                row_rhs.to_bits() == rhs.to_bits()
-                    && terms.iter().map(bits).eq(new.iter().map(bits))
-            });
-        if duplicate {
-            self.terms.truncate(start);
-        } else {
-            self.index.insert(at, (hash, self.rows.len()));
-            self.rows.push((self.terms.len(), rhs, capacity));
-        }
+/// Adds the edge row `terms <= rhs` unless it repeats an earlier one,
+/// recording `capacity`, the right-hand side's, if any.
+fn push_row(
+    p: &mut Edit<'_>,
+    capacities: &mut Vec<Option<Capacity>>,
+    terms: impl IntoIterator<Item = (VarId, f64)>,
+    (rhs, capacity): (f64, Option<Capacity>),
+) {
+    if p.add_distinct_constraint(terms, Relation::Le, rhs) {
+        capacities.push(capacity);
     }
-
-    /// Row `i`: its terms, right-hand side and capacity.
-    fn row(&self, i: usize) -> (&[(VarId, f64)], f64, Option<Capacity>) {
-        let start = i.checked_sub(1).map_or(0, |j| self.rows[j].0);
-        let (end, rhs, capacity) = self.rows[i];
-        (&self.terms[start..end], rhs, capacity)
-    }
-
-    /// Every row, in order.
-    fn iter(&self) -> impl Iterator<Item = (&[(VarId, f64)], f64, Option<Capacity>)> {
-        (0..self.rows.len()).map(|i| self.row(i))
-    }
-}
-
-/// One step of the dedupe's row hash (a multiplicative mix; a collision
-/// costs one comparison of the two rows, never a wrong merge).
-fn mix(h: u64, x: u64) -> u64 {
-    (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 /// The formulation of `dag` under `params`' structure, from `solver`'s
@@ -589,8 +535,8 @@ mod tests {
         let mut h_vars = Vec::new();
         let mut r_vars = Vec::new();
         for o in &dag.objects {
-            let h = p.binary(&format!("h_{}", o.id));
-            let r = p.binary(&format!("r_{}", o.id));
+            let h = p.binary();
+            let r = p.binary();
             let bytes = o.bytes as f64;
             p.set_objective(h, bytes * (SHIFT_SAVING_PER_BYTE - SHIFT_LOAD_PER_BYTE));
             p.set_objective(r, bytes * (RANDOM_SAVING_PER_BYTE - RANDOM_LOAD_PER_BYTE));
@@ -757,6 +703,40 @@ mod tests {
             cases.iter().all(|&n| n > 0),
             "binding/equal/never: {cases:?}"
         );
+    }
+
+    /// The key of the one entry of the `R` store `ctx` saves.
+    fn only_stored_key<R: Persist>(ctx: &SolverContext, tag: &str) -> u128 {
+        let dir = std::env::temp_dir().join(format!("smart-compiler-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        ctx.save_to(&dir).expect("saves");
+        let payload = Store::read_file(&dir.join(R::FILE_NAME), R::TAG, R::VERSION);
+        std::fs::remove_dir_all(&dir).ok();
+        let payload = payload.expect("the store opens");
+        let mut r = ByteReader::new(&payload);
+        assert_eq!(r.u64(), Some(1), "one entry");
+        r.u128().expect("key")
+    }
+
+    #[test]
+    fn the_persisted_keys_of_an_alexnet_compile_are_pinned() {
+        // AlexNet conv3 at the SMART defaults: its structure-table key, and
+        // the keys its compile stores its root basis and its solution
+        // under. A change to any of them empties the stores and must bump
+        // their versions.
+        let dag = dag_for(&ModelId::AlexNet.build().layers[2]);
+        let params = FormulationParams::smart_default();
+        let lifespans = analyze(&dag, params.prefetch_window);
+        assert_eq!(
+            structure_key(&dag, &params, &lifespans),
+            0x37e1_240d_1942_5c44_fa04_46e7_fd8c_4b39
+        );
+        let ctx = SolverContext::new();
+        let _ = compile_layer_ctx(&dag, &params, &ctx);
+        let solution = only_stored_key::<MipSolution>(&ctx, "pinned-solution");
+        assert_eq!(solution, 0xbd09_15fd_5cf7_533c_ea0a_83f7_497a_d2fa);
+        let basis = only_stored_key::<smart_ilp::Basis>(&ctx, "pinned-basis");
+        assert_eq!(basis, 0x28d9_0452_3006_480f, "the structure's fingerprint");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! right-hand side), the validated incumbent seed, and the solver
 //! configuration. A row that can never bind inside the variable bounds is
 //! left out of the key exactly as the presolve leaves it out of the LP
-//! (one predicate, `revised::never_binds`, decides both): it cannot change
+//! (one mask, `revised::binding_rows`, decides both): it cannot change
 //! the feasible set, so problems that differ only in such rows (design
 //! points whose RANDOM bank count or capacity no allocation can exhaust,
 //! say) share one answer. The branch & bound search is deterministic, so
@@ -48,7 +48,7 @@
 //! points out.
 
 use crate::problem::Problem;
-use crate::revised::{never_binds, Basis, Status};
+use crate::revised::{Basis, Status};
 use crate::solver::MipSolution;
 use smart_trace::Tracer;
 use smart_units::codec::{ByteReader, ByteWriter, ContentHasher};
@@ -364,24 +364,24 @@ impl Persist for MipSolution {
 /// 128-bit solve key for the solution memo: everything that determines a
 /// deterministic solve's outcome. The variable digest, the solver
 /// configuration and the validated incumbent seed (`None` when there is
-/// none or it was rejected) go first, then the digest and right-hand side
+/// none or it was rejected) go first, then the hash and right-hand side
 /// of each row the search can see and, last, how many rows that was; the
 /// words stream straight into one [`ContentHasher`].
-/// Rows that [`never_binds`] holds are left out: they hold everywhere
-/// inside the variable bounds, so they change neither the feasible set nor
-/// the presolved LP, and a problem that differs from an earlier one only in
-/// such rows replays the earlier search. Variable names are left out too:
-/// they never influence the search.
+/// `binding` is [`crate::revised::binding_rows`] of `problem`: rows that
+/// never bind are left out. They hold everywhere inside the variable
+/// bounds, so they change neither the feasible set nor the presolved LP,
+/// and a problem that differs from an earlier one only in such rows
+/// replays the earlier search.
 #[must_use]
 pub(crate) fn solution_key(
     problem: &Problem,
+    binding: &[bool],
     seed: Option<&[f64]>,
     node_limit: usize,
     warm_start: bool,
 ) -> u128 {
-    let digests = problem.digests();
     let mut h = ContentHasher::default();
-    h.write_u128(digests.variables);
+    h.write_u128(problem.digests().variables);
     h.write_usize(node_limit);
     h.write_u64(u64::from(warm_start));
     match seed {
@@ -395,12 +395,16 @@ pub(crate) fn solution_key(
         }
     }
     let mut rows = 0usize;
-    for (i, row) in digests.rows.iter().enumerate() {
-        if !never_binds(problem, i) {
-            h.write_u128(row.hash);
-            h.write_u64(problem.constraint(i).rhs.to_bits());
-            rows += 1;
-        }
+    for ((row, rhs), _) in problem
+        .rows()
+        .iter()
+        .zip(problem.rhs())
+        .zip(binding)
+        .filter(|(_, &binds)| binds)
+    {
+        h.write_u128(row.hash);
+        h.write_u64(rhs.to_bits());
+        rows += 1;
     }
     h.write_usize(rows);
     h.finish128()
@@ -410,13 +414,13 @@ pub(crate) fn solution_key(
 mod tests {
     use super::*;
     use crate::problem::{Problem, Relation, Sense, VarId};
-    use crate::revised::StandardForm;
+    use crate::revised::{binding_rows, StandardForm};
     use crate::solver::Solver;
 
     fn knapsack(rhs: f64, weight: f64) -> Problem {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
+        let a = p.binary();
+        let b = p.binary();
         p.set_objective(a, 3.0);
         p.set_objective(b, 2.0);
         p.add_constraint(&[(a, weight), (b, 1.0)], Relation::Le, rhs);
@@ -459,11 +463,14 @@ mod tests {
 
     #[test]
     fn mutating_a_problem_after_its_digests_exist_changes_both_keys() {
-        let keys = |q: &Problem| (fingerprint(q), solution_key(q, None, 100, true));
+        let keys = |q: &Problem| {
+            let key = solution_key(q, &binding_rows(q), None, 100, true);
+            (fingerprint(q), key)
+        };
         let p = knapsack(2.0, 1.0);
         let base = keys(&p);
         let mut with_var = p.clone();
-        with_var.binary("c");
+        with_var.binary();
         let mut with_objective = p.clone();
         with_objective.set_objective(VarId(0), 4.0);
         let mut with_row = p.clone();
@@ -487,7 +494,7 @@ mod tests {
         // index past its end. The solves carry a seed and a node limit, as
         // the compiler's do; both are part of the memo key.
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<VarId> = ["a", "b", "c"].iter().map(|n| p.binary(n)).collect();
+        let vars: Vec<VarId> = (0..3).map(|_| p.binary()).collect();
         for (&v, c) in vars.iter().zip([10.0, 6.0, 4.0]) {
             p.set_objective(v, c);
         }
@@ -502,7 +509,7 @@ mod tests {
             .with_incumbent(seed.clone());
         let writer = SolverContext::new();
         let expected = solver.solve(&p, &writer).expect("feasible");
-        let key = solution_key(&p, Some(&seed), 2_000, true);
+        let key = solution_key(&p, &binding_rows(&p), Some(&seed), 2_000, true);
         let mut short = MipSolution::clone(&writer.solutions.get(key).expect("memoized"));
         short.values.truncate(1);
         writer.solution_store(key, Arc::new(short));

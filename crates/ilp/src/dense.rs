@@ -347,8 +347,8 @@ mod tests {
     fn textbook_maximization() {
         // max 5x + 4y s.t. 6x + 4y <= 24; x + 2y <= 6 => x=3, y=1.5, z=21.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, f64::INFINITY);
-        let y = p.continuous("y", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, f64::INFINITY);
+        let y = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 5.0);
         p.set_objective(y, 4.0);
         p.add_constraint(&[(x, 6.0), (y, 4.0)], Relation::Le, 24.0);
@@ -366,8 +366,8 @@ mod tests {
         // min 2x + 3y s.t. x + y >= 4; x >= 1 => x=4?? (y=0): z=8 vs x=1,y=3:
         // 2+9=11. Optimal x=4,y=0 => 8.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.continuous("x", 0.0, f64::INFINITY);
-        let y = p.continuous("y", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, f64::INFINITY);
+        let y = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 2.0);
         p.set_objective(y, 3.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 4.0);
@@ -382,8 +382,8 @@ mod tests {
     fn equality_constraints() {
         // max x + y s.t. x + y = 5, x <= 2 => 5 with x=2, y=3.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, 2.0);
-        let y = p.continuous("y", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, 2.0);
+        let y = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 5.0);
@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, 1.0);
+        let x = p.continuous(0.0, 1.0);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0);
         assert_eq!(solve_relaxation_dense(&p, &[]), LpResult::Infeasible);
@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn detects_unbounded() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 0.0);
         assert_eq!(solve_relaxation_dense(&p, &[]), LpResult::Unbounded);
@@ -414,7 +414,7 @@ mod tests {
     #[test]
     fn respects_upper_bounds() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, 3.0);
+        let x = p.continuous(0.0, 3.0);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Le, 100.0);
         let LpResult::Optimal(s) = solve_relaxation_dense(&p, &[]) else {
@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn respects_lower_bounds() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.continuous("x", 2.0, 10.0);
+        let x = p.continuous(2.0, 10.0);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Le, 10.0);
         let LpResult::Optimal(s) = solve_relaxation_dense(&p, &[]) else {
@@ -438,8 +438,8 @@ mod tests {
     #[test]
     fn pins_fix_variables() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.binary("x");
-        let y = p.binary("y");
+        let x = p.binary();
+        let y = p.binary();
         p.set_objective(x, 3.0);
         p.set_objective(y, 2.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
@@ -456,8 +456,8 @@ mod tests {
         // max 10a + 6b s.t. 5a + 4b <= 7 (binaries): LP optimum a=1,
         // b=0.5 => 13.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
+        let a = p.binary();
+        let b = p.binary();
         p.set_objective(a, 10.0);
         p.set_objective(b, 6.0);
         p.add_constraint(&[(a, 5.0), (b, 4.0)], Relation::Le, 7.0);

@@ -24,9 +24,9 @@
 //!
 //! // Knapsack: max 10a + 6b + 4c  s.t.  5a + 4b + 3c <= 7.
 //! let mut p = Problem::new(Sense::Maximize);
-//! let a = p.binary("a");
-//! let b = p.binary("b");
-//! let c = p.binary("c");
+//! let a = p.binary();
+//! let b = p.binary();
+//! let c = p.binary();
 //! p.set_objective(a, 10.0);
 //! p.set_objective(b, 6.0);
 //! p.set_objective(c, 4.0);
@@ -46,8 +46,8 @@
 //! let ctx = SolverContext::new();
 //! for capacity in [7.0, 6.0, 5.0] {
 //!     let mut p = Problem::new(Sense::Maximize);
-//!     let a = p.binary("a");
-//!     let b = p.binary("b");
+//!     let a = p.binary();
+//!     let b = p.binary();
 //!     p.set_objective(a, 10.0);
 //!     p.set_objective(b, 6.0);
 //!     p.add_constraint(&[(a, 5.0), (b, 4.0)], Relation::Le, capacity);

@@ -57,7 +57,7 @@
 // lint:allow-file(index, revised simplex kernel; basis and factor indices are maintained invariants of the algorithm, exercised by the property tests)
 
 use crate::context::SolverContextStats;
-use crate::problem::{Problem, Relation, Sense, VarId, Variable};
+use crate::problem::{Problem, Relation, Row, Sense, VarId, Variable};
 use crate::simplex::{LpResult, LpSolution};
 use crate::solver::INT_TOL;
 
@@ -131,28 +131,32 @@ pub struct StandardForm {
     pub(crate) upper: Vec<f64>,
 }
 
-/// Whether constraint `i` of `p` can never bind inside the variable
-/// bounds: a `Le` row whose largest activity, or a `Ge` row whose smallest
-/// activity, clears the right-hand side by [`PRESOLVE_MARGIN`]. A row with
-/// an infinite or NaN extreme activity, and every `Eq` row, may bind. The
-/// presolve drops these rows and the solution memo's key leaves them out
-/// ([`crate::context`]), so both always agree on which rows a search sees.
-/// The activities come from the structure's digests, so this is O(1).
-pub(crate) fn never_binds(p: &Problem, i: usize) -> bool {
-    let row = &p.digests().rows[i];
-    let c = p.constraint(i);
-    let margin = PRESOLVE_MARGIN * c.rhs.abs().max(row.scale);
-    match c.relation {
-        Relation::Le => row.extreme.is_finite() && row.extreme < c.rhs - margin,
-        Relation::Ge => row.extreme.is_finite() && row.extreme > c.rhs + margin,
-        Relation::Eq => false,
-    }
+/// Which rows of `p` can bind inside the variable bounds, one flag per
+/// row: all but the rows that never bind, a `Le` row whose largest
+/// activity, or a `Ge` row whose smallest activity, clears the right-hand
+/// side by [`PRESOLVE_MARGIN`]. A row with an infinite or NaN extreme
+/// activity, and every `Eq` row, may bind. The presolve drops the rows
+/// that never bind and the solution memo's key leaves them out
+/// ([`crate::context`]); a solve evaluates this mask once for both, so
+/// they always agree on which rows a search sees. The activities are
+/// derived as each row is added, so this is one pass over the rows.
+pub(crate) fn binding_rows(p: &Problem) -> Vec<bool> {
+    let never_binds = |row: &Row, rhs: f64| {
+        let margin = PRESOLVE_MARGIN * rhs.abs().max(row.scale);
+        match row.relation {
+            Relation::Le => row.extreme.is_finite() && row.extreme < rhs - margin,
+            Relation::Ge => row.extreme.is_finite() && row.extreme > rhs + margin,
+            Relation::Eq => false,
+        }
+    };
+    let rows = p.rows().iter().zip(p.rhs());
+    rows.map(|(row, &rhs)| !never_binds(row, rhs)).collect()
 }
 
 /// The factor the standard form divides constraint `i` of `p` by: its
 /// largest |coefficient|.
 fn row_scale(p: &Problem, i: usize) -> f64 {
-    p.digests().rows[i].scale.max(1e-12)
+    p.rows()[i].scale.max(1e-12)
 }
 
 /// What [`StandardForm::tighten`] changed.
@@ -174,11 +178,16 @@ impl StandardForm {
     /// bound at the stored optimum, and keeping it keeps that basis usable.
     #[must_use]
     pub fn build(p: &Problem, stored: Option<&Basis>) -> Self {
+        Self::presolved(p, &binding_rows(p), stored)
+    }
+
+    /// [`StandardForm::build`] with the rows that can bind already known:
+    /// `binding` is [`binding_rows`] of `p`.
+    pub(crate) fn presolved(p: &Problem, binding: &[bool], stored: Option<&Basis>) -> Self {
         let n = p.num_vars();
         let rows: Vec<usize> = (0..p.num_constraints())
             .filter(|&i| {
-                !never_binds(p, i)
-                    || stored.is_some_and(|b| b.status.get(n + i) != Some(&Status::Basic))
+                binding[i] || stored.is_some_and(|b| b.status.get(n + i) != Some(&Status::Basic))
             })
             .collect();
         let m = rows.len();
@@ -1605,9 +1614,9 @@ mod tests {
     /// relaxation (c = 1, a = 0.4, objective 19.6) is fractional.
     fn branchy_knapsack() -> Problem {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        let c = p.binary("c");
+        let a = p.binary();
+        let b = p.binary();
+        let c = p.binary();
         p.set_objective(a, 9.0);
         p.set_objective(b, 9.0);
         p.set_objective(c, 16.0);
@@ -1618,8 +1627,8 @@ mod tests {
     #[test]
     fn matches_dense_on_textbook_max() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, f64::INFINITY);
-        let y = p.continuous("y", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, f64::INFINITY);
+        let y = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 5.0);
         p.set_objective(y, 4.0);
         p.add_constraint(&[(x, 6.0), (y, 4.0)], Relation::Le, 24.0);
@@ -1635,8 +1644,8 @@ mod tests {
     #[test]
     fn phase_one_handles_ge_and_eq() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.continuous("x", 0.0, f64::INFINITY);
-        let y = p.continuous("y", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, f64::INFINITY);
+        let y = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 2.0);
         p.set_objective(y, 3.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 4.0);
@@ -1647,8 +1656,8 @@ mod tests {
         assert!((s.objective - 8.0).abs() < 1e-6, "z = {}", s.objective);
 
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, 2.0);
-        let y = p.continuous("y", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, 2.0);
+        let y = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 5.0);
@@ -1661,13 +1670,13 @@ mod tests {
     #[test]
     fn detects_infeasible_and_unbounded() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, 1.0);
+        let x = p.continuous(0.0, 1.0);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0);
         assert_eq!(solve(&p, &[]), LpResult::Infeasible);
 
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 0.0);
         assert_eq!(solve(&p, &[]), LpResult::Unbounded);
@@ -1676,8 +1685,8 @@ mod tests {
     #[test]
     fn pins_respected_without_explicit_rows() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.binary("x");
-        let y = p.binary("y");
+        let x = p.binary();
+        let y = p.binary();
         p.set_objective(x, 3.0);
         p.set_objective(y, 2.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
@@ -1696,9 +1705,7 @@ mod tests {
         // flips, no basis change), and `c` stops at 0.5 where the row
         // binds (one pivot).
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..3)
-            .map(|i| p.continuous(&format!("x{i}"), 0.0, 1.0))
-            .collect();
+        let vars: Vec<_> = (0..3).map(|_| p.continuous(0.0, 1.0)).collect();
         for (&v, c) in vars.iter().zip([3.0, 2.0, 2.0]) {
             p.set_objective(v, c);
         }
@@ -1719,7 +1726,7 @@ mod tests {
         // A capacity-style LP: solve, keep the basis, shrink the rhs, and
         // re-solve warm — the dual simplex must land on the cold optimum.
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..6).map(|i| p.binary(&format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..6).map(|_| p.binary()).collect();
         for (i, &v) in vars.iter().enumerate() {
             p.set_objective(v, 10.0 - i as f64);
         }
@@ -1757,10 +1764,10 @@ mod tests {
     #[test]
     fn tighten_fixes_oversized_columns_and_rounds_integral_rows() {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        let c = p.binary("c");
-        let y = p.continuous("y", 0.0, 10.0);
+        let a = p.binary();
+        let b = p.binary();
+        let c = p.binary();
+        let y = p.continuous(0.0, 10.0);
         for v in [a, b, c, y] {
             p.set_objective(v, 1.0);
         }
@@ -1792,7 +1799,7 @@ mod tests {
         // A bound that would cross is not written: the LP finds the
         // infeasibility.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
+        let a = p.binary();
         p.set_objective(a, 1.0);
         p.add_constraint(&[(a, 2.0)], Relation::Le, -1.0);
         let mut form = StandardForm::build(&p, None);
@@ -1811,12 +1818,12 @@ mod tests {
         // simplex reoptimizes from it instead of solving cold.
         let knapsack = |capacity: f64| {
             let mut p = Problem::new(Sense::Maximize);
-            let items = [("a", 9.0, 5.0), ("b", 9.0, 5.0), ("c", 16.0, 8.0)];
+            // a, b, c and j.
+            let items = [(9.0, 5.0), (9.0, 5.0), (16.0, 8.0), (30.0, 15.0)];
             let terms: Vec<_> = items
                 .into_iter()
-                .chain([("j", 30.0, 15.0)])
-                .map(|(name, value, weight)| {
-                    let v = p.binary(name);
+                .map(|(value, weight)| {
+                    let v = p.binary();
                     p.set_objective(v, value);
                     (v, weight)
                 })
@@ -1943,7 +1950,7 @@ mod tests {
     fn scaling_keeps_byte_sized_coefficients_stable() {
         // Formulation-sized magnitudes: byte coefficients in the millions.
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..8).map(|i| p.binary(&format!("h{i}"))).collect();
+        let vars: Vec<_> = (0..8).map(|_| p.binary()).collect();
         let bytes = [
             600_000.0,
             1_200_000.0,
@@ -1998,9 +2005,9 @@ mod tests {
     #[test]
     fn presolve_drops_only_rows_that_can_never_bind() {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        let y = p.continuous("y", 0.0, f64::INFINITY);
+        let a = p.binary();
+        let b = p.binary();
+        let y = p.continuous(0.0, f64::INFINITY);
         p.set_objective(a, 3.0);
         p.set_objective(b, 2.0);
         p.set_objective(y, 1.0);
@@ -2030,8 +2037,8 @@ mod tests {
 
         // Every row can be dropped: the LP then has no rows at all.
         let mut p = Problem::new(Sense::Minimize);
-        let a = p.binary("a");
-        let b = p.binary("b");
+        let a = p.binary();
+        let b = p.binary();
         p.set_objective(a, 1.0);
         p.set_objective(b, -2.0);
         p.add_constraint(&[(a, 4.0), (b, 4.0)], Relation::Le, 9.0);
@@ -2041,7 +2048,7 @@ mod tests {
         // An Eq row stays even when its largest activity is below the rhs:
         // dropping it would hide that the problem is infeasible.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
+        let a = p.binary();
         p.set_objective(a, 1.0);
         p.add_constraint(&[(a, 1.0)], Relation::Eq, 3.0);
         assert_eq!(StandardForm::build(&p, None).rows(), &[0]);
@@ -2054,8 +2061,8 @@ mod tests {
         // Row 0 never binds; at the optimum (a = 1, b = 0.5) row 1 binds
         // and row 2 does not, so row 2's slack is basic.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
+        let a = p.binary();
+        let b = p.binary();
         p.set_objective(a, 3.0);
         p.set_objective(b, 2.0);
         p.add_constraint(&[(a, 1.0), (b, 3.0)], Relation::Le, 5.0);

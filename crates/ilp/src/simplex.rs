@@ -67,8 +67,8 @@ mod tests {
     fn textbook_maximization() {
         // max 5x + 4y s.t. 6x + 4y <= 24; x + 2y <= 6 => x=3, y=1.5, z=21.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, f64::INFINITY);
-        let y = p.continuous("y", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, f64::INFINITY);
+        let y = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 5.0);
         p.set_objective(y, 4.0);
         p.add_constraint(&[(x, 6.0), (y, 4.0)], Relation::Le, 24.0);
@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn respects_bounds_without_explicit_rows() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, 3.0);
+        let x = p.continuous(0.0, 3.0);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Le, 100.0);
         let LpResult::Optimal(s) = solve_relaxation(&p, &[]) else {
@@ -93,7 +93,7 @@ mod tests {
         assert!((s.objective - 3.0).abs() < 1e-6);
 
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.continuous("x", 2.0, 10.0);
+        let x = p.continuous(2.0, 10.0);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Le, 10.0);
         let LpResult::Optimal(s) = solve_relaxation(&p, &[]) else {
@@ -107,8 +107,8 @@ mod tests {
         // max 10a + 6b s.t. 5a + 4b <= 7 (binaries): LP optimum a=1,
         // b=0.5 => 13.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
+        let a = p.binary();
+        let b = p.binary();
         p.set_objective(a, 10.0);
         p.set_objective(b, 6.0);
         p.add_constraint(&[(a, 5.0), (b, 4.0)], Relation::Le, 7.0);
@@ -123,7 +123,7 @@ mod tests {
     fn try_solve_relaxation_reports_infeasible() {
         // x <= 1 but x >= 2: empty feasible region -> Infeasible, no panic.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, 1.0);
+        let x = p.continuous(0.0, 1.0);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0);
         assert_eq!(solve_relaxation(&p, &[]), LpResult::Infeasible);
@@ -133,7 +133,7 @@ mod tests {
     fn try_solve_relaxation_reports_unbounded() {
         // max x with x unbounded above: Unbounded, no panic.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 1.0);
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 0.0);
         assert_eq!(solve_relaxation(&p, &[]), LpResult::Unbounded);
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn try_solve_relaxation_passes_through_optimum() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.continuous("x", 0.0, 3.0);
+        let x = p.continuous(0.0, 3.0);
         p.set_objective(x, 2.0);
         p.add_constraint(&[(x, 1.0)], Relation::Le, 100.0);
         let LpResult::Optimal(s) = solve_relaxation(&p, &[]) else {
@@ -155,8 +155,8 @@ mod tests {
     fn agrees_with_dense_reference() {
         // One structured spot-check here; the property suite fuzzes this.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.continuous("x", 0.0, f64::INFINITY);
-        let y = p.continuous("y", 0.0, f64::INFINITY);
+        let x = p.continuous(0.0, f64::INFINITY);
+        let y = p.continuous(0.0, f64::INFINITY);
         p.set_objective(x, 2.0);
         p.set_objective(y, 3.0);
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 4.0);

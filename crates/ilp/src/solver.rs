@@ -23,7 +23,7 @@
 
 use crate::context::{solution_key, SolverContext, SolverContextStats};
 use crate::problem::{Problem, Relation, Sense};
-use crate::revised::{Lp, SolveOutcome, StandardForm, Warm};
+use crate::revised::{binding_rows, Lp, SolveOutcome, StandardForm, Warm};
 use smart_trace::Lane;
 use smart_units::{Result, SmartError};
 use std::collections::BinaryHeap;
@@ -145,8 +145,16 @@ impl Solver {
         // problem (a store file can hold one of the wrong length);
         // otherwise the search runs and overwrites it. One bit-identical
         // to the seed, which the key covers, is the point validated above.
+        // The key and the presolve read one mask of the rows that can bind.
+        let binding = binding_rows(problem);
         let seed_values = seed.map(|(vals, _)| vals);
-        let memo_key = solution_key(problem, seed_values, self.node_limit, self.warm_start);
+        let memo_key = solution_key(
+            problem,
+            &binding,
+            seed_values,
+            self.node_limit,
+            self.warm_start,
+        );
         let feasible = |s: &MipSolution| {
             seed_values.is_some_and(|vals| same_bits(vals, &s.values))
                 || validate_seed(problem, &s.values).is_some()
@@ -166,7 +174,7 @@ impl Solver {
             l.begin("solve", 0);
         }
         let mut work = SolverContextStats::default();
-        let result = self.search(problem, seed, ctx, lane.as_ref(), &mut work);
+        let result = self.search(problem, &binding, seed, ctx, lane.as_ref(), &mut work);
         ctx.note_search(work);
         if let Some(l) = &lane {
             l.end("solve", work.pivots);
@@ -178,11 +186,13 @@ impl Solver {
     }
 
     /// The branch & bound search behind [`Solver::solve`] from the
-    /// validated `seed` (values and objective); counts its work, start
+    /// validated `seed` (values and objective), over the rows `binding`
+    /// marks and the ones a stored basis keeps; counts its work, start
     /// mode included, in `work`, on every exit.
     fn search(
         &self,
         problem: &Problem,
+        binding: &[bool],
         seed: Option<(&[f64], f64)>,
         ctx: &SolverContext,
         lane: Option<&Lane>,
@@ -212,11 +222,11 @@ impl Solver {
         // relaxation and the integer optimum before any branching.
         let fp = problem.digests().fingerprint;
         let stored = ctx.lookup(fp);
-        let mut form = StandardForm::build(problem, stored.as_deref());
+        let mut form = StandardForm::presolved(problem, binding, stored.as_deref());
         let tightening = form.tighten(problem);
         (work.cols_fixed, work.rows_rounded) = (tightening.cols_fixed, tightening.rows_rounded);
         work.cols = problem.num_vars() as u64;
-        work.nonzeros = problem.constraints().map(|c| c.terms.len() as u64).sum();
+        work.nonzeros = problem.num_nonzeros() as u64;
         (work.rows, work.rows_kept) = (problem.num_constraints() as u64, form.m as u64);
         let mut lp = Lp::new(&form);
         let restricted = stored.and_then(|b| form.restrict(&b));
@@ -524,9 +534,9 @@ mod tests {
         // a=1: 10 (5 used, nothing else fits but c? 5+3=8>7). a+c infeasible.
         // Optimal: b+c = 10 or a alone = 10: both 10.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        let c = p.binary("c");
+        let a = p.binary();
+        let b = p.binary();
+        let c = p.binary();
         p.set_objective(a, 10.0);
         p.set_objective(b, 6.0);
         p.set_objective(c, 4.0);
@@ -544,9 +554,9 @@ mod tests {
         // max 9a + 9b + 16c s.t. 5a + 5b + 8c <= 10: LP picks c + fractional;
         // integer optimum is a + b = 18.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        let c = p.binary("c");
+        let a = p.binary();
+        let b = p.binary();
+        let c = p.binary();
         p.set_objective(a, 9.0);
         p.set_objective(b, 9.0);
         p.set_objective(c, 16.0);
@@ -560,10 +570,10 @@ mod tests {
     fn assignment_problem() {
         // 2x2 assignment: costs [[1, 10], [10, 1]]; minimize.
         let mut p = Problem::new(Sense::Minimize);
-        let x00 = p.binary("x00");
-        let x01 = p.binary("x01");
-        let x10 = p.binary("x10");
-        let x11 = p.binary("x11");
+        let x00 = p.binary();
+        let x01 = p.binary();
+        let x10 = p.binary();
+        let x11 = p.binary();
         p.set_objective(x00, 1.0);
         p.set_objective(x01, 10.0);
         p.set_objective(x10, 10.0);
@@ -586,9 +596,9 @@ mod tests {
         // fractional (c = 1, a = 0.2), so branch & bound must actually
         // branch to find the integer optimum a + b = 18.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        let c = p.binary("c");
+        let a = p.binary();
+        let b = p.binary();
+        let c = p.binary();
         p.set_objective(a, 9.0);
         p.set_objective(b, 9.0);
         p.set_objective(c, 16.0);
@@ -615,9 +625,8 @@ mod tests {
         let bytes = [25_764.0, 9_000.0, 6_144.0, 6_144.0, 6_144.0];
         let terms: Vec<(VarId, f64)> = bytes
             .iter()
-            .enumerate()
-            .map(|(i, &b)| {
-                let h = p.binary(&format!("h{i}"));
+            .map(|&b| {
+                let h = p.binary();
                 p.set_objective(h, 0.95 * b);
                 (h, b)
             })
@@ -698,8 +707,8 @@ mod tests {
         // max 3a + y s.t. a + y <= 2.5, y <= 2 (a binary, y continuous):
         // a = 1, y = 1.5 => 4.5.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let y = p.continuous("y", 0.0, 2.0);
+        let a = p.binary();
+        let y = p.continuous(0.0, 2.0);
         p.set_objective(a, 3.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(a, 1.0), (y, 1.0)], Relation::Le, 2.5);
@@ -712,7 +721,7 @@ mod tests {
         // A problem big enough to hit a 1-node limit after the root: the
         // solver should still produce something via incumbent or greedy.
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..12).map(|i| p.binary(&format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..12).map(|_| p.binary()).collect();
         for (i, &v) in vars.iter().enumerate() {
             p.set_objective(v, 1.0 + (i as f64) * 0.1);
         }
@@ -726,7 +735,7 @@ mod tests {
     fn larger_cover_problem_solves() {
         // Select minimum-weight cover: 20 binaries, pair constraints.
         let mut p = Problem::new(Sense::Minimize);
-        let vars: Vec<_> = (0..20).map(|i| p.binary(&format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..20).map(|_| p.binary()).collect();
         for (i, &v) in vars.iter().enumerate() {
             p.set_objective(v, 1.0 + f64::from(u32::try_from(i % 3).unwrap()));
         }
@@ -741,9 +750,9 @@ mod tests {
 
     fn branchy_knapsack() -> Problem {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
-        let c = p.binary("c");
+        let a = p.binary();
+        let b = p.binary();
+        let c = p.binary();
         p.set_objective(a, 9.0);
         p.set_objective(b, 9.0);
         p.set_objective(c, 16.0);
@@ -755,8 +764,8 @@ mod tests {
     /// `a + y >= 0`: the relaxation is unbounded.
     fn unbounded_relaxation() -> Problem {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let y = p.continuous("y", 0.0, f64::INFINITY);
+        let a = p.binary();
+        let y = p.continuous(0.0, f64::INFINITY);
         p.set_objective(a, 1.0);
         p.set_objective(y, 1.0);
         p.add_constraint(&[(a, 1.0), (y, 1.0)], Relation::Ge, 0.0);
@@ -767,8 +776,8 @@ mod tests {
     /// infeasible.
     fn unsatisfiable() -> Problem {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.binary("a");
-        let b = p.binary("b");
+        let a = p.binary();
+        let b = p.binary();
         p.set_objective(a, 1.0);
         p.add_constraint(&[(a, 1.0), (b, 1.0)], Relation::Ge, 3.0);
         p
@@ -828,8 +837,8 @@ mod tests {
     /// A maximization over binaries with the given objective coefficients.
     fn with_objective(coefficients: &[f64]) -> Problem {
         let mut p = Problem::new(Sense::Maximize);
-        for (i, &c) in coefficients.iter().enumerate() {
-            let v = p.binary(&format!("x{i}"));
+        for &c in coefficients {
+            let v = p.binary();
             p.set_objective(v, c);
         }
         p

@@ -49,7 +49,9 @@ pub struct SearchConfig {
     /// ε-dominance pruning margin: a point must be beaten by at least this
     /// relative margin in *all three* objectives before it is pruned, so
     /// the exact frontier always survives. `0.0` prunes only strictly
-    /// worse-everywhere points.
+    /// worse-everywhere points. [`search`] rejects a negative or
+    /// non-finite margin, which could prune frontier points (negative) or
+    /// silently prune nothing (NaN).
     pub epsilon: f64,
     /// Worker threads for the analytic fan-out (stages 2-3 are
     /// sequential by design).
@@ -302,15 +304,21 @@ fn outcome(
 ///
 /// # Errors
 ///
-/// [`SmartError::InvalidInput`] when a grid point fails geometry
-/// validation or elaborates a non-heterogeneous SPM (the replay stages
-/// need SHIFT + RANDOM).
+/// [`SmartError::InvalidInput`] when `cfg.epsilon` is negative or not
+/// finite, or a grid point fails geometry validation or elaborates a
+/// non-heterogeneous SPM (the replay stages need SHIFT + RANDOM).
 pub fn search(
     space: &SearchSpace,
     cfg: &SearchConfig,
     eval: &EvalCache,
     timing: &TimingCache,
 ) -> Result<SearchOutcome> {
+    if !(cfg.epsilon.is_finite() && cfg.epsilon >= 0.0) {
+        return Err(SmartError::invalid_input(format!(
+            "search epsilon must be finite and non-negative, not {}",
+            cfg.epsilon
+        )));
+    }
     let params = space.points();
     let schemes = build_schemes(&params)?;
     let eval_before = eval.stats();
@@ -591,6 +599,30 @@ mod tests {
         assert!(out.stats.frontier <= out.stats.survivors);
         assert_eq!(out.stats.space, space.len());
         assert_eq!(out.stats.pruned + out.stats.survivors, out.stats.space);
+    }
+
+    #[test]
+    fn a_negative_or_non_finite_epsilon_is_invalid_input() {
+        // At ε = -0.05 a point within 5% of another in every objective,
+        // and better in one, prunes it, so near points prune each other
+        // (frontier points included, which would reach stage 3 without ILP
+        // metrics); a NaN ε would prune nothing.
+        for epsilon in [-0.05, -f64::MIN_POSITIVE, f64::NAN, f64::INFINITY] {
+            let cfg = SearchConfig {
+                epsilon,
+                ..SearchConfig::new(1)
+            };
+            let r = search(&tiny(), &cfg, &EvalCache::new(), &TimingCache::new());
+            assert!(
+                matches!(r, Err(SmartError::InvalidInput { .. })),
+                "{epsilon}: {r:?}"
+            );
+        }
+        let cfg = SearchConfig {
+            epsilon: 0.0,
+            ..SearchConfig::new(1)
+        };
+        assert!(search(&tiny(), &cfg, &EvalCache::new(), &TimingCache::new()).is_ok());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 // lint:allow-file(index, frontier indices come from enumerate() over the same vec)
 
 use smart_units::{Area, Energy, Time};
+use std::cmp::Ordering;
 
 /// The three minimized objectives of one design point, all from the
 /// analytic model: single-batch latency and per-image energy from the
@@ -56,21 +57,53 @@ pub fn eps_dominates(a: &Objectives, b: &Objectives, eps: f64) -> bool {
 /// Indices of the Pareto-optimal points, in input (enumeration) order.
 /// Duplicate objective vectors are all kept — equal points do not dominate
 /// each other — so the result is deterministic whatever produced the list.
+///
+/// One sweep in lexicographic objective order compares each point only
+/// with the frontier points found before it, O(n·|F|) dominance tests
+/// after the sort for n points and a frontier of |F|. That is exact: a
+/// point precedes every point it dominates in that order, and a dominated
+/// point is dominated by a frontier point (follow dominators from it:
+/// dominance is transitive and irreflexive, so the chain ends, at an
+/// undominated point, within the n points).
 #[must_use]
 pub fn pareto_frontier(objs: &[Objectives]) -> Vec<usize> {
-    (0..objs.len())
-        .filter(|&i| !objs.iter().any(|o| dominates(o, &objs[i])))
-        .collect()
+    // `+ 0.0` sorts -0.0 with 0.0, which `<=` holds equal. A point with a
+    // NaN objective neither dominates nor is dominated, wherever it sorts.
+    let keys: Vec<[f64; 3]> = objs.iter().map(|o| o.key().map(|v| v + 0.0)).collect();
+    let mut order: Vec<usize> = (0..objs.len()).collect();
+    order.sort_by(|&a, &b| {
+        let pairs = keys[a].iter().zip(&keys[b]);
+        pairs.fold(Ordering::Equal, |o, (x, y)| o.then(x.total_cmp(y)))
+    });
+    let mut frontier: Vec<usize> = Vec::new();
+    for i in order {
+        if !frontier.iter().any(|&f| dominates(&objs[f], &objs[i])) {
+            frontier.push(i);
+        }
+    }
+    frontier.sort_unstable();
+    frontier
 }
 
 /// Indices of the points *not* ε-dominated by any other point — the
 /// near-frontier band that survives dominance pruning and moves on to the
 /// expensive ILP stage. A superset of [`pareto_frontier`] for any
 /// `eps >= 0`.
+///
+/// Each point is tested against the frontier points only, O(n·|F|) tests,
+/// which is exact for any `eps`: if `o` ε-dominates `i` and `f` dominates
+/// `o`, then `f` ε-dominates `i` (`f ≤ o ≤ (1 − ε)·i` in every objective,
+/// and `f ≤ o < i` in one), and every point off the frontier is dominated
+/// by a frontier point ([`pareto_frontier`]).
 #[must_use]
 pub fn epsilon_survivors(objs: &[Objectives], eps: f64) -> Vec<usize> {
+    let frontier = pareto_frontier(objs);
     (0..objs.len())
-        .filter(|&i| !objs.iter().any(|o| eps_dominates(o, &objs[i], eps)))
+        .filter(|&i| {
+            !frontier
+                .iter()
+                .any(|&f| eps_dominates(&objs[f], &objs[i], eps))
+        })
         .collect()
 }
 

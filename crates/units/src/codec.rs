@@ -23,8 +23,9 @@
 //!    build simply opens as `None` — the caller starts with an empty cache
 //!    and overwrites the file on save. A cache file can never make a run
 //!    error or (worse) silently produce different numbers: payloads are
-//!    guarded by a length field and an FNV-1a checksum, and every store
-//!    carries both the container format version and an app-level version.
+//!    guarded by a length field and a checksum (the low half of the
+//!    payload's [`ContentHasher`] hash), and every store carries both the
+//!    container format version and an app-level version.
 //! 3. **Content-hash keys.** Cache keys (a full `Scheme` value, a
 //!    `CellSpec`, an ILP fingerprint) are persisted as 128-bit content
 //!    hashes ([`content_hash`]), not serialized key structures — the
@@ -65,22 +66,21 @@ use std::sync::Mutex;
 /// Magic prefix of every store file.
 const MAGIC: &[u8; 4] = b"SMRT";
 
-/// Container format revision. Bump it when the header layout changes, and
-/// when [`content_hash`] derives other keys, since it covers the keys of
-/// every store (2: [`ContentHasher`] replaced two passes of std's
-/// `SipHash`-1-3, whose algorithm std leaves unspecified across releases).
-const FORMAT_VERSION: u32 = 2;
+/// Container format revision. Bump it when the header layout or the
+/// checksum changes, and when [`content_hash`] derives other keys, since
+/// it covers the keys of every store (2: [`ContentHasher`] replaced two
+/// passes of std's `SipHash`-1-3, whose algorithm std leaves unspecified
+/// across releases; 3: the checksum is [`checksum`] instead of FNV-1a,
+/// which read one byte at a time).
+const FORMAT_VERSION: u32 = 3;
 
-/// FNV-1a over a byte slice: the store checksum. Deliberately simple —
-/// this guards against truncation and bit rot, not adversaries.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The store checksum of a payload: the low half of its [`ContentHasher`]
+/// hash, which reads 32 bytes per step. It guards against truncation and
+/// bit rot, not adversaries.
+fn checksum(payload: &[u8]) -> u64 {
+    let mut h = ContentHasher::default();
+    h.write(payload);
+    h.finish()
 }
 
 /// A 128-bit content hash of any `Hash` value: one [`ContentHasher`]
@@ -436,7 +436,7 @@ impl<'a> ByteReader<'a> {
 /// payload in.
 ///
 /// Layout: `b"SMRT"` · container version `u32` · app tag (str) · app
-/// version `u32` · payload length `u64` · payload bytes · FNV-1a of the
+/// version `u32` · payload length `u64` · payload bytes · checksum of the
 /// payload `u64`, all little-endian. Any deviation opens as `None`.
 #[derive(Debug)]
 pub struct Store;
@@ -452,7 +452,7 @@ impl Store {
         w.u32(version);
         w.u64(payload.len() as u64);
         w.buf.extend_from_slice(&payload);
-        w.u64(fnv1a(&payload));
+        w.u64(checksum(&payload));
         w.into_bytes()
     }
 
@@ -476,7 +476,7 @@ impl Store {
         }
         let len = usize::try_from(r.u64()?).ok()?;
         let payload = r.take(len)?;
-        if r.u64()? != fnv1a(payload) {
+        if r.u64()? != checksum(payload) {
             return None;
         }
         if !r.is_empty() {
@@ -633,7 +633,7 @@ mod tests {
         // Pinned keys: a change to `ContentHasher`, or to std's `Hash`
         // encoding of strings, tuples and slices, moves these and must
         // bump `FORMAT_VERSION`.
-        assert_eq!(FORMAT_VERSION, 2);
+        assert_eq!(FORMAT_VERSION, 3);
         let empty: &[u64] = &[];
         let cases = [
             (content_hash(&()), 0xb602_f248_1f0b_c6de_cd34_669c_87d8_1b36),
@@ -703,6 +703,28 @@ mod tests {
         let mut old = Store::seal("unit-test", 3, sample_payload());
         old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
         assert!(Store::open(&old, "unit-test", 3).is_none());
+    }
+
+    #[test]
+    fn a_store_from_format_version_2_opens_cold() {
+        // `u64 42` and the string "conv2" as format 2 sealed them for tag
+        // "demo" at version 1, with an FNV-1a checksum.
+        let v2: [u8; 61] = [
+            0x53, 0x4d, 0x52, 0x54, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x64, 0x65, 0x6d, 0x6f, 0x01, 0x00, 0x00, 0x00, 0x15, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x63, 0x6f, 0x6e, 0x76, 0x32, 0xe6, 0xe7, 0xfe,
+            0xc2, 0x83, 0x4b, 0x54, 0x88,
+        ];
+        assert!(Store::open(&v2, "demo", 1).is_none());
+        // Sealed again, the payload opens; only the container version and
+        // the checksum moved.
+        let payload = &v2[32..53];
+        let v3 = Store::seal("demo", 1, payload.to_vec());
+        assert_eq!(Store::open(&v3, "demo", 1), Some(payload));
+        assert_eq!(v3.len(), v2.len());
+        let moved: Vec<usize> = (0..v2.len()).filter(|&i| v2[i] != v3[i]).collect();
+        assert!(moved.iter().all(|&i| i == 4 || i >= 53), "{moved:?}");
     }
 
     #[test]

@@ -159,7 +159,7 @@ proptest! {
     ) {
         let n = values.len().min(weights.len());
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..n).map(|i| p.binary(&format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..n).map(|_| p.binary()).collect();
         for i in 0..n {
             p.set_objective(vars[i], f64::from(values[i]));
         }
@@ -544,7 +544,7 @@ proptest! {
         let sense = if minimize == 1 { Sense::Minimize } else { Sense::Maximize };
         let mut p = Problem::new(sense);
         let vars: Vec<_> = (0..n)
-            .map(|i| p.continuous(&format!("x{i}"), 0.0, f64::from(uppers[i])))
+            .map(|i| p.continuous(0.0, f64::from(uppers[i])))
             .collect();
         for i in 0..n {
             p.set_objective(vars[i], f64::from(objs[i]));
@@ -594,7 +594,7 @@ proptest! {
     ) {
         let n = values.len().min(weights.len());
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..n).map(|i| p.binary(&format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..n).map(|_| p.binary()).collect();
         for i in 0..n {
             p.set_objective(vars[i], f64::from(values[i]));
         }
@@ -632,7 +632,7 @@ proptest! {
         let ctx = SolverContext::new();
         for &cap in &caps {
             let mut p = Problem::new(Sense::Maximize);
-            let vars: Vec<_> = (0..n).map(|i| p.binary(&format!("x{i}"))).collect();
+            let vars: Vec<_> = (0..n).map(|_| p.binary()).collect();
             for i in 0..n {
                 p.set_objective(vars[i], f64::from(values[i]));
             }
@@ -809,7 +809,7 @@ proptest! {
     ) {
         let n = values.len().min(weights.len());
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..n).map(|i| p.binary(&format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..n).map(|_| p.binary()).collect();
         for i in 0..n {
             p.set_objective(vars[i], f64::from(values[i]));
         }
@@ -1089,9 +1089,7 @@ fn random_01_rows(n: usize, coefs: &[u32], picks: &[u32]) -> (Vec<Row>, Vec<usiz
 /// Maximizes `values` over binaries subject to `rows`.
 fn program_01(values: &[u32], rows: &[Row]) -> Problem {
     let mut p = Problem::new(Sense::Maximize);
-    let vars: Vec<_> = (0..values.len())
-        .map(|i| p.binary(&format!("x{i}")))
-        .collect();
+    let vars: Vec<_> = (0..values.len()).map(|_| p.binary()).collect();
     for (&v, &value) in vars.iter().zip(values) {
         p.set_objective(v, f64::from(value));
     }
@@ -1241,6 +1239,43 @@ proptest! {
             }
         }
         prop_assert_eq!(epsilon_survivors(&objs, 0.0), frontier);
+    }
+
+    /// `pareto_frontier`'s sorted sweep and `epsilon_survivors`'
+    /// frontier-only tests equal their quadratic definitions, here kept,
+    /// on clouds thick with ties and duplicates: each objective takes one
+    /// of four values, and points repeat from a small pool. At ε = 0 and
+    /// at ε > 0.
+    #[test]
+    fn pareto_pruning_matches_the_quadratic_definitions(
+        pool in prop::collection::vec(0u32..64, 1..12),
+        picks in prop::collection::vec(0u32..1000, 1..80),
+        eps in 0.0f64..0.6,
+    ) {
+        use smart::search::pareto::eps_dominates;
+        use smart::search::{dominates, epsilon_survivors, pareto_frontier, Objectives};
+        use smart::units::Area;
+
+        let point = |p: u32| Objectives {
+            latency: Time::from_ns(f64::from(1 + p % 4)),
+            energy: Energy::from_j(f64::from(1 + p / 4 % 4)),
+            area: Area::from_mm2(f64::from(1 + p / 16)),
+        };
+        let objs: Vec<Objectives> = picks
+            .iter()
+            .map(|&k| point(pool[k as usize % pool.len()]))
+            .collect();
+        // The points no other point prunes, in input order.
+        let unpruned = |prunes: &dyn Fn(&Objectives, &Objectives) -> bool| -> Vec<usize> {
+            (0..objs.len())
+                .filter(|&i| !objs.iter().any(|o| prunes(o, &objs[i])))
+                .collect()
+        };
+        prop_assert_eq!(pareto_frontier(&objs), unpruned(&dominates));
+        for e in [0.0, eps] {
+            let quadratic = unpruned(&|o, i| eps_dominates(o, i, e));
+            prop_assert_eq!(epsilon_survivors(&objs, e), quadratic);
+        }
     }
 
     /// Every point of the search grids builds a valid scheme, and the
