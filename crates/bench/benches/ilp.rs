@@ -180,9 +180,8 @@ fn bench_josim_jtl_fixed_dense(c: &mut Criterion) {
     });
 }
 
-/// A linear (junction-free) adaptive run: the 0.4 mm PTL ladder, where
-/// the cached full/half-step factorizations make quiescent stretches
-/// refactor nothing.
+/// A linear (junction-free) adaptive run: the 0.4 mm PTL ladder, which
+/// refactors only when the step size changes.
 fn bench_josim_ptl_adaptive(c: &mut Criterion) {
     let cell = CellCircuit::build(&CellSpec::Ptl(PtlLinkSpec::from_mm(0.4)));
     let mut ws = cell.engine().prepare_workspace();

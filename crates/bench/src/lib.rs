@@ -168,6 +168,9 @@ impl ExperimentContext {
             reg.add(&format!("{name}.coalesced"), stats.coalesced);
             reg.set_gauge(&format!("{name}.entries"), stats.entries as u64);
         }
+        for (name, value) in self.circuits.work().counters() {
+            reg.add(&format!("josim.{name}"), value);
+        }
         let solver = self.timing.solver().stats();
         for (name, value) in solver.counters() {
             reg.add(&format!("ilp.{name}"), value);
@@ -393,6 +396,21 @@ mod tests {
         assert_eq!(ilp(&snap.counters), counters);
         let gauges = "stored_bases stored_solutions structures";
         assert_eq!(ilp(&snap.gauges), gauges);
+    }
+
+    #[test]
+    fn josim_metric_names_are_pinned() {
+        // The `josim.*` names are `TransientWork`'s field names, which the
+        // committed metrics snapshots read.
+        let snap = ExperimentContext::single_threaded().metrics_snapshot();
+        let names = snap
+            .counters
+            .keys()
+            .filter_map(|k| k.strip_prefix("josim."));
+        assert_eq!(
+            names.collect::<Vec<_>>().join(" "),
+            "linear_solves newton_iterations refactorizations rejected_trials runs trials"
+        );
     }
 
     #[test]

@@ -13,21 +13,29 @@
 //! The memo machinery — single-flight cells, the content-hash warm tier,
 //! the counters, and [`save`]/[`load`] persistence — is
 //! [`smart_units::memo::Memo`]; this module supplies the key, the
-//! simulation call, and the measurement's record codec.
+//! simulation call, and the measurement's record codec. The cache also
+//! sums the [`TransientWork`] of every simulation it ran: a warm hit adds
+//! nothing.
 
 use crate::cells::{characterize, CellMeasurement, CellSpec};
+use crate::engine::TransientWork;
 use smart_units::codec::{ByteReader, ByteWriter};
 use smart_units::memo::{Memo, MemoStats, Persist};
+use smart_units::sync::lock;
 use smart_units::{Result, SmartError};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A memoized, thread-safe, single-flight front end to [`characterize`].
 ///
 /// Measurements are returned as [`Arc`]s so concurrent experiments share
 /// one allocation per measured cell.
 #[derive(Debug, Default)]
-pub struct CircuitCache(Memo<CellSpec, CellMeasurement, SmartError>);
+pub struct CircuitCache {
+    memo: Memo<CellSpec, CellMeasurement, SmartError>,
+    /// The summed work records of the simulations this cache ran.
+    work: Mutex<TransientWork>,
+}
 
 impl CircuitCache {
     /// An empty cache.
@@ -42,13 +50,23 @@ impl CircuitCache {
     ///
     /// Propagates simulation failures (which are never cached).
     pub fn measure(&self, spec: &CellSpec) -> Result<Arc<CellMeasurement>> {
-        self.0.get_or_try_init(spec, || characterize(spec))
+        self.memo.get_or_try_init(spec, || {
+            let (measurement, work) = characterize(spec)?;
+            *lock(&self.work) += work;
+            Ok(measurement)
+        })
     }
 
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> MemoStats {
-        self.0.stats()
+        self.memo.stats()
+    }
+
+    /// The summed work of every simulation this cache ran.
+    #[must_use]
+    pub fn work(&self) -> TransientWork {
+        *lock(&self.work)
     }
 }
 
@@ -57,7 +75,11 @@ impl Persist for CellMeasurement {
     /// 2: PTL ladders count their LC sections in whole nanometres; a
     /// version-1 store holds 0.3 mm and 0.6 mm links built with one
     /// section too many.
-    const VERSION: u32 = 2;
+    /// 3: the adaptive engine solves each step once against a
+    /// predictor–corrector error estimate and integrates junction
+    /// dissipation by the trapezoid rule, so every delay, energy and step
+    /// count moved; a version-2 store loads zero entries.
+    const VERSION: u32 = 3;
     const FILE_NAME: &'static str = "circuit-cache.bin";
 
     fn write(&self, w: &mut ByteWriter) {
@@ -88,28 +110,32 @@ impl Persist for CellMeasurement {
 /// [`smart_units::SmartError::Store`] on any underlying filesystem
 /// failure.
 pub fn save(cache: &CircuitCache, dir: &Path) -> Result<()> {
-    cache.0.save(dir)
+    cache.memo.save(dir)
 }
 
 /// Loads `dir/circuit-cache.bin` into `cache`'s warm tier; returns how
 /// many entries are now warm. A missing, corrupted, truncated, or
 /// version-mismatched file loads zero entries — the run starts cold.
 pub fn load(cache: &CircuitCache, dir: &Path) -> usize {
-    cache.0.load(dir)
+    cache.memo.load(dir)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use smart_sfq::cells::{JtlChainSpec, PtlLinkSpec};
+    use smart_units::codec::Store;
 
     #[test]
     fn cached_equals_uncached() {
         let cache = CircuitCache::new();
         let spec = CellSpec::Ptl(PtlLinkSpec::from_mm(0.2));
-        let direct = characterize(&spec).expect("simulates");
+        let (direct, work) = characterize(&spec).expect("simulates");
         let cached = cache.measure(&spec).expect("simulates");
         assert_eq!(*cached, direct);
+        assert_eq!(cache.work(), work, "a miss adds its run's work");
+        cache.measure(&spec).expect("hits");
+        assert_eq!(cache.work(), work, "a hit adds nothing");
     }
 
     #[test]
@@ -139,6 +165,30 @@ mod tests {
         let reloaded = warm.measure(&spec).expect("warm");
         assert_eq!(*reloaded, *direct, "warm result identical to cold");
         assert_eq!(warm.stats().misses, 0, "served without simulating");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_version_2_store_loads_cold_and_the_cell_is_recomputed() {
+        let dir = std::env::temp_dir().join(format!("smart-josim-v2-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let cold = CircuitCache::new();
+        let spec = CellSpec::Ptl(PtlLinkSpec::from_mm(0.1));
+        cold.measure(&spec).expect("simulates");
+        save(&cold, &dir).expect("saves");
+        // The same payload under the previous store version.
+        let path = dir.join(CellMeasurement::FILE_NAME);
+        let bytes = std::fs::read(&path).expect("reads");
+        let payload = Store::open(&bytes, CellMeasurement::TAG, CellMeasurement::VERSION)
+            .expect("opens")
+            .to_vec();
+        std::fs::write(&path, Store::seal(CellMeasurement::TAG, 2, payload)).expect("writes");
+
+        let warm = CircuitCache::new();
+        assert_eq!(load(&warm, &dir), 0);
+        warm.measure(&spec).expect("simulates");
+        assert_eq!(warm.stats().misses, 1, "the cell is simulated again");
+        assert_eq!(warm.work().runs, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

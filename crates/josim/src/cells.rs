@@ -26,7 +26,7 @@
 
 use crate::adaptive::{AdaptiveSpec, Workspace};
 use crate::circuit::{Circuit, NodeId};
-use crate::engine::{Engine, Transient, TransientSpec, PHI0};
+use crate::engine::{Engine, Transient, TransientSpec, TransientWork, PHI0};
 use crate::waveform::Waveform;
 use smart_sfq::cells::{JtlChainSpec, PtlLinkSpec, SplitterFanoutSpec};
 use smart_units::Result;
@@ -86,8 +86,9 @@ pub struct CellMeasurement {
     pub max_output_pulses: u32,
     /// Total resistive dissipation of the run (J).
     pub dissipated_energy: f64,
-    /// Accepted integration steps (trace samples minus one) — the
-    /// adaptive-vs-fixed cost signal.
+    /// Accepted integration steps (trace samples minus one). Each is one
+    /// solve, but rejected trials and Newton iterations are not in it: the
+    /// run's [`TransientWork`] counters measure its cost.
     pub steps: usize,
 }
 
@@ -289,17 +290,18 @@ impl CellCircuit {
         self.stop
     }
 
-    /// Measures the cell with the adaptive sparse engine, reusing `ws`.
+    /// Measures the cell with the adaptive sparse engine, reusing `ws`;
+    /// returns the measurement and the run's work record.
     ///
     /// # Errors
     ///
     /// Propagates engine failures as
     /// [`smart_units::SmartError::Simulation`].
-    pub fn measure_adaptive(&self, ws: &mut Workspace) -> Result<CellMeasurement> {
+    pub fn measure_adaptive(&self, ws: &mut Workspace) -> Result<(CellMeasurement, TransientWork)> {
         let out = self
             .engine
             .run_adaptive_with(AdaptiveSpec::sfq(self.stop), &self.probes, ws)?;
-        Ok(self.extract(&out))
+        Ok((self.extract(&out), out.work()))
     }
 
     /// Measures the cell with the seed fixed-step dense engine at
@@ -360,14 +362,14 @@ fn ptl_sections(length_nm: u64) -> usize {
     (length_nm.div_ceil(PTL_SECTION_NM) as usize).max(PTL_MIN_SECTIONS)
 }
 
-/// Builds and measures a cell with the adaptive sparse engine (the
-/// uncached entry point; sweeps go through
-/// [`crate::cache::CircuitCache`]).
+/// Builds and measures a cell with the adaptive sparse engine, returning
+/// the measurement and the run's work record (the uncached entry point;
+/// sweeps go through [`crate::cache::CircuitCache`]).
 ///
 /// # Errors
 ///
 /// Propagates engine failures as [`smart_units::SmartError::Simulation`].
-pub fn characterize(spec: &CellSpec) -> Result<CellMeasurement> {
+pub fn characterize(spec: &CellSpec) -> Result<(CellMeasurement, TransientWork)> {
     let cell = CellCircuit::build(spec);
     let mut ws = cell.engine.prepare_workspace();
     cell.measure_adaptive(&mut ws)
@@ -380,7 +382,7 @@ mod tests {
     #[test]
     fn jtl_chain_propagates_one_pulse() {
         let spec = CellSpec::Jtl(JtlChainSpec::standard(4));
-        let m = characterize(&spec).expect("simulates");
+        let (m, _) = characterize(&spec).expect("simulates");
         assert!(m.delivered_exactly_one(), "exactly one pulse must arrive");
         assert!(m.delay > 0.0, "output fires after input");
         assert!(m.dissipated_energy > 0.0);
@@ -391,7 +393,7 @@ mod tests {
         // The tentpole validation: the simulated per-stage delay of the
         // standard chain tracks the analytic Jtl model's 2 ps/stage.
         let spec = JtlChainSpec::standard(8);
-        let m = characterize(&CellSpec::Jtl(spec)).expect("simulates");
+        let (m, _) = characterize(&CellSpec::Jtl(spec)).expect("simulates");
         let model = spec.closed_form_stage_delay().as_s();
         let err = (m.delay_per_hop - model).abs() / model;
         assert!(
@@ -405,8 +407,8 @@ mod tests {
 
     #[test]
     fn longer_chains_have_proportionally_longer_delays() {
-        let short = characterize(&CellSpec::Jtl(JtlChainSpec::standard(4))).unwrap();
-        let long = characterize(&CellSpec::Jtl(JtlChainSpec::standard(8))).unwrap();
+        let (short, _) = characterize(&CellSpec::Jtl(JtlChainSpec::standard(4))).unwrap();
+        let (long, _) = characterize(&CellSpec::Jtl(JtlChainSpec::standard(8))).unwrap();
         // 7 hops vs 3 hops => ~2.3x delay.
         assert!(long.delay > 1.8 * short.delay);
         assert!(long.dissipated_energy > short.dissipated_energy);
@@ -415,7 +417,7 @@ mod tests {
     #[test]
     fn fanout_tree_reaches_every_leaf_once() {
         let spec = CellSpec::Fanout(SplitterFanoutSpec::standard(4));
-        let m = characterize(&spec).expect("simulates");
+        let (m, _) = characterize(&spec).expect("simulates");
         assert!(
             m.delivered_exactly_one(),
             "every leaf sees exactly one pulse (min {}, max {})",
@@ -431,7 +433,7 @@ mod tests {
         let mut previous = 0.0;
         for mm in [0.1, 0.2, 0.3, 0.4, 0.6, 0.8] {
             let spec = PtlLinkSpec::from_mm(mm);
-            let m = characterize(&CellSpec::Ptl(spec)).expect("simulates");
+            let (m, _) = characterize(&CellSpec::Ptl(spec)).expect("simulates");
             let model = spec.closed_form_delay();
             let err = (m.delay - model).abs() / model;
             assert!(
@@ -475,7 +477,7 @@ mod tests {
         for spec in specs {
             let cell = CellCircuit::build(&spec);
             let mut ws = cell.engine().prepare_workspace();
-            let adaptive = cell.measure_adaptive(&mut ws).expect("adaptive runs");
+            let (adaptive, _) = cell.measure_adaptive(&mut ws).expect("adaptive runs");
             let fixed = cell.measure_fixed().expect("fixed runs");
             assert!(
                 adaptive.steps * 2 < fixed.steps,
@@ -501,8 +503,8 @@ mod tests {
         let a = CellCircuit::build(&CellSpec::Jtl(JtlChainSpec::new(4, 100_000, 700)));
         let b = CellCircuit::build(&CellSpec::Jtl(JtlChainSpec::new(4, 100_000, 650)));
         let mut ws = a.engine().prepare_workspace();
-        let ma = a.measure_adaptive(&mut ws).expect("a runs");
-        let mb = b.measure_adaptive(&mut ws).expect("b runs");
+        let (ma, _) = a.measure_adaptive(&mut ws).expect("a runs");
+        let (mb, _) = b.measure_adaptive(&mut ws).expect("b runs");
         assert!(ma.delivered_exactly_one());
         assert!(mb.delivered_exactly_one());
         assert_ne!(ma.delay, mb.delay, "bias changes the stage delay");

@@ -96,6 +96,50 @@ impl From<SimulationError> for smart_units::SmartError {
     }
 }
 
+/// Declares [`TransientWork`] from one list of counters, each named as its
+/// `josim.*` metric; the list alone yields `counters()` and `+=`.
+macro_rules! transient_work {
+    ($($(#[$doc:meta])* $counter:ident,)*) => {
+        /// The work one transient run did. Each run fills one record;
+        /// [`crate::CircuitCache`] sums the records of the runs it made.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct TransientWork {
+            $($(#[$doc])* pub $counter: u64,)*
+        }
+
+        impl TransientWork {
+            /// Every counter as `(name, value)`, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($counter), self.$counter)),*].into_iter()
+            }
+        }
+
+        impl std::ops::AddAssign for TransientWork {
+            fn add_assign(&mut self, work: Self) {
+                $(self.$counter += work.$counter;)*
+            }
+        }
+    };
+}
+
+transient_work! {
+    /// Transient runs (1 in the record of one run).
+    runs,
+    /// Step attempts, each one trapezoidal solve: the accepted steps plus
+    /// the rejected trials.
+    trials,
+    /// Trials the adaptive engine rejected, on its error estimate or on a
+    /// Newton divergence, and retried at a smaller step.
+    rejected_trials,
+    /// Newton iterations of the junction linearization (0 for a linear
+    /// circuit).
+    newton_iterations,
+    /// Numeric LU factorizations of the MNA matrix.
+    refactorizations,
+    /// Triangular solves against a factorization.
+    linear_solves,
+}
+
 /// Recorded result of a transient run.
 #[derive(Debug, Clone)]
 pub struct Transient {
@@ -104,6 +148,7 @@ pub struct Transient {
     /// `voltages[p][k]` = voltage of probe `p` at `times[k]`.
     voltages: Vec<Vec<f64>>,
     dissipated: f64,
+    work: TransientWork,
 }
 
 impl Transient {
@@ -114,13 +159,21 @@ impl Transient {
         probes: Vec<NodeId>,
         voltages: Vec<Vec<f64>>,
         dissipated: f64,
+        work: TransientWork,
     ) -> Self {
         Self {
             times,
             probes,
             voltages,
             dissipated,
+            work,
         }
+    }
+
+    /// The work this run did.
+    #[must_use]
+    pub fn work(&self) -> TransientWork {
+        self.work
     }
 
     /// Sample times (s).
@@ -258,9 +311,8 @@ pub(crate) struct JjState {
 }
 
 /// The trapezoidal companion-model state of every reactive element, in
-/// element order. One step of size `h` advances all of them together; the
-/// adaptive engine keeps several copies (trial full step, trial half
-/// steps) and commits the accepted one.
+/// element order. One accepted step of size `h` advances all of them
+/// together.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ElementStates {
     pub(crate) caps: Vec<CapState>,
@@ -281,13 +333,6 @@ impl ElementStates {
             }
         }
         s
-    }
-
-    /// Overwrites `self` with `other` without reallocating.
-    pub(crate) fn copy_from(&mut self, other: &Self) {
-        self.caps.copy_from_slice(&other.caps);
-        self.inds.copy_from_slice(&other.inds);
-        self.jjs.copy_from_slice(&other.jjs);
     }
 }
 
@@ -405,6 +450,10 @@ impl Engine {
         let h = spec.step;
         let steps = (spec.stop / h).ceil() as usize;
         let nonlinear = self.circuit.is_nonlinear();
+        let mut work = TransientWork {
+            runs: 1,
+            ..TransientWork::default()
+        };
 
         // Integration state.
         let mut states = ElementStates::for_circuit(&self.circuit);
@@ -417,6 +466,7 @@ impl Engine {
         } else {
             let mut m = Matrix::zeros(self.unknowns);
             self.stamp_linear(&mut m, h);
+            work.refactorizations += 1;
             Some(
                 m.lu()
                     .map_err(|s| SimulationError::Singular { column: s.column })?,
@@ -449,10 +499,12 @@ impl Engine {
                 // reached `stop` exactly.
                 break;
             }
+            work.trials += 1;
             let x_new = if nonlinear {
-                self.solve_nonlinear(t, hk, &x, &states)?
+                self.solve_nonlinear(t, hk, &x, &states, &mut work)?
             } else if hk == h {
                 let rhs = self.rhs_linear(t, h, &states);
+                work.linear_solves += 1;
                 // lint:allow(panic_freedom, the factors were computed for h before the stepping loop entered this branch)
                 linear_factors.as_ref().expect("factored").solve(&rhs)
             } else {
@@ -463,6 +515,8 @@ impl Engine {
                 let factors = m
                     .lu()
                     .map_err(|s| SimulationError::Singular { column: s.column })?;
+                work.refactorizations += 1;
+                work.linear_solves += 1;
                 factors.solve(&self.rhs_linear(t, hk, &states))
             };
 
@@ -480,12 +534,16 @@ impl Engine {
             probes: probes.to_vec(),
             voltages,
             dissipated,
+            work,
         })
     }
 
     /// Advances every element's companion state past an accepted solve of
     /// step size `h`, returning the resistive energy dissipated during the
-    /// step. Shared by the fixed-step and adaptive paths.
+    /// step. Shared by the fixed-step and adaptive paths. Junction
+    /// dissipation is integrated by the trapezoid rule over the step's two
+    /// end voltages: the adaptive engine's long quiescent steps make the
+    /// one-sided rectangle rule's error visible in cell energies.
     pub(crate) fn commit_step(&self, x_new: &[f64], h: f64, states: &mut ElementStates) -> f64 {
         let mut dissipated = 0.0;
         let mut ci = 0;
@@ -518,20 +576,18 @@ impl Engine {
                 Element::Junction {
                     a,
                     b,
-                    ic,
                     resistance,
                     capacitance,
+                    ..
                 } => {
                     let v = self.node_voltage(x_new, *a) - self.node_voltage(x_new, *b);
                     let s = &mut states.jjs[ji];
                     let phi_new = s.phi + std::f64::consts::PI * h / PHI0 * (v + s.v);
                     let geq = 2.0 * capacitance / h;
                     let i_cap = geq * (v - s.v) - s.i_cap;
-                    // Resistive + supercurrent dissipation (the
-                    // supercurrent itself is lossless; dissipation is
-                    // v^2/R during the phase slip).
-                    dissipated += (v * v / resistance) * h;
-                    let _ = ic;
+                    // The supercurrent is lossless: a junction dissipates
+                    // v^2/R in its shunt during the phase slip.
+                    dissipated += (v * v + s.v * s.v) / (2.0 * resistance) * h;
                     s.phi = phi_new;
                     s.v = v;
                     s.i_cap = i_cap;
@@ -706,6 +762,7 @@ impl Engine {
         h: f64,
         x_prev: &[f64],
         states: &ElementStates,
+        work: &mut TransientWork,
     ) -> Result<Vec<f64>, SimulationError> {
         let mut x = x_prev.to_vec();
         for _ in 0..MAX_NEWTON {
@@ -718,6 +775,9 @@ impl Engine {
                 .lu()
                 .map_err(|s| SimulationError::Singular { column: s.column })?;
             let x_new = factors.solve(&rhs);
+            work.newton_iterations += 1;
+            work.refactorizations += 1;
+            work.linear_solves += 1;
             let delta = x_new
                 .iter()
                 .zip(x.iter())
@@ -968,6 +1028,7 @@ mod tests {
             probes: vec![NodeId(1)],
             voltages: vec![vec![1.0, 1.0, 1.0, 1.0]],
             dissipated: 0.0,
+            work: TransientWork::default(),
         };
         // flux = [0, 1, 2, 3]
         let t = tr.flux_crossing(0, 2.0).expect("crosses");
@@ -986,6 +1047,7 @@ mod tests {
             probes: vec![NodeId(1)],
             voltages: vec![vec![1.0, 1.0, 1.0]],
             dissipated: 0.0,
+            work: TransientWork::default(),
         };
         // Flux starts at zero: thresholds at or below zero are already met.
         assert_eq!(tr.flux_crossing(0, 0.0), Some(0.0));
@@ -1001,6 +1063,7 @@ mod tests {
             probes: vec![NodeId(1)],
             voltages: vec![vec![0.8 * phi0_v, 0.0, 2.0 * phi0_v, 0.0]],
             dissipated: 0.0,
+            work: TransientWork::default(),
         };
         // Trapezoid flux: [0, 0.4, 1.4, 2.4] Phi0.
         assert_eq!(tr.pulse_count(0), 2, "total rounds settle flux in");

@@ -53,7 +53,7 @@ pub use adaptive::{AdaptiveSpec, Workspace};
 pub use cache::CircuitCache;
 pub use cells::{characterize, CellMeasurement, CellSpec};
 pub use circuit::{Circuit, Element, NodeId};
-pub use engine::{Engine, SimulationError, Transient, TransientSpec};
+pub use engine::{Engine, SimulationError, Transient, TransientSpec, TransientWork};
 pub use smart_units::{Result, SmartError};
 pub use sparse::{SparseLu, SparseMatrix, SparsityPattern, SymbolicLu};
 pub use waveform::Waveform;

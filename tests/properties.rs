@@ -786,7 +786,7 @@ proptest! {
         let spec = JtlChainSpec::new(stages, 100_000, bias_pm);
         let cell = CellCircuit::build(&CellSpec::Jtl(spec));
         let mut ws = cell.engine().prepare_workspace();
-        let adaptive = cell.measure_adaptive(&mut ws).expect("adaptive runs");
+        let (adaptive, _) = cell.measure_adaptive(&mut ws).expect("adaptive runs");
         let fixed = cell.measure_fixed().expect("fixed runs");
 
         prop_assert_eq!(adaptive.min_output_pulses, fixed.min_output_pulses);
