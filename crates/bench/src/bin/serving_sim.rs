@@ -225,8 +225,12 @@ fn main() -> ExitCode {
         Some(r) => unwrap(parse_non_negative("--rate", Some(r))),
         None => load * capacity_rps,
     };
-    if rate <= 0.0 {
-        fail("offered rate must be positive; raise --load or --rate");
+    // A huge `--load`, or tenant weights whose sum overflows, makes it inf.
+    if !(rate.is_finite() && rate > 0.0) {
+        fail(&format!(
+            "offered rate must be a finite positive number of requests/s, not {rate}; \
+             change --load or --rate"
+        ));
     }
 
     let arrivals = if args.has("--bursty") {

@@ -148,8 +148,9 @@ impl ExperimentContext {
         }
     }
 
-    /// The unified metrics snapshot of this run: every live cache and
-    /// solver counter poured into one deterministically ordered
+    /// The unified metrics snapshot of this run: the five live work
+    /// records (the three caches', the transient engine's and the
+    /// solver's) poured into one deterministically ordered
     /// [`MetricsSnapshot`] under dotted names, merged with the run-level
     /// gauges recorded in [`ExperimentContext::metrics`] (warm entries
     /// loaded). Hit counts are reported per kind — `*.hits` for callers
@@ -158,26 +159,24 @@ impl ExperimentContext {
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let reg = MetricsRegistry::new();
-        for (name, stats) in [
+        // One work record's counters and gauges, under `prefix.`.
+        let pour = |prefix: &str,
+                    counters: &mut dyn Iterator<Item = (&str, u64)>,
+                    gauges: &mut dyn Iterator<Item = (&str, usize)>| {
+            counters.for_each(|(name, value)| reg.add(&format!("{prefix}.{name}"), value));
+            gauges
+                .for_each(|(name, value)| reg.set_gauge(&format!("{prefix}.{name}"), value as u64));
+        };
+        for (prefix, stats) in [
             ("eval_cache", self.cache.stats()),
             ("circuit_cache", self.circuits.stats()),
             ("timing_cache", self.timing.stats()),
         ] {
-            reg.add(&format!("{name}.hits"), stats.hits);
-            reg.add(&format!("{name}.misses"), stats.misses);
-            reg.add(&format!("{name}.coalesced"), stats.coalesced);
-            reg.set_gauge(&format!("{name}.entries"), stats.entries as u64);
+            pour(prefix, &mut stats.counters(), &mut stats.gauges());
         }
-        for (name, value) in self.circuits.work().counters() {
-            reg.add(&format!("josim.{name}"), value);
-        }
-        let solver = self.timing.solver().stats();
-        for (name, value) in solver.counters() {
-            reg.add(&format!("ilp.{name}"), value);
-        }
-        for (name, value) in solver.gauges() {
-            reg.set_gauge(&format!("ilp.{name}"), value as u64);
-        }
+        let (josim, ilp) = (self.circuits.work(), self.timing.solver().stats());
+        pour("josim", &mut josim.counters(), &mut josim.gauges());
+        pour("ilp", &mut ilp.counters(), &mut ilp.gauges());
         let mut snap = reg.snapshot();
         let stored = self.metrics.snapshot();
         snap.counters.extend(stored.counters);
@@ -411,6 +410,23 @@ mod tests {
             names.collect::<Vec<_>>().join(" "),
             "linear_solves newton_iterations refactorizations rejected_trials runs trials"
         );
+    }
+
+    #[test]
+    fn cache_metric_names_are_pinned() {
+        // The `eval_cache.*`, `circuit_cache.*` and `timing_cache.*` names
+        // are `MemoStats`' field names; perfbench's counter metrics read
+        // an absent name as 0, so a rename would otherwise go unnoticed.
+        let snap = ExperimentContext::single_threaded().metrics_snapshot();
+        for cache in ["eval_cache", "circuit_cache", "timing_cache"] {
+            let prefix = format!("{cache}.");
+            let names = |metrics: &std::collections::BTreeMap<String, u64>| {
+                let names = metrics.keys().filter_map(|k| k.strip_prefix(&prefix));
+                names.collect::<Vec<_>>().join(" ")
+            };
+            assert_eq!(names(&snap.counters), "coalesced hits misses", "{cache}");
+            assert_eq!(names(&snap.gauges), "entries", "{cache}");
+        }
     }
 
     #[test]

@@ -230,6 +230,26 @@ fn serving_sim_rejects_rates_that_overflow_the_cycle_clock() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
+/// An offered rate that is not finite and positive exits 2 naming the
+/// flags, whether `--load` overflows it or the tenant weights' sum makes
+/// the mix capacity infinite.
+#[test]
+fn serving_sim_rejects_offered_rates_that_are_not_finite() {
+    let exe = env!("CARGO_BIN_EXE_serving_sim");
+    let huge = ["--tenant", "alexnet:1e308", "--tenant", "vgg16:1e308"];
+    for args in [&["--load", "1e308"][..], &["--load", "0"], &huge] {
+        let out = run(exe, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("offered rate must be a finite positive number")
+                && err.contains("--load or --rate"),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
+}
+
 /// An `--slo-factor` whose deadlines overflow the 64-bit cycle clock
 /// exits 2 with one canonical message instead of wrapping every deadline
 /// below the tenants' own stand-alone latency; a large factor that still

@@ -56,106 +56,63 @@ use smart_units::memo::{Persist, Table};
 use smart_units::sync::lock;
 use std::any::Any;
 use std::hash::Hasher;
-use std::ops::AddAssign;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Declares [`SolverContextStats`] from one list of counters (`u64`) and
-/// gauges (`usize`, table sizes), each named as its `ilp.*` metric; the
-/// list alone yields `counters()`, `gauges()`, `since` and `+=`.
-macro_rules! solver_stats {
-    (
-        counters { $($(#[$counter_doc:meta])* $counter:ident,)* }
-        gauges { $($(#[$gauge_doc:meta])* $gauge:ident,)* }
-    ) => {
-        /// How much reuse a [`SolverContext`] delivered and how much work
-        /// its searches did, plus the sizes of its tables. Each search
-        /// counts into a record of its own, added to the context's.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct SolverContextStats {
-            $($(#[$counter_doc])* pub $counter: u64,)*
-            $($(#[$gauge_doc])* pub $gauge: usize,)*
+smart_units::work_record! {
+    /// How much reuse a [`SolverContext`] delivered and how much work its
+    /// searches did, plus the sizes of its tables, each field named as its
+    /// `ilp.*` metric. Each search counts into a record of its own, added
+    /// to the context's.
+    pub struct SolverContextStats {
+        counters {
+            /// Solves that found a stored basis for their problem structure.
+            warm_attempts,
+            /// Warm attempts that actually reoptimized from the stored basis
+            /// (no cold fallback).
+            warm_hits,
+            /// Solves that started cold (no stored basis, or fallback).
+            cold_solves,
+            /// Solves answered verbatim from the exact-match solution memo
+            /// (branch & bound skipped entirely).
+            solution_hits,
+            /// Simplex pivots across every solve (both phases, all nodes).
+            pivots,
+            /// Primal simplex iterations that ended in a bound flip (no basis
+            /// change), across every solve.
+            bound_flips,
+            /// Basis-inverse refactorizations across every solve.
+            refactorizations,
+            /// Branch & bound nodes explored across every solve.
+            nodes,
+            /// Constraint rows of every searched problem (memo hits excluded).
+            rows,
+            /// LP rows the presolve kept of those `rows`; the rest could never
+            /// bind and were dropped.
+            rows_kept,
+            /// Columns (variables) of every searched problem.
+            cols,
+            /// Nonzero constraint coefficients of every searched problem.
+            nonzeros,
+            /// Integer columns whose bounds the presolve tightened, over every
+            /// searched problem ([`crate::revised::StandardForm::tighten`]).
+            cols_fixed,
+            /// Rows whose right-hand side the presolve's gcd rounding moved,
+            /// over every searched problem.
+            rows_rounded,
+            /// Searches that stopped at the node limit with open nodes (their
+            /// solutions are not proven optimal).
+            node_limited,
         }
-
-        impl SolverContextStats {
-            /// Every counter as `(name, value)`, in declaration order.
-            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
-                [$((stringify!($counter), self.$counter)),*].into_iter()
-            }
-
-            /// Every gauge as `(name, value)`, in declaration order.
-            pub fn gauges(&self) -> impl Iterator<Item = (&'static str, usize)> {
-                [$((stringify!($gauge), self.$gauge)),*].into_iter()
-            }
-
-            /// The counters' growth since `before`, an earlier record of
-            /// the same context; the gauges are this record's.
-            #[must_use]
-            pub fn since(&self, before: &Self) -> Self {
-                Self {
-                    $($counter: self.$counter - before.$counter,)*
-                    ..*self
-                }
-            }
+        gauges {
+            /// Distinct problem structures with a stored basis.
+            stored_bases,
+            /// Distinct exact problems with a memoized solution.
+            stored_solutions,
+            /// Problem structures in the in-memory table
+            /// ([`SolverContext::structure`]).
+            structures,
         }
-
-        /// Adds the counters of `work`; the gauges stay as they are.
-        impl AddAssign for SolverContextStats {
-            fn add_assign(&mut self, work: Self) {
-                $(self.$counter += work.$counter;)*
-            }
-        }
-    };
-}
-
-solver_stats! {
-    counters {
-        /// Solves that found a stored basis for their problem structure.
-        warm_attempts,
-        /// Warm attempts that actually reoptimized from the stored basis
-        /// (no cold fallback).
-        warm_hits,
-        /// Solves that started cold (no stored basis, or fallback).
-        cold_solves,
-        /// Solves answered verbatim from the exact-match solution memo
-        /// (branch & bound skipped entirely).
-        solution_hits,
-        /// Simplex pivots across every solve (both phases, all nodes).
-        pivots,
-        /// Primal simplex iterations that ended in a bound flip (no basis
-        /// change), across every solve.
-        bound_flips,
-        /// Basis-inverse refactorizations across every solve.
-        refactorizations,
-        /// Branch & bound nodes explored across every solve.
-        nodes,
-        /// Constraint rows of every searched problem (memo hits excluded).
-        rows,
-        /// LP rows the presolve kept of those `rows`; the rest could never
-        /// bind and were dropped.
-        rows_kept,
-        /// Columns (variables) of every searched problem.
-        cols,
-        /// Nonzero constraint coefficients of every searched problem.
-        nonzeros,
-        /// Integer columns whose bounds the presolve tightened, over every
-        /// searched problem ([`crate::revised::StandardForm::tighten`]).
-        cols_fixed,
-        /// Rows whose right-hand side the presolve's gcd rounding moved,
-        /// over every searched problem.
-        rows_rounded,
-        /// Searches that stopped at the node limit with open nodes (their
-        /// solutions are not proven optimal).
-        node_limited,
-    }
-    gauges {
-        /// Distinct problem structures with a stored basis.
-        stored_bases,
-        /// Distinct exact problems with a memoized solution.
-        stored_solutions,
-        /// Problem structures in the in-memory table
-        /// ([`SolverContext::structure`]).
-        structures,
     }
 }
 

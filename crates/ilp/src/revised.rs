@@ -159,15 +159,6 @@ fn row_scale(p: &Problem, i: usize) -> f64 {
     p.rows()[i].scale.max(1e-12)
 }
 
-/// What [`StandardForm::tighten`] changed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Tightening {
-    /// Integer columns whose bounds tightened.
-    pub cols_fixed: u64,
-    /// Rows whose right-hand side the gcd rounding moved.
-    pub rows_rounded: u64,
-}
-
 impl StandardForm {
     /// Builds the presolved standard form of `p`. An inequality row is
     /// dropped when its extreme activity over the variable bounds is
@@ -383,8 +374,9 @@ impl StandardForm {
     /// round outward by the integrality tolerance and the sums' float
     /// error), so the integer optimum cannot move. Infeasibility is left
     /// for the LP to find. The rows, and so the basis coordinates, do not
-    /// change.
-    pub fn tighten(&mut self, p: &Problem) -> Tightening {
+    /// change. Returns what changed as the work record's `cols_fixed`
+    /// (integer columns whose bounds tightened) and `rows_rounded`.
+    pub fn tighten(&mut self, p: &Problem) -> SolverContextStats {
         let n = self.n_struct;
         let vars = p.variables();
         let mut moved = vec![false; n];
@@ -418,9 +410,10 @@ impl StandardForm {
                 rows_rounded += 1;
             }
         }
-        Tightening {
+        SolverContextStats {
             cols_fixed: moved.iter().filter(|&&m| m).count() as u64,
             rows_rounded,
+            ..SolverContextStats::default()
         }
     }
 
@@ -1845,7 +1838,7 @@ mod tests {
         );
 
         let mut large_form = StandardForm::build(&large, None);
-        assert_eq!(large_form.tighten(&large), Tightening::default());
+        assert_eq!(large_form.tighten(&large), SolverContextStats::default());
         let (warm, _, warm_held) = solve_with_pins(&large_form, &large, &[], Some(&stored));
         assert!(warm_held, "the stored basis must be reused");
         let (cold, _, _) = solve_with_pins(&large_form, &large, &[], None);

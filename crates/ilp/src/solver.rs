@@ -223,8 +223,7 @@ impl Solver {
         let fp = problem.digests().fingerprint;
         let stored = ctx.lookup(fp);
         let mut form = StandardForm::presolved(problem, binding, stored.as_deref());
-        let tightening = form.tighten(problem);
-        (work.cols_fixed, work.rows_rounded) = (tightening.cols_fixed, tightening.rows_rounded);
+        *work += form.tighten(problem);
         work.cols = problem.num_vars() as u64;
         work.nonzeros = problem.num_nonzeros() as u64;
         (work.rows, work.rows_kept) = (problem.num_constraints() as u64, form.m as u64);

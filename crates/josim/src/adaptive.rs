@@ -13,13 +13,13 @@
 //!   and `h2` the two previous steps,
 //!   `LTE = max|x_c - x_p| * h^2 / (2 (h + h1) (h + h1 + h2))`;
 //! * a run's first two steps have no history to predict from: they are
-//!   single unestimated solves at [`AdaptiveSpec::h_init`];
+//!   single unestimated solves at [`H_INIT`];
 //! * the LTE scales as `h^3`, so step sizes follow the cube-root rule: the
 //!   step shrinks through JJ phase slips (where the sine branch makes the
 //!   solution stiff) and grows geometrically through quiescent stretches,
-//!   bounded by [`AdaptiveSpec::h_max`];
+//!   bounded by [`H_MAX`];
 //! * a Newton divergence at some `h` is treated as "step too large", not
-//!   failure: the step shrinks and retries until [`AdaptiveSpec::h_min`];
+//!   failure: the step shrinks and retries until [`H_MIN`];
 //! * the per-step `h` is threaded through every companion model and the
 //!   dissipation integral (the same `commit_step` the fixed-step path
 //!   uses).
@@ -37,71 +37,28 @@ use crate::engine::{
 };
 use crate::sparse::{SingularMatrix, SparseLu, SparseMatrix, SymbolicLu};
 
-/// Parameters of an adaptive transient run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveSpec {
-    /// Simulation end time (s).
-    pub stop: f64,
-    /// Initial step size (s).
-    pub h_init: f64,
-    /// Smallest step the controller may take (s). Reaching it forces
-    /// acceptance (the error floor of the method).
-    pub h_min: f64,
-    /// Largest step the controller may take (s). Bounds how far the engine
-    /// coasts through quiescent stretches (and how much of a narrow input
-    /// pulse a single step could leap over).
-    pub h_max: f64,
-    /// Per-step LTE tolerance on node voltages (V).
-    pub tol: f64,
-}
+/// Initial step size (s): 0.05 ps. A run's first two steps have no
+/// history to estimate their error from, so they keep it unless Newton
+/// diverges.
+pub const H_INIT: f64 = 0.05e-12;
 
-impl AdaptiveSpec {
-    /// Creates a spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < h_min <= h_init <= h_max <= stop` and
-    /// `tol > 0`, all finite.
-    #[must_use]
-    pub fn new(stop: f64, h_init: f64, h_min: f64, h_max: f64, tol: f64) -> Self {
-        assert!(stop > 0.0 && stop.is_finite(), "stop time must be positive");
-        assert!(h_min > 0.0 && h_min.is_finite(), "h_min must be positive");
-        assert!(
-            h_min <= h_init && h_init <= h_max,
-            "need h_min <= h_init <= h_max"
-        );
-        assert!(h_max <= stop, "h_max must not exceed stop time");
-        assert!(tol > 0.0 && tol.is_finite(), "tolerance must be positive");
-        Self {
-            stop,
-            h_init,
-            h_min,
-            h_max,
-            tol,
-        }
-    }
+/// Smallest step the controller may take (s): 0.1 as. Reaching it forces
+/// acceptance (the error floor of the method).
+pub const H_MIN: f64 = 1e-19;
 
-    /// Defaults for picosecond-scale SFQ circuits: start at 0.05 ps, floor
-    /// at 0.1 as, cap at 1 ps (narrower than any SFQ input pulse, so a
-    /// quiescent coast cannot leap over one), and a 0.2 uV per-step LTE
-    /// tolerance (~0.03% of the ~mV pulse peak), tight enough that pulse
-    /// counts and crossing times match the 0.02 ps fixed-step oracle within
-    /// 1%. It is half the 0.4 uV that step doubling used, because the
-    /// predictor–corrector estimate misses more switchings at 0.4 uV: over
-    /// 5,000 single-junction bias/kick cases it leaves 10 kicks unswitched
-    /// that the 0.01 ps fixed-step oracle switches (step doubling at
-    /// 0.4 uV: 6; this tolerance: 4 of those 6), each the smallest
-    /// switching kick of its bias to 0.001 Ic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stop` is not at least a picosecond.
-    #[must_use]
-    pub fn sfq(stop: f64) -> Self {
-        assert!(stop >= 1e-12, "SFQ runs are picosecond-scale");
-        Self::new(stop, 0.05e-12, 1e-19, 1.0e-12, 2e-7)
-    }
-}
+/// Largest step the controller may take (s): 1 ps, narrower than any SFQ
+/// input pulse, so a quiescent coast cannot leap over one.
+pub const H_MAX: f64 = 1.0e-12;
+
+/// Per-step LTE tolerance on node voltages (V): 0.2 uV (~0.03% of the ~mV
+/// pulse peak), tight enough that pulse counts and crossing times match
+/// the 0.02 ps fixed-step oracle within 1%. It is half the 0.4 uV that
+/// step doubling used, because the predictor–corrector estimate misses
+/// more switchings at 0.4 uV: over 5,000 single-junction bias/kick cases
+/// it leaves 10 kicks unswitched that the 0.01 ps fixed-step oracle
+/// switches (step doubling at 0.4 uV: 6; this tolerance: 4 of those 6),
+/// each the smallest switching kick of its bias to 0.001 Ic.
+pub const TOL: f64 = 2e-7;
 
 /// Reusable per-engine numeric scratch: the stamped sparse matrix and its
 /// LU factorization, the RHS and solution buffers, the last three accepted
@@ -209,24 +166,23 @@ impl Engine {
         Workspace::new(self)
     }
 
-    /// Runs an adaptive-timestep transient with a fresh workspace.
+    /// Runs an adaptive-timestep transient from 0 to `stop` (s) with a
+    /// fresh workspace.
     ///
     /// # Errors
     ///
     /// Returns [`SimulationError::Singular`] for ill-formed circuits, and
     /// [`SimulationError::NewtonDiverged`] only if the junction iteration
-    /// still fails at [`AdaptiveSpec::h_min`].
+    /// still fails at [`H_MIN`].
     ///
     /// # Panics
     ///
-    /// Panics if a probe node does not belong to the circuit.
-    pub fn run_adaptive(
-        &self,
-        spec: AdaptiveSpec,
-        probes: &[NodeId],
-    ) -> Result<Transient, SimulationError> {
+    /// Panics if `stop` is not a finite time of at least a picosecond (the
+    /// step bounds are picosecond-scale) or a probe node does not belong to
+    /// the circuit.
+    pub fn run_adaptive(&self, stop: f64, probes: &[NodeId]) -> Result<Transient, SimulationError> {
         let mut ws = self.prepare_workspace();
-        self.run_adaptive_with(spec, probes, &mut ws)
+        self.run_adaptive_with(stop, probes, &mut ws)
     }
 
     /// [`Engine::run_adaptive`] reusing a previously prepared workspace:
@@ -238,14 +194,19 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if a probe node does not belong to the circuit or the
-    /// workspace was prepared for a different circuit topology.
+    /// Panics if `stop` is not a finite time of at least a picosecond, a
+    /// probe node does not belong to the circuit, or the workspace was
+    /// prepared for a different circuit topology.
     pub fn run_adaptive_with(
         &self,
-        spec: AdaptiveSpec,
+        stop: f64,
         probes: &[NodeId],
         ws: &mut Workspace,
     ) -> Result<Transient, SimulationError> {
+        assert!(
+            stop >= 1e-12 && stop.is_finite(),
+            "SFQ runs are picosecond-scale"
+        );
         for p in probes {
             assert!(
                 p.index() < self.circuit().node_count(),
@@ -274,19 +235,19 @@ impl Engine {
         let n_volt = self.circuit().node_count() - 1;
         let mut dissipated = 0.0;
         let mut t = 0.0;
-        let mut h = spec.h_init.min(spec.stop);
+        let mut h = H_INIT;
         // Remainders below the step floor are snapped onto `stop` so the
         // trace always ends there exactly.
-        let snap = 0.5 * spec.h_min;
+        let snap = 0.5 * H_MIN;
 
-        while t < spec.stop {
-            h = h.clamp(spec.h_min, spec.h_max).min(spec.stop - t);
+        while t < stop {
+            h = h.clamp(H_MIN, H_MAX).min(stop - t);
             // The predictor needs three accepted points: the first two
             // steps start Newton from the last solution and go unestimated.
             let estimated = times.len() >= 3;
             let est = loop {
-                if spec.stop - (t + h) < snap {
-                    h = spec.stop - t;
+                if stop - (t + h) < snap {
+                    h = stop - t;
                 }
                 let milne = if estimated {
                     let milne = ws.predict(h);
@@ -301,17 +262,17 @@ impl Engine {
                     (Ok(()), Some(milne)) => {
                         let gap = max_abs_diff(&ws.x_new[..n_volt], &ws.predicted[..n_volt]);
                         let est = milne * gap;
-                        if est <= spec.tol || h <= spec.h_min * (1.0 + 1e-12) {
+                        if est <= TOL || h <= H_MIN * (1.0 + 1e-12) {
                             break Some(est);
                         }
                         work.rejected_trials += 1;
-                        h = (h * step_factor(spec.tol, est).clamp(0.1, 0.5)).max(spec.h_min);
+                        h = (h * step_factor(TOL, est).clamp(0.1, 0.5)).max(H_MIN);
                     }
-                    (Err(SimulationError::NewtonDiverged { .. }), _) if h > spec.h_min => {
+                    (Err(SimulationError::NewtonDiverged { .. }), _) if h > H_MIN => {
                         // A JJ switching edge the current step leapt over:
                         // shrink hard and retry.
                         work.rejected_trials += 1;
-                        h = (h * 0.25).max(spec.h_min);
+                        h = (h * 0.25).max(H_MIN);
                     }
                     (Err(e), _) => return Err(e),
                 }
@@ -328,7 +289,7 @@ impl Engine {
             // Grow (or keep) the step for the next interval; the unestimated
             // opening steps keep theirs.
             if let Some(est) = est {
-                h *= step_factor(spec.tol, est).clamp(0.2, 2.0);
+                h *= step_factor(TOL, est).clamp(0.2, 2.0);
             }
         }
 
@@ -422,9 +383,7 @@ mod tests {
 
     /// A 60 ps adaptive run of `ckt` probing `n`, with its accepted steps.
     fn run(ckt: Circuit, n: NodeId) -> (Transient, u64) {
-        let out = Engine::new(ckt)
-            .run_adaptive(AdaptiveSpec::sfq(60e-12), &[n])
-            .expect("runs");
+        let out = Engine::new(ckt).run_adaptive(60e-12, &[n]).expect("runs");
         let steps = out.times().len() as u64 - 1;
         (out, steps)
     }

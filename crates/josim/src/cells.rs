@@ -24,7 +24,7 @@
 
 // lint:allow-file(index, node ids are assigned sequentially by the same constructors that index them)
 
-use crate::adaptive::{AdaptiveSpec, Workspace};
+use crate::adaptive::Workspace;
 use crate::circuit::{Circuit, NodeId};
 use crate::engine::{Engine, Transient, TransientSpec, TransientWork, PHI0};
 use crate::waveform::Waveform;
@@ -298,9 +298,7 @@ impl CellCircuit {
     /// Propagates engine failures as
     /// [`smart_units::SmartError::Simulation`].
     pub fn measure_adaptive(&self, ws: &mut Workspace) -> Result<(CellMeasurement, TransientWork)> {
-        let out = self
-            .engine
-            .run_adaptive_with(AdaptiveSpec::sfq(self.stop), &self.probes, ws)?;
+        let out = self.engine.run_adaptive_with(self.stop, &self.probes, ws)?;
         Ok((self.extract(&out), out.work()))
     }
 

@@ -96,48 +96,29 @@ impl From<SimulationError> for smart_units::SmartError {
     }
 }
 
-/// Declares [`TransientWork`] from one list of counters, each named as its
-/// `josim.*` metric; the list alone yields `counters()` and `+=`.
-macro_rules! transient_work {
-    ($($(#[$doc:meta])* $counter:ident,)*) => {
-        /// The work one transient run did. Each run fills one record;
-        /// [`crate::CircuitCache`] sums the records of the runs it made.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct TransientWork {
-            $($(#[$doc])* pub $counter: u64,)*
+smart_units::work_record! {
+    /// The work one transient run did, each field named as its `josim.*`
+    /// metric. Each run fills one record; [`crate::CircuitCache`] sums the
+    /// records of the runs it made.
+    pub struct TransientWork {
+        counters {
+            /// Transient runs (1 in the record of one run).
+            runs,
+            /// Step attempts, each one trapezoidal solve: the accepted
+            /// steps plus the rejected trials.
+            trials,
+            /// Trials the adaptive engine rejected, on its error estimate
+            /// or on a Newton divergence, and retried at a smaller step.
+            rejected_trials,
+            /// Newton iterations of the junction linearization (0 for a
+            /// linear circuit).
+            newton_iterations,
+            /// Numeric LU factorizations of the MNA matrix.
+            refactorizations,
+            /// Triangular solves against a factorization.
+            linear_solves,
         }
-
-        impl TransientWork {
-            /// Every counter as `(name, value)`, in declaration order.
-            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
-                [$((stringify!($counter), self.$counter)),*].into_iter()
-            }
-        }
-
-        impl std::ops::AddAssign for TransientWork {
-            fn add_assign(&mut self, work: Self) {
-                $(self.$counter += work.$counter;)*
-            }
-        }
-    };
-}
-
-transient_work! {
-    /// Transient runs (1 in the record of one run).
-    runs,
-    /// Step attempts, each one trapezoidal solve: the accepted steps plus
-    /// the rejected trials.
-    trials,
-    /// Trials the adaptive engine rejected, on its error estimate or on a
-    /// Newton divergence, and retried at a smaller step.
-    rejected_trials,
-    /// Newton iterations of the junction linearization (0 for a linear
-    /// circuit).
-    newton_iterations,
-    /// Numeric LU factorizations of the MNA matrix.
-    refactorizations,
-    /// Triangular solves against a factorization.
-    linear_solves,
+    }
 }
 
 /// Recorded result of a transient run.

@@ -49,7 +49,7 @@ pub mod linalg;
 pub mod sparse;
 pub mod waveform;
 
-pub use adaptive::{AdaptiveSpec, Workspace};
+pub use adaptive::Workspace;
 pub use cache::CircuitCache;
 pub use cells::{characterize, CellMeasurement, CellSpec};
 pub use circuit::{Circuit, Element, NodeId};

@@ -67,14 +67,15 @@ fn main() -> ExitCode {
     }
     let default_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let root = args.value_of("--root").unwrap_or(default_root).to_owned();
-    let findings = match lint_workspace(Path::new(&root)) {
-        Ok(f) => f,
+    let lint = match lint_workspace(Path::new(&root)) {
+        Ok(lint) => lint,
         Err(e) => {
             eprintln!("smart_lint: cannot read workspace at {root}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let findings: Vec<Finding> = findings
+    let findings: Vec<Finding> = lint
+        .findings
         .into_iter()
         .filter(|f| {
             args.filters.is_empty() || args.filters.iter().any(|p| f.rule.contains(p.as_str()))
@@ -86,10 +87,20 @@ fn main() -> ExitCode {
             for f in &findings {
                 println!("{f}");
             }
+            // The justifications parsed, so the allow count's trend shows
+            // in the log: "N inline (rule n, ...), M file-wide (...)".
+            let allows = [(false, "inline"), (true, "file-wide")].map(|(file_wide, kind)| {
+                let rules = lint.allows.iter().filter(|((fw, _), _)| *fw == file_wide);
+                let total: usize = rules.clone().map(|(_, n)| n).sum();
+                let split: Vec<String> =
+                    rules.map(|((_, rule), n)| format!("{rule} {n}")).collect();
+                format!("{total} {kind} ({})", split.join(", "))
+            });
             eprintln!(
-                "smart_lint: {} finding(s) across {} rule(s)",
+                "smart_lint: {} finding(s) across {} rule(s); lint:allow justifications: {}",
                 findings.len(),
-                RULES.len()
+                RULES.len(),
+                allows.join(", ")
             );
         }
         Format::Json => println!("{}", to_json(&findings)),

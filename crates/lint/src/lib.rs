@@ -32,6 +32,7 @@ pub mod workspace;
 pub use rules::{Finding, RULES};
 
 use rules::registry::{Paths, RegistryEntry};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -54,16 +55,26 @@ pub fn registry_entries() -> Vec<RegistryEntry> {
 /// Repo-relative path of the golden snapshot the registry rule checks.
 pub const SNAPSHOT_PATH: &str = "tests/snapshots/all_experiments.txt";
 
-/// Lints the workspace rooted at `root` and returns every finding,
-/// sorted by file, line, and rule.
+/// What one lint pass over a workspace found.
+#[derive(Debug, Default)]
+pub struct Lint {
+    /// Every finding, sorted by file, line, and rule.
+    pub findings: Vec<Finding>,
+    /// How many well-formed `lint:allow` justifications the pass parsed,
+    /// by whether they are file-wide, then by rule.
+    pub allows: BTreeMap<(bool, String), usize>,
+}
+
+/// Lints the workspace rooted at `root`.
 ///
 /// # Errors
 ///
 /// Returns the underlying [`io::Error`] when a manifest, source file,
 /// the README, or the golden snapshot cannot be read — a lint that
 /// cannot see the workspace must fail loudly, not report a clean run.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
+pub fn lint_workspace(root: &Path) -> io::Result<Lint> {
     let mut findings = Vec::new();
+    let mut counts = BTreeMap::new();
 
     // Layering: real crate graph vs the README layer map.
     let crates = workspace::scan_crates(root)?;
@@ -76,6 +87,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         let src = fs::read_to_string(&file.path)?;
         let lx = lexer::lex(&src);
         let (allows, bad) = allow::parse_allows(&lx.comments);
+        for a in &allows {
+            *counts.entry((a.file_wide, a.rule.clone())).or_insert(0) += 1;
+        }
         for b in bad {
             findings.push(Finding {
                 file: file.rel.clone(),
@@ -105,5 +119,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     ));
 
     findings.sort();
-    Ok(findings)
+    Ok(Lint {
+        findings,
+        allows: counts,
+    })
 }

@@ -17,7 +17,9 @@ fn root() -> &'static Path {
 
 #[test]
 fn workspace_is_lint_clean() {
-    let findings = lint_workspace(root()).expect("workspace must be readable");
+    let findings = lint_workspace(root())
+        .expect("workspace must be readable")
+        .findings;
     assert!(
         findings.is_empty(),
         "{} lint finding(s):\n{}",
@@ -27,6 +29,24 @@ fn workspace_is_lint_clean() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+#[test]
+fn the_pass_counts_its_justifications_by_kind_and_rule() {
+    let allows = lint_workspace(root())
+        .expect("workspace must be readable")
+        .allows;
+    // `crates/lint/src/allow.rs` carries an inline `index` allow and
+    // `crates/josim/src/adaptive.rs` a file-wide one.
+    for file_wide in [false, true] {
+        assert!(allows[&(file_wide, "index".to_owned())] >= 1, "{allows:?}");
+    }
+    assert!(
+        allows
+            .keys()
+            .all(|(_, rule)| smart_lint::RULES.contains(&rule.as_str())),
+        "{allows:?}"
     );
 }
 

@@ -23,7 +23,7 @@
 
 // lint:allow-file(index, grid points are indexed by the axis lengths that generated them)
 
-use crate::pareto::{epsilon_survivors, pareto_frontier, Objectives};
+use crate::pareto::{frontier_survivors, pareto_frontier, Objectives};
 use crate::space::SearchSpace;
 use smart_compiler::{resident_fraction, SolverContext, SolverContextStats};
 use smart_core::area::ChipArea;
@@ -341,8 +341,8 @@ pub fn search(
         }
     }
 
-    let survivors = epsilon_survivors(&objectives, cfg.epsilon);
     let frontier = pareto_frontier(&objectives);
+    let survivors = frontier_survivors(&objectives, &frontier, cfg.epsilon);
 
     // Stage 2: ILP enrichment of the survivors, sequentially in
     // enumeration order through the cache's shared solver context so each
@@ -371,20 +371,18 @@ pub fn search(
         });
     }
 
-    let eval_after = eval.stats();
-    let timing_after = timing.stats();
+    let eval_work = eval.stats().since(&eval_before);
+    let timing_work = timing.stats().since(&timing_before);
     let solver = timing.solver().stats().since(&solver_before);
     let stats = SearchStats {
         ilp_compiles,
         // Hits include coalesced waits on in-flight work: the split
         // between the two depends on worker timing, but their sum is
         // deterministic.
-        eval_hits: (eval_after.hits + eval_after.coalesced)
-            - (eval_before.hits + eval_before.coalesced),
-        eval_misses: eval_after.misses - eval_before.misses,
-        timing_hits: (timing_after.hits + timing_after.coalesced)
-            - (timing_before.hits + timing_before.coalesced),
-        timing_misses: timing_after.misses - timing_before.misses,
+        eval_hits: eval_work.hits + eval_work.coalesced,
+        eval_misses: eval_work.misses,
+        timing_hits: timing_work.hits + timing_work.coalesced,
+        timing_misses: timing_work.misses,
         ..SearchStats::of_solver(&solver)
     };
 

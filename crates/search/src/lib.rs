@@ -41,5 +41,5 @@ pub use engine::{
     search, search_naive, EvaluatedPoint, IlpMetrics, ReplayCheck, SearchConfig, SearchOutcome,
     SearchStats,
 };
-pub use pareto::{dominates, epsilon_survivors, pareto_frontier, Objectives};
+pub use pareto::{dominates, epsilon_survivors, frontier_survivors, pareto_frontier, Objectives};
 pub use space::SearchSpace;

@@ -89,15 +89,19 @@ pub fn pareto_frontier(objs: &[Objectives]) -> Vec<usize> {
 /// near-frontier band that survives dominance pruning and moves on to the
 /// expensive ILP stage. A superset of [`pareto_frontier`] for any
 /// `eps >= 0`.
-///
-/// Each point is tested against the frontier points only, O(n·|F|) tests,
-/// which is exact for any `eps`: if `o` ε-dominates `i` and `f` dominates
-/// `o`, then `f` ε-dominates `i` (`f ≤ o ≤ (1 − ε)·i` in every objective,
-/// and `f ≤ o < i` in one), and every point off the frontier is dominated
-/// by a frontier point ([`pareto_frontier`]).
 #[must_use]
 pub fn epsilon_survivors(objs: &[Objectives], eps: f64) -> Vec<usize> {
-    let frontier = pareto_frontier(objs);
+    frontier_survivors(objs, &pareto_frontier(objs), eps)
+}
+
+/// [`epsilon_survivors`] given `frontier`, the [`pareto_frontier`] of
+/// `objs`: each point is tested against the frontier points only, O(n·|F|)
+/// tests, which is exact for any `eps`: if `o` ε-dominates `i` and `f`
+/// dominates `o`, then `f` ε-dominates `i` (`f ≤ o ≤ (1 − ε)·i` in every
+/// objective, and `f ≤ o < i` in one), and every point off the frontier is
+/// dominated by a frontier point ([`pareto_frontier`]).
+#[must_use]
+pub fn frontier_survivors(objs: &[Objectives], frontier: &[usize], eps: f64) -> Vec<usize> {
     (0..objs.len())
         .filter(|&i| {
             !frontier

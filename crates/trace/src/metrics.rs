@@ -1,11 +1,13 @@
 //! [`MetricsRegistry`] / [`MetricsSnapshot`]: named counters and gauges
 //! with deterministic ordering.
 //!
-//! Every subsystem keeps its own counter struct (the memo caches'
-//! `MemoStats`, the solver context's warm/cold tallies, …). This module
-//! is the unification point for reporting them: every subsystem's
-//! counters are poured into one registry under dotted names
-//! (`eval_cache.hits`, `ilp.pivots`, `timing_cache.misses`), and one
+//! Every subsystem keeps its work in a record that one macro,
+//! `smart_units::work_record!`, declares (the memo caches' `MemoStats`,
+//! the transient engine's `TransientWork`, the solver context's
+//! `SolverContextStats`), each field named as its metric. This module is
+//! the unification point for reporting them: each record's counters and
+//! gauges are poured into one registry under its dotted prefix
+//! (`eval_cache.hits`, `josim.trials`, `ilp.pivots`), and one
 //! [`MetricsSnapshot`] renders them all — as aligned text for stderr or
 //! as CSV. `BTreeMap` storage makes every dump deterministically
 //! ordered.

@@ -28,7 +28,10 @@
 //!   generators,
 //! * [`sync`] — poison-proof locking for the single-insert memo maps
 //!   every cache layer guards (a panicked worker costs a memo entry,
-//!   never a cascading panic).
+//!   never a cascading panic),
+//! * [`work`] — [`work_record!`], the one declaration of every layer's
+//!   work counters (the memo caches', the ILP solver context's, the
+//!   transient engine's), each field named as its `--metrics` counter.
 //!
 //! # Examples
 //!
@@ -48,6 +51,7 @@ pub mod memo;
 pub mod quantity;
 pub mod rng;
 pub mod sync;
+pub mod work;
 
 pub use error::{Result, SmartError};
 pub use quantity::{Area, Energy, Frequency, Length, Power, Time};

@@ -51,19 +51,24 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// One key's single-flight cell.
 type Cell<V, E> = Arc<OnceLock<Result<Arc<V>, E>>>;
 
-/// Lookup counters and size of a [`Memo`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Lookups served from a ready value: the exact-key map, or the warm
-    /// tier on a key's first lookup.
-    pub hits: u64,
-    /// Lookups that ran the computation.
-    pub misses: u64,
-    /// Lookups that blocked on another thread's in-flight computation of
-    /// the same key and shared its result.
-    pub coalesced: u64,
-    /// Distinct keys stored.
-    pub entries: usize,
+crate::work_record! {
+    /// Lookup counters and size of a [`Memo`].
+    pub struct MemoStats {
+        counters {
+            /// Lookups served from a ready value: the exact-key map, or the
+            /// warm tier on a key's first lookup.
+            hits,
+            /// Lookups that ran the computation.
+            misses,
+            /// Lookups that blocked on another thread's in-flight
+            /// computation of the same key and shared its result.
+            coalesced,
+        }
+        gauges {
+            /// Distinct keys stored.
+            entries,
+        }
+    }
 }
 
 /// A value type a [`Memo`] can persist: the identity of its store file

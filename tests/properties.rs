@@ -727,7 +727,6 @@ proptest! {
         bias_pm in 500u32..880,
         kick_pm in 400u32..750,
     ) {
-        use smart::josim::adaptive::AdaptiveSpec;
         use smart::josim::circuit::Circuit;
         use smart::josim::engine::{Engine, TransientSpec};
         use smart::josim::waveform::Waveform;
@@ -755,7 +754,7 @@ proptest! {
             .run(TransientSpec::new(60e-12, 0.01e-12), &[n])
             .expect("fixed runs");
         let adaptive = engine
-            .run_adaptive(AdaptiveSpec::sfq(60e-12), &[n])
+            .run_adaptive(60e-12, &[n])
             .expect("adaptive runs");
 
         prop_assert_eq!(
